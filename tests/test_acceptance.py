@@ -3,6 +3,7 @@
 The adversarial grid and the fifo scaling sweep are expensive, so they run
 once and are shared by every criterion that reads them.
 """
+import hashlib
 import itertools
 import statistics
 import struct
@@ -19,6 +20,9 @@ FAIR_POLICIES = ("fifo", "random", "adversarial-delay")
 FAULTS = ("honest", "crash", "equivocate-ppb", "corrupt-shares")
 SEEDS_PER_CELL = 17  # 12 cells x 17 seeds = 204 >= 200 runs per (n, f)
 SWEEP_SEEDS = 30
+# sha256 over every grid report's JSON, in grid order; moves only when some
+# run's observable behaviour does
+GRID_DIGEST = "3aa61a84c0d1d998d85c8bfee454f6b547f669c6e6d31c61da7643b19e810fb3"
 
 _cache = {}
 
@@ -59,6 +63,13 @@ def fifo_sweep():
             per_n[n] = reps
         _cache["sweep"] = per_n
     return _cache["sweep"]
+
+
+def test_grid_reports_pinned():
+    h = hashlib.sha256()
+    for _, _, rep in grid_reports():
+        h.update(rep.to_json().encode())
+    assert h.hexdigest() == GRID_DIGEST
 
 
 def test_c01_agreement():

@@ -347,3 +347,54 @@ def test_key_material_blob_checked():
     tampered = blob[:-5] + bytes([blob[-5] ^ 1]) + blob[-4:]
     with pytest.raises(ValueError):
         ThresholdProvider.deserialize(tampered)
+
+
+# -- known-answer vectors ------------------------------------------------------
+# Fixed outputs of a fixed-seed provider.  Any change to the derivation or
+# to how it is computed must leave every byte here unchanged.
+
+KAT_SIG_SHARES = (
+    "18fa85305abbac72", "72b4dca83decb52b", "d5163b8cdcad0057", "6eaff6aa56d77a04",
+    "a4da7e014f3800d5", "e82103e89e5636a8", "121bd8a57ae4cd3b",
+)
+KAT_COIN_BITS = (1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1)
+KAT_TPKE = {  # plaintext length -> sha256 of the ciphertext payload
+    0: "59704480bf53f1055aafbf2362da1cea8eb9c4cb326b31de788365f253824493",
+    1: "60c5fb272579b30ebe235162b425e6f4617ed400fd1b8f440ca73126e929fa3d",
+    32: "da1a1303488a3dd46c6c87869dfeb34fe944b40be8f6f024dff22d68266aa792",
+    33: "906ce4e6785fc07a1bd40e1e9134c8b3de656cc09553cbfa184ca7e736577a01",
+    25_600: "1a7c7feabc1ad05b4322548cb26b33141e53672102b4dc4d6745f1ecdf87ccc7",
+}
+
+
+def kat_provider():
+    return key_setup(128, 7, 5, 2024)
+
+
+def test_kat_signatures():
+    p = kat_provider()
+    msg = b"known answer"
+    shares = [p.sig_share(i, msg) for i in range(7)]
+    assert tuple(s.share_bytes.hex() for s in shares) == KAT_SIG_SHARES
+    assert p.combine_shares(msg, shares[:5]).sig_bytes.hex() == "5c9e4412b01ff11a"
+
+
+def test_kat_coins():
+    p = kat_provider()
+    bits = []
+    for k in range(16):
+        name = b"kat-coin-%d" % k
+        bits.append(p.coin_toss_bit(name, [p.coin_share(i, name) for i in range(3)]))
+    assert tuple(bits) == KAT_COIN_BITS
+    shares = [p.coin_share(i, b"kat-coin") for i in range(3)]
+    assert p.coin_toss_committee(b"kat-coin", shares, 5) == (0, 1, 6, 5, 3)
+
+
+@pytest.mark.parametrize("length", sorted(KAT_TPKE))
+def test_kat_tpke(length):
+    p = kat_provider()
+    pt = bytes((7 * i + length) & 0xFF for i in range(length))
+    c = p.tpke_enc(pt)
+    assert c.length_plain == length
+    assert hashlib.sha256(c.payload).hexdigest() == KAT_TPKE[length]
+    assert p.tpke_dec(c, [p.tpke_dec_share(i, c) for i in (1, 4, 6)]) == pt
