@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a run stalled or a property assertion failed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -95,13 +96,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         per_run = []
         per_bytes = []
         for k in range(args.seeds):
-            cfg = SimConfig(
-                n=n, f=f, seed=base.seed + k, instances=base.instances,
-                policy=base.policy, policy_params=dict(base.policy_params),
-                pool_size=base.pool_size, batch_size=base.batch_size,
-                request_size=base.request_size, overlap=base.overlap,
-                max_steps=base.max_steps,
-            )
+            cfg = dataclasses.replace(base, n=n, f=f, seed=base.seed + k, byzantine=())
             report = sim_run(cfg)
             if not report.ok:
                 print(f"run n={n} seed={cfg.seed} failed", file=sys.stderr)
@@ -134,12 +129,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for l in ls:
             vals = []
             for k in range(args.seeds):
-                cfg = SimConfig(
-                    n=n, f=f, seed=base.seed + k, instances=base.instances,
-                    policy=base.policy, pool_size=base.pool_size,
-                    batch_size=base.batch_size, request_size=l,
-                    overlap=base.overlap, max_steps=base.max_steps,
-                )
+                cfg = dataclasses.replace(base, n=n, f=f, seed=base.seed + k, byzantine=(),
+                                          request_size=l)
                 report = sim_run(cfg)
                 if not report.ok:
                     print(f"run n={n} l={l} seed={cfg.seed} failed", file=sys.stderr)

@@ -9,6 +9,23 @@ signing/decryption operations plus the public verifier surface, and no
 public operation returns master-derived values unless threshold-many
 valid shares are presented.
 
+Every keyed digest is HMAC-SHA256 (RFC 2104), computed from sha256 inner
+and outer pad states that the provider hashes once per key when it is
+built.  Two memos, both private to the provider and bounded by module
+constants, spare repeated work without changing any result:
+
+* the `tpke-mask` keystream of a ciphertext, keyed by (header, length),
+  so the n parties decrypting one ciphertext derive its mask once;
+* the *accepted* results of `verify_share` and `verify_signature`, keyed
+  by their full inputs.  A rejection is never stored, so a sender of
+  invalid shares cannot grow it, and any changed input is a new key that
+  is verified afresh.
+
+Both live inside the public methods: every call still enters the method
+(`combine_shares` and `tpke_dec` still check each share through the
+public verifiers), and neither memo is reachable from a `PartyCrypto`
+handle or a `Ciphertext`, so the capability contract above is unchanged.
+
 WARNING: this is a simulation artifact, not a secure implementation.
 """
 from __future__ import annotations
@@ -22,6 +39,14 @@ from typing import Iterable, Optional, Sequence
 DIGEST_LEN = 32
 TAG_LEN = 8  # length of share / combined-signature evidence tags
 KM_MAGIC = b"SABC-KM1"
+
+# Entry bounds of the provider-private memos; the oldest entry goes first.
+KEYSTREAM_MEMO_MAX = 64
+VERIFY_MEMO_MAX = 8192
+
+_HMAC_BLOCK = 64  # sha256 block size
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 class CryptoError(Exception):
@@ -53,6 +78,37 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+class _MacKey:
+    """HMAC-SHA256 under one key, with the pad states hashed once (RFC 2104)."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        if len(key) > _HMAC_BLOCK:
+            key = digest(key)
+        key = key.ljust(_HMAC_BLOCK, b"\x00")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def mac(self, msg: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(msg)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """XOR of two equal-length byte strings, as one big-integer operation."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _remember(memo: dict, key, value, bound: int) -> None:
+    if len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 @dataclass(frozen=True)
 class SignatureShare:
     signer: int
@@ -79,7 +135,12 @@ class Ciphertext:
     length_plain: int
 
     def ct_digest(self) -> bytes:
-        return digest(self.payload)
+        # Computed once per object; the payload is immutable and public.
+        d = self.__dict__.get("_ct_digest")
+        if d is None:
+            d = digest(self.payload)
+            object.__setattr__(self, "_ct_digest", d)
+        return d
 
 
 @dataclass(frozen=True)
@@ -116,23 +177,32 @@ class ThresholdProvider:
         self.f = f
         self.t_sig = t_sig
         self.seed = seed
-        self._master = digest(
+        master = digest(
             b"SABC-DEALER" + struct.pack(">QHHI", seed & (2**64 - 1), n, t_sig, security_param)
         )
-        self._party_secrets = tuple(
-            digest(self._master + b"party" + struct.pack(">H", i)) for i in range(n)
+        self._master = _MacKey(master)
+        self._party_keys = tuple(
+            _MacKey(digest(master + b"party" + struct.pack(">H", i))) for i in range(n)
         )
+        self._masks: dict = {}  # (ciphertext header, length) -> tpke-mask keystream
+        self._accepted: dict = {}  # full inputs of accepted share/signature checks
 
     # -- internal keyed digests ------------------------------------------
 
-    def _tag(self, key: bytes, *parts: bytes) -> bytes:
-        return hmac.new(key, b"\x00".join(parts), hashlib.sha256).digest()[:TAG_LEN]
+    def _tag(self, key: _MacKey, *parts: bytes) -> bytes:
+        return key.mac(b"\x00".join(parts))[:TAG_LEN]
 
-    def _stream(self, key: bytes, label: bytes, nbytes: int) -> bytes:
-        out = []
-        for i in range((nbytes + DIGEST_LEN - 1) // DIGEST_LEN):
-            out.append(hmac.new(key, label + struct.pack(">I", i), hashlib.sha256).digest())
-        return b"".join(out)[:nbytes]
+    def _stream(self, key: _MacKey, label: bytes, nbytes: int) -> bytes:
+        blocks = (nbytes + DIGEST_LEN - 1) // DIGEST_LEN
+        return b"".join(key.mac(label + struct.pack(">I", i)) for i in range(blocks))[:nbytes]
+
+    def _mask(self, header: bytes, nbytes: int) -> bytes:
+        key = (header, nbytes)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._stream(self._master, b"tpke-mask" + header, nbytes)
+            _remember(self._masks, key, mask, KEYSTREAM_MEMO_MAX)
+        return mask
 
     def _check_party(self, party: int) -> None:
         if not 0 <= party < self.n:
@@ -143,15 +213,21 @@ class ThresholdProvider:
     def sig_share(self, party: int, message: bytes) -> SignatureShare:
         self._check_party(party)
         d = digest(message)
-        return SignatureShare(party, d, self._tag(self._party_secrets[party], b"sig", d))
+        return SignatureShare(party, d, self._tag(self._party_keys[party], b"sig", d))
 
     def verify_share(self, message: bytes, signer: int, share: SignatureShare) -> bool:
+        key = (message, signer, share)
+        if key in self._accepted:
+            return True
         if not 0 <= signer < self.n or share.signer != signer:
             return False
         d = digest(message)
         if share.message_digest != d:
             return False
-        return hmac.compare_digest(share.share_bytes, self._tag(self._party_secrets[signer], b"sig", d))
+        ok = hmac.compare_digest(share.share_bytes, self._tag(self._party_keys[signer], b"sig", d))
+        if ok:
+            _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
+        return ok
 
     def combine_shares(self, message: bytes, shares: Iterable[SignatureShare]) -> ThresholdSignature:
         """Combine >= t_sig distinct valid shares into the group signature.
@@ -171,22 +247,28 @@ class ThresholdProvider:
         return ThresholdSignature(d, self._tag(self._master, b"tsig", d))
 
     def verify_signature(self, message: bytes, sig: ThresholdSignature) -> bool:
+        key = (message, sig)
+        if key in self._accepted:
+            return True
         d = digest(message)
         if sig.message_digest != d:
             return False
-        return hmac.compare_digest(sig.sig_bytes, self._tag(self._master, b"tsig", d))
+        ok = hmac.compare_digest(sig.sig_bytes, self._tag(self._master, b"tsig", d))
+        if ok:
+            _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
+        return ok
 
     # -- common coin -------------------------------------------------------
 
     def coin_share(self, party: int, coin_name: bytes) -> CoinShare:
         self._check_party(party)
-        return CoinShare(party, coin_name, self._tag(self._party_secrets[party], b"coin", coin_name))
+        return CoinShare(party, coin_name, self._tag(self._party_keys[party], b"coin", coin_name))
 
     def coin_share_verify(self, coin_name: bytes, holder: int, share: CoinShare) -> bool:
         if not 0 <= holder < self.n or share.holder != holder or share.coin_name != coin_name:
             return False
         return hmac.compare_digest(
-            share.share_bytes, self._tag(self._party_secrets[holder], b"coin", coin_name)
+            share.share_bytes, self._tag(self._party_keys[holder], b"coin", coin_name)
         )
 
     def _coin_quorum(self, coin_name: bytes, shares: Iterable[CoinShare]) -> None:
@@ -224,8 +306,7 @@ class ThresholdProvider:
         """Deterministic: identical plaintexts encrypt to identical ciphertexts."""
         # 16-byte masked-seed header regardless of the evidence-tag width.
         header = self._stream(self._master, b"tpke-hdr" + digest(plaintext), _CT_HEADER - len(_CT_MAGIC))
-        mask = self._stream(self._master, b"tpke-mask" + header, len(plaintext))
-        body = bytes(a ^ b for a, b in zip(plaintext, mask))
+        body = _xor(plaintext, self._mask(header, len(plaintext)))
         return Ciphertext(_CT_MAGIC + header + body, len(plaintext))
 
     def _check_ciphertext(self, c: Ciphertext) -> None:
@@ -248,7 +329,7 @@ class ThresholdProvider:
         self._check_party(party)
         self._check_ciphertext(c)
         d = c.ct_digest()
-        return DecryptionShare(party, d, self._tag(self._party_secrets[party], b"tpke-dec", d))
+        return DecryptionShare(party, d, self._tag(self._party_keys[party], b"tpke-dec", d))
 
     def tpke_dec_share_verify(self, c: Ciphertext, holder: int, share: DecryptionShare) -> bool:
         if not 0 <= holder < self.n or share.holder != holder:
@@ -257,7 +338,7 @@ class ThresholdProvider:
         if share.ciphertext_digest != d:
             return False
         return hmac.compare_digest(
-            share.share_bytes, self._tag(self._party_secrets[holder], b"tpke-dec", d)
+            share.share_bytes, self._tag(self._party_keys[holder], b"tpke-dec", d)
         )
 
     def tpke_dec(self, c: Ciphertext, shares: Iterable[DecryptionShare]) -> bytes:
@@ -270,8 +351,7 @@ class ThresholdProvider:
         if len(holders) < self.f + 1:
             raise InsufficientSharesError(self.f + 1, len(holders))
         header = c.payload[len(_CT_MAGIC):_CT_HEADER]
-        mask = self._stream(self._master, b"tpke-mask" + header, c.length_plain)
-        return bytes(a ^ b for a, b in zip(c.payload[_CT_HEADER:], mask))
+        return _xor(c.payload[_CT_HEADER:], self._mask(header, c.length_plain))
 
     # -- capabilities and serialization -------------------------------------
 

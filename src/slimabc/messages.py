@@ -43,6 +43,22 @@ class Justification:
     prevote_one: Optional["AbbaPrevote"] = None
 
 
+ENVELOPE_HEADER = 12  # sender (2), instance (8), entry count (2)
+ENTRY_HEADER = 5  # tag (1), body length (4)
+
+
+def _body_len(msg) -> int:
+    """len(msg.encode_body()), computed once per message object.
+
+    A broadcast message object rides in n-1 envelopes; messages are frozen,
+    so the length cached on the object stays valid."""
+    n = msg.__dict__.get("_body_len")
+    if n is None:
+        n = len(msg.encode_body())
+        object.__setattr__(msg, "_body_len", n)
+    return n
+
+
 def _u16(v: int) -> bytes:
     return struct.pack(">H", v)
 
@@ -308,8 +324,9 @@ class Envelope:
         return _u16(self.sender) + _u64(self.instance) + _u16(len(self.entries)) + body
 
     def size(self) -> int:
+        """len(self.encode()), without building the bytes."""
         if self._size is None:
-            self._size = len(self.encode())
+            self._size = ENVELOPE_HEADER + sum(ENTRY_HEADER + _body_len(m) for m in self.entries)
         return self._size
 
     def slots(self) -> set:

@@ -595,6 +595,9 @@ class RunRecorder(Observer):
         for inst, slot, req in ref.log:
             h.update(inst.to_bytes(8, "big") + slot.to_bytes(2, "big") + req)
 
+        # Each party holds this recorder as its observer; letting go of the
+        # parties breaks that cycle, so reference counting frees a finished run.
+        self.parties, self.pending = [], []
         return RunReport(
             config=scenario_dict(self.cfg),
             stalled=stalled,

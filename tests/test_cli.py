@@ -2,7 +2,7 @@
 import csv
 import json
 
-from slimabc import SimConfig, cli
+from slimabc import SimConfig, cli, sim_run
 from slimabc.simnet import scenario_dict
 
 
@@ -82,3 +82,23 @@ def test_replay_roundtrip_and_divergence(tmp_path, capsys):
     trace.write_text("\n".join(lines) + "\n")
     assert cli.main(["replay", "--trace", str(trace)]) == 1
     assert "diverged" in capsys.readouterr().out
+
+
+def test_sweep_keeps_scenario_policy_params_and_security_param(tmp_path, capsys):
+    base = dict(n=4, f=1, seed=5, instances=1, policy="random",
+                policy_params={"fairness_bound": 3}, security_param=256)
+    scn = write_scenario(tmp_path, **base)
+    csv_path = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--scenario", scn, "--n-list", "4", "--l-list", "64,128",
+                     "--seeds", "2", "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    l_rows = [r for r in rows if int(r["batch_bytes"]) in (4 * 64, 4 * 128)]
+    assert len(l_rows) == 4
+    for row in l_rows:
+        cfg = SimConfig(**dict(base, seed=int(row["seed"]),
+                               request_size=int(row["batch_bytes"]) // 4))
+        rep = sim_run(cfg)
+        got = tuple(int(row[k]) for k in ("messages", "bytes", "steps"))
+        assert got == (rep.messages, rep.bytes, rep.steps)

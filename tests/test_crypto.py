@@ -13,10 +13,14 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimabc.crypto import (
     DIGEST_LEN,
+    KEYSTREAM_MEMO_MAX,
     TAG_LEN,
+    VERIFY_MEMO_MAX,
     CoinShare,
     Ciphertext,
     DecryptionShare,
@@ -25,6 +29,9 @@ from slimabc.crypto import (
     MalformedCiphertextError,
     SignatureShare,
     ThresholdProvider,
+    ThresholdSignature,
+    _MacKey,
+    _xor,
     digest,
     key_setup,
 )
@@ -134,8 +141,6 @@ def test_mutated_shares_never_verify():
 
 
 def test_forged_signatures_rejected():
-    from slimabc.crypto import ThresholdSignature
-
     p = provider()
     msg = b"forgery fuzz"
     real = p.combine_shares(msg, [p.sig_share(i, msg) for i in range(p.t_sig)])
@@ -398,3 +403,122 @@ def test_kat_tpke(length):
     assert c.length_plain == length
     assert hashlib.sha256(c.payload).hexdigest() == KAT_TPKE[length]
     assert p.tpke_dec(c, [p.tpke_dec_share(i, c) for i in (1, 4, 6)]) == pt
+
+
+# -- fast paths against their references -----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.binary(max_size=160), msg=st.binary(max_size=300))
+def test_pad_state_mac_equals_hmac(key, msg):
+    assert _MacKey(key).mac(msg) == hmac.new(key, msg, hashlib.sha256).digest()
+
+
+@pytest.mark.parametrize("length", (0, 1, 31, 32, 33, 25_600))
+def test_xor_equals_bytewise_xor(length):
+    rng = random.Random(length)
+    a, b = rng.randbytes(length), rng.randbytes(length)
+    assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+    assert _xor(a, a) == bytes(length)
+
+
+def test_ct_digest_cached_per_object():
+    p = provider()
+    c = p.tpke_enc(b"cache me")
+    assert c.ct_digest() is c.ct_digest()
+    twin = Ciphertext(c.payload, c.length_plain)
+    assert twin == c and twin.ct_digest() == c.ct_digest()
+
+
+def test_no_master_derived_state_reachable_from_handles_or_ciphertexts():
+    p = provider()
+    h = p.party_handle(1)
+    c = h.tpke_enc(b"secret batch")
+    assert h.tpke_dec(c, [p.tpke_dec_share(i, c) for i in range(2)]) == b"secret batch"
+    assert set(vars(h)) == {"_provider", "party"}
+    assert set(vars(c)) <= {"payload", "length_plain", "_ct_digest"}
+    assert c.__dict__.get("_ct_digest", digest(c.payload)) == digest(c.payload)
+
+
+# -- verification memo soundness --------------------------------------------------
+
+def flip(share, pos=0):
+    raw = bytearray(share.share_bytes)
+    raw[pos] ^= 0x01
+    return SignatureShare(share.signer, share.message_digest, bytes(raw))
+
+
+def test_memo_still_rejects_a_flipped_share():
+    p = provider()
+    share = p.sig_share(1, b"memo")
+    assert p.verify_share(b"memo", 1, share)
+    assert p.verify_share(b"memo", 1, share)
+    for pos in range(TAG_LEN):
+        assert not p.verify_share(b"memo", 1, flip(share, pos))
+    assert not p.verify_share(b"memo", 2, share)
+    assert not p.verify_share(b"memo!", 1, share)
+    sig = p.combine_shares(b"memo", [p.sig_share(i, b"memo") for i in range(3)])
+    assert p.verify_signature(b"memo", sig) and p.verify_signature(b"memo", sig)
+    assert not p.verify_signature(b"memo", ThresholdSignature(sig.message_digest, bytes(TAG_LEN)))
+    assert not p.verify_signature(b"other", sig)
+
+
+def test_rejections_are_never_stored():
+    p = provider()
+    share = p.sig_share(0, b"flood")
+    assert p.verify_share(b"flood", 0, share)
+    size = len(p._accepted)
+    rng = random.Random(5)
+    for _ in range(500):
+        forged = SignatureShare(0, share.message_digest, rng.randbytes(TAG_LEN))
+        if forged != share:
+            assert not p.verify_share(b"flood", 0, forged)
+            assert not p.verify_signature(b"flood", ThresholdSignature(share.message_digest,
+                                                                       forged.share_bytes))
+    assert len(p._accepted) == size
+
+
+def test_warm_memo_combine_still_names_offenders():
+    p = provider()
+    msg = b"warm"
+    shares = [p.sig_share(i, msg) for i in range(4)]
+    p.combine_shares(msg, shares)  # every share is now in the memo
+    with pytest.raises(InvalidShareError) as err:
+        p.combine_shares(msg, [shares[0], flip(shares[1]), shares[2], flip(shares[3], 5)])
+    assert err.value.offenders == (1, 3)
+
+
+def test_warm_and_fresh_providers_agree():
+    warm = provider(7, seed=3)
+    rng = random.Random(17)
+    msgs = [b"m%d" % k for k in range(6)]
+    sigs = {m: warm.combine_shares(m, [warm.sig_share(i, m) for i in range(5)]) for m in msgs}
+    calls = []
+    for _ in range(400):
+        msg, signer = rng.choice(msgs), rng.randrange(7)
+        share = warm.sig_share(signer, msg)
+        kind = rng.randrange(4)
+        if kind == 1:
+            share = flip(share, rng.randrange(TAG_LEN))
+        elif kind == 2:
+            signer = (signer + 1) % 7
+        elif kind == 3:
+            msg = rng.choice(msgs)
+        calls.append(("verify_share", (msg, signer, share)))
+        calls.append(("verify_signature", (msg, sigs[rng.choice(msgs)])))
+    for _ in range(2):  # the second pass runs on a warm memo
+        got = [getattr(warm, name)(*args) for name, args in calls]
+        assert got == [getattr(provider(7, seed=3), name)(*args) for name, args in calls]
+    assert True in got and False in got
+
+
+def test_memos_stay_within_their_bounds():
+    p = provider()
+    for k in range(VERIFY_MEMO_MAX + 50):
+        msg = b"bound %d" % k
+        assert p.verify_share(msg, k % 4, p.sig_share(k % 4, msg))
+        assert len(p._accepted) <= VERIFY_MEMO_MAX
+    for k in range(KEYSTREAM_MEMO_MAX + 10):
+        c = p.tpke_enc(b"%d" % k)
+        assert p.tpke_dec(c, [p.tpke_dec_share(i, c) for i in range(2)]) == b"%d" % k
+        assert len(p._masks) <= KEYSTREAM_MEMO_MAX
+    assert len(p._accepted) == VERIFY_MEMO_MAX and len(p._masks) == KEYSTREAM_MEMO_MAX

@@ -1,4 +1,5 @@
 """Simulator: config validation, determinism, policies, behaviors, traces."""
+import gc
 import json
 
 import pytest
@@ -160,3 +161,21 @@ def test_harness_all_zero_and_all_one():
         r = abba_harness_run(4, 1, 9, {i: bit for i in range(4)})
         assert not r["stalled"]
         assert {v[0] for v in r["decisions"].values()} == {bit}
+
+
+def test_finished_runs_leave_no_reference_cycles():
+    """A finished run is freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        rep = sim_run(base_cfg(n=7, f=2, seed=3, instances=2, policy="random",
+                               byzantine=(BehaviorSpec(0, "corrupt-shares"),
+                                          BehaviorSpec(1, "crash", at_step=20))))
+        assert rep.ok
+        assert gc.collect() == 0
+        res = abba_harness_run(7, 2, 5, [0, 0, 1, 1, 1, 0, 1],
+                               byzantine=(BehaviorSpec(0, "random-votes"),))
+        assert not res["stalled"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
