@@ -148,11 +148,9 @@ class AbbaMachine:
     def on_prevote(self, sender: int, msg: AbbaPrevote, out: List[Message]) -> None:
         if self.decided or msg.bit not in (0, 1) or msg.round < 1:
             return
-        if msg.round > max(self.round, 1):
+        if msg.round > max(self.round, 1):  # round-1 votes are verifiable before entry
             self._future.setdefault(msg.round, []).append(("pv", sender, msg))
             return
-        if self.round == 0 and msg.round == 1:
-            pass  # round-1 votes are verifiable before entry; accept them
         if sender in self._prevotes.get(msg.round, {}):
             return
         ok = self._validate_prevote(sender, msg)

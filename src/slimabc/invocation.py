@@ -18,8 +18,33 @@ from typing import Dict, List, Optional, Tuple
 
 from .abba import AbbaMachine, AlreadyInputError
 from .crypto import Ciphertext, DecryptionShare, PartyCrypto, ThresholdSignature
-from .messages import DecShare, Message, Recover, RecoverResp, VMsg
+from .messages import (
+    AbbaCoinShare,
+    AbbaDecision,
+    AbbaMainvote,
+    AbbaPreprocess,
+    AbbaPrevote,
+    DecShare,
+    Message,
+    Recover,
+    RecoverResp,
+    VMsg,
+)
 from .ppb import verify_proof
+
+# Slot-level message type -> name of the SlotInvocation method that handles it,
+# called as handler(sender, msg, out).  Owners look the name up on the
+# invocation at call time, so a method replaced on the class is the one called.
+SLOT_HANDLERS = {
+    VMsg: "on_v",
+    AbbaPreprocess: "on_preprocess",
+    AbbaPrevote: "on_prevote",
+    AbbaMainvote: "on_mainvote",
+    AbbaCoinShare: "on_coin_share",
+    AbbaDecision: "on_decision",
+    DecShare: "on_dec_share",
+    RecoverResp: "on_recover_resp",
+}
 
 
 class InvalidProofError(Exception):
@@ -66,11 +91,16 @@ class SlotInvocation:
         return True
 
     def inv_start(self, bit: int, ciphertext: Optional[Ciphertext] = None,
-                  proof: Optional[ThresholdSignature] = None) -> List[Message]:
-        """Fix the local claim and produce the V-message (flushed by the owner)."""
+                  proof: Optional[ThresholdSignature] = None,
+                  out: Optional[List[Message]] = None) -> List[Message]:
+        """Fix the local claim and produce the V-message (flushed by the owner).
+
+        Emissions are appended to `out` (a new list if none is given), which
+        is returned."""
         if self.started:
             raise AlreadyInputError(f"slot {self.slot} invocation already started")
-        out: List[Message] = []
+        if out is None:
+            out = []
         if bit == 1:
             if ciphertext is None or proof is None or not self.record_pair(
                 ciphertext, proof, out
@@ -175,7 +205,7 @@ class SlotInvocation:
             shares = list(self._dec_shares.values())[: self.crypto.f + 1]
             self.plaintext = self.crypto.tpke_dec(self.pair[0], shares)
 
-    def on_recover_resp(self, msg: RecoverResp, out: List[Message]) -> None:
+    def on_recover_resp(self, sender: int, msg: RecoverResp, out: List[Message]) -> None:
         self.record_pair(msg.ciphertext, msg.proof, out)
 
     # -- outcome ----------------------------------------------------------------

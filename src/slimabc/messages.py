@@ -326,8 +326,10 @@ class Envelope:
     def size(self) -> int:
         """len(self.encode()), without building the bytes."""
         if self._size is None:
-            self._size = ENVELOPE_HEADER + sum(ENTRY_HEADER + _body_len(m) for m in self.entries)
+            self._size = entries_size(self.entries)
         return self._size
 
-    def slots(self) -> set:
-        return {m.slot for m in self.entries if getattr(m, "slot", None) is not None}
+
+def entries_size(entries) -> int:
+    """Wire size of an envelope carrying `entries`, without encoding them."""
+    return ENVELOPE_HEADER + sum(ENTRY_HEADER + _body_len(m) for m in entries)

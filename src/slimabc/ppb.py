@@ -34,7 +34,6 @@ def ppb_sign_bytes(instance: int, slot: int, ct_digest: bytes) -> bytes:
 class PpbProof:
     instance: int
     slot: int
-    payload_digest: bytes
     sig: ThresholdSignature
 
 
@@ -67,7 +66,7 @@ class PpbSender:
         self._shares[sender] = share
         if len(self._shares) >= self.crypto.n - self.crypto.f:
             sig = self.crypto.combine_shares(self._bytes, self._shares.values())
-            self.proof = PpbProof(self.instance, self.slot, self.ciphertext.ct_digest(), sig)
+            self.proof = PpbProof(self.instance, self.slot, sig)
             return self.proof
         return None
 

@@ -24,16 +24,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .committee import Committee, CsState
 from .crypto import Ciphertext, PartyCrypto, ThresholdSignature
-from .invocation import SlotInvocation
+from .invocation import SLOT_HANDLERS, SlotInvocation
 from .messages import (
     BROADCAST,
-    AbbaCoinShare,
-    AbbaDecision,
-    AbbaMainvote,
-    AbbaPreprocess,
-    AbbaPrevote,
     CsShare,
-    DecShare,
     Envelope,
     Message,
     PpbPayload,
@@ -42,7 +36,7 @@ from .messages import (
     Recover,
     RecoverResp,
     Suggestion,
-    VMsg,
+    entries_size,
 )
 from .ppb import PpbReceiver, PpbSender
 
@@ -217,15 +211,27 @@ class Party:
             self._route(self.pid, self._selfq.pop(0))
 
     def _flush(self) -> List[Envelope]:
+        wire, self._wire = self._wire, []
+        if not wire:
+            return []
+        instance = wire[0][1].instance
+        if all(dst == BROADCAST and msg.instance == instance for dst, msg in wire):
+            # One envelope body for all n-1 peers: share its entries and size.
+            entries = tuple(msg for _, msg in wire)
+            size = entries_size(entries)
+            return [
+                Envelope(self.pid, instance, entries, dst=q, _size=size)
+                for q in range(self.n)
+                if q != self.pid
+            ]
         grouped: Dict[Tuple[int, int], List[Message]] = {}
-        for dst, msg in self._wire:
+        for dst, msg in wire:
             if dst == BROADCAST:
                 for q in range(self.n):
                     if q != self.pid:
                         grouped.setdefault((q, msg.instance), []).append(msg)
             else:
                 grouped.setdefault((dst, msg.instance), []).append(msg)
-        self._wire = []
         return [
             Envelope(dst=dst, sender=self.pid, instance=inst, entries=tuple(msgs))
             for (dst, inst), msgs in grouped.items()
@@ -238,31 +244,37 @@ class Party:
             self._future.setdefault(msg.instance, []).append((sender, msg))
             return
         if msg.instance < self.instance:
-            if isinstance(msg, Recover):
+            if type(msg) is Recover:
                 self._serve_recover(sender, msg)
             return
         self._dispatch(sender, msg)
 
     def _dispatch(self, sender: int, msg: Message) -> None:
         inst = self.inst
-        if isinstance(msg, CsShare):
+        kind = type(msg)
+        if kind is CsShare:
             committee = inst.cs.on_share(sender, msg.share)
             if committee is not None and inst.committee is None:
                 self._on_committee(committee)
             return
-        if isinstance(msg, Recover):
+        if kind is Recover:
             self._serve_recover(sender, msg)
             return
         if inst.committee is None:
             inst.buffer.append((sender, msg))
             return
-        if isinstance(msg, PpbPayload):
+        handler = SLOT_HANDLERS.get(kind)
+        if handler is not None:
+            inv = inst.slots.get(msg.slot)
+            if inv is not None:
+                self._slot_call(inv, getattr(inv, handler), sender, msg)
+        elif kind is PpbPayload:
             if msg.slot != sender:
                 return
             share = inst.ppb_recv.on_payload(sender, msg.ciphertext)
             if share is not None:
                 self._emit(sender, PpbShare(self.instance, sender, share))
-        elif isinstance(msg, PpbShare):
+        elif kind is PpbShare:
             if inst.ppb_send is None or msg.slot != self.pid:
                 return
             proof = inst.ppb_send.on_share(sender, msg.share)
@@ -273,44 +285,22 @@ class Party:
                     BROADCAST,
                     Proposal(self.instance, self.pid, inst.my_ciphertext, proof.sig),
                 )
-        elif isinstance(msg, Proposal):
+        elif kind is Proposal:
             if msg.slot != sender:
                 return
             self._on_pair(sender, msg.slot, msg.ciphertext, msg.proof)
-        elif isinstance(msg, Suggestion):
+        elif kind is Suggestion:
             if msg.relayer != sender:
                 return
             self._on_pair(sender, msg.slot, msg.ciphertext, msg.proof)
-        elif isinstance(msg, VMsg):
-            inv = inst.slots.get(msg.slot)
-            if inv is not None:
-                self._slot_call(inv, lambda out: inv.on_v(sender, msg, out))
-        elif isinstance(msg, AbbaPreprocess):
-            self._abba(msg.slot, lambda inv, out: inv.on_preprocess(sender, msg, out))
-        elif isinstance(msg, AbbaPrevote):
-            self._abba(msg.slot, lambda inv, out: inv.on_prevote(sender, msg, out))
-        elif isinstance(msg, AbbaMainvote):
-            self._abba(msg.slot, lambda inv, out: inv.on_mainvote(sender, msg, out))
-        elif isinstance(msg, AbbaCoinShare):
-            self._abba(msg.slot, lambda inv, out: inv.on_coin_share(sender, msg, out))
-        elif isinstance(msg, AbbaDecision):
-            self._abba(msg.slot, lambda inv, out: inv.on_decision(sender, msg, out))
-        elif isinstance(msg, DecShare):
-            self._abba(msg.slot, lambda inv, out: inv.on_dec_share(sender, msg, out))
-        elif isinstance(msg, RecoverResp):
-            self._abba(msg.slot, lambda inv, out: inv.on_recover_resp(msg, out))
 
-    def _abba(self, slot: int, fn) -> None:
-        inv = self.inst.slots.get(slot)
-        if inv is not None:
-            self._slot_call(inv, lambda out: fn(inv, out))
-
-    def _slot_call(self, inv: SlotInvocation, fn) -> None:
-        """Run one slot operation, multicast its emissions, report transitions."""
+    def _slot_call(self, inv: SlotInvocation, op, *args):
+        """Run `op(*args, out)` on one slot, multicast its emissions `out`,
+        report input and decision transitions, and return op's result."""
         had_input = inv.input_bit is not None
         had_decision = inv.decided is not None
         out: List[Message] = []
-        fn(out)
+        result = op(*args, out)
         for m in out:
             self._emit(BROADCAST, m)
         if not had_input and inv.input_bit is not None:
@@ -319,6 +309,7 @@ class Party:
             self.observer.on_slot_decided(
                 self.pid, self.instance, inv.slot, inv.decided[0], inv.decided[1]
             )
+        return result
 
     # -- phase transitions ---------------------------------------------------------
 
@@ -348,16 +339,14 @@ class Party:
         inv = inst.slots.get(slot)
         if inv is None:
             return
-        accepted = []
-        self._slot_call(inv, lambda out: accepted.append(inv.record_pair(ciphertext, proof, out)))
-        if not accepted[0]:
+        if not self._slot_call(inv, inv.record_pair, ciphertext, proof):
             return
         inst.sugg_senders.add(sender)
         if not inst.relayed:
             inst.relayed = True
             self._emit(BROADCAST, Suggestion(self.instance, slot, ciphertext, proof, self.pid))
         if not inv.started:
-            self._slot_call(inv, lambda out: out.extend(inv.inv_start(1, ciphertext, proof)))
+            self._slot_call(inv, inv.inv_start, 1, ciphertext, proof)
         self._maybe_sweep()
 
     def _maybe_sweep(self) -> None:
@@ -369,7 +358,7 @@ class Party:
         for slot in sorted(inst.slots):
             inv = inst.slots[slot]
             if not inv.started:
-                self._slot_call(inv, lambda out, inv=inv: out.extend(inv.inv_start(0)))
+                self._slot_call(inv, inv.inv_start, 0, None, None)
             v = inv.take_v()
             if v is not None:
                 self._emit(BROADCAST, v)

@@ -25,14 +25,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .crypto import Ciphertext, ThresholdSignature, key_setup
-from .invocation import SlotInvocation
+from .invocation import SLOT_HANDLERS, SlotInvocation
 from .messages import (
-    AbbaCoinShare,
-    AbbaDecision,
     AbbaMainvote,
-    AbbaPreprocess,
     AbbaPrevote,
-    DecShare,
     Envelope,
     PpbPayload,
     Proposal,
@@ -91,21 +87,7 @@ class SimConfig:
     security_param: int = 128
 
     def validate(self) -> None:
-        if self.f < 1 or self.n != 3 * self.f + 1:
-            raise ConfigError(f"need n = 3f+1 with f >= 1, got n={self.n} f={self.f}")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
-        if len(self.byzantine) > self.f:
-            raise ConfigError(f"at most f={self.f} byzantine parties")
-        seen = set()
-        for spec in self.byzantine:
-            if spec.kind not in BEHAVIORS:
-                raise ConfigError(f"unknown behavior {spec.kind!r}")
-            if not 0 <= spec.party < self.n:
-                raise ConfigError(f"behavior party {spec.party} out of range")
-            if spec.party in seen:
-                raise ConfigError(f"duplicate behavior for party {spec.party}")
-            seen.add(spec.party)
+        validate_run(self.n, self.f, self.byzantine, self.policy, self.policy_params)
         if self.instances < 1:
             raise ConfigError("instances must be >= 1")
         if min(self.pool_size, self.batch_size, self.request_size) < 1:
@@ -128,6 +110,30 @@ class SimConfig:
     def honest(self) -> List[int]:
         byz = {b.party for b in self.byzantine}
         return [p for p in range(self.n) if p not in byz]
+
+
+def validate_run(n: int, f: int, byzantine: Tuple[BehaviorSpec, ...], policy: str,
+                 policy_params: dict) -> None:
+    """Checks shared by `sim_run` and `abba_harness_run`; raises ConfigError."""
+    if f < 1 or n != 3 * f + 1:
+        raise ConfigError(f"need n = 3f+1 with f >= 1, got n={n} f={f}")
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}")
+    for key, least in (("fairness_bound", 1), ("budget", 0)):
+        value = policy_params.get(key, least)
+        if type(value) is not int or value < least:
+            raise ConfigError(f"policy_params {key} must be an integer >= {least}, got {value!r}")
+    if len(byzantine) > f:
+        raise ConfigError(f"at most f={f} byzantine parties")
+    seen = set()
+    for spec in byzantine:
+        if spec.kind not in BEHAVIORS:
+            raise ConfigError(f"unknown behavior {spec.kind!r}")
+        if not 0 <= spec.party < n:
+            raise ConfigError(f"behavior party {spec.party} out of range")
+        if spec.party in seen:
+            raise ConfigError(f"duplicate behavior for party {spec.party}")
+        seen.add(spec.party)
 
 
 def scenario_dict(cfg: SimConfig) -> dict:
@@ -167,7 +173,6 @@ def load_scenario(path: str) -> SimConfig:
 
 @dataclass
 class QueueItem:
-    seq: int
     enqueued: int
     env: Envelope
     deferrals: int = 0
@@ -206,8 +211,7 @@ class RandomPolicy:
 class AdversarialDelayPolicy:
     """Defers every envelope touching the first proposed slot `budget` times."""
 
-    def __init__(self, rng: random.Random, budget: int = 12):
-        self.rng = rng
+    def __init__(self, budget: int = 12):
         self.budget = budget
         self.target: Optional[Tuple[int, int]] = None  # (instance, slot)
 
@@ -237,8 +241,7 @@ class TargetedStarvePolicy:
     """Holds the first proposed slot's pair dissemination back while anything
     else is deliverable, so that slot's agreement must run without it."""
 
-    def __init__(self, rng: random.Random):
-        self.rng = rng
+    def __init__(self):
         self.target: Optional[Tuple[int, int]] = None
 
     def note_enqueue(self, item: QueueItem) -> None:
@@ -263,9 +266,9 @@ def make_policy(name: str, params: dict, rng: random.Random):
     if name == "random":
         return RandomPolicy(rng)
     if name == "adversarial-delay":
-        return AdversarialDelayPolicy(rng, budget=int(params.get("budget", 12)))
+        return AdversarialDelayPolicy(budget=params.get("budget", 12))
     if name == "targeted-starve":
-        return TargetedStarvePolicy(rng)
+        return TargetedStarvePolicy()
     raise ConfigError(f"unknown policy {name!r}")
 
 
@@ -639,17 +642,14 @@ def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
         for spec in cfg.byzantine
     }
     policy = make_policy(cfg.policy, cfg.policy_params, random.Random(f"{cfg.seed}|policy"))
-    fairness_bound = int(cfg.policy_params.get("fairness_bound", 64 * cfg.n))
+    fairness_bound = cfg.policy_params.get("fairness_bound", 64 * cfg.n)
     honest = set(cfg.honest())
 
     pending: List[QueueItem] = []
     recorder.attach(parties, pending)
-    seq = 0
 
     def push(env: Envelope, step: int) -> None:
-        nonlocal seq
-        item = QueueItem(seq, step, env)
-        seq += 1
+        item = QueueItem(step, env)
         policy.note_enqueue(item)
         pending.append(item)
 
@@ -676,11 +676,11 @@ def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
             if b is not None and b.crashed(0):
                 continue
             outbound(p.pid, 0, p.begin())
+        # A party's state changes only while it handles an envelope, so each
+        # step only the receiver can leave this set.
+        unfinished = {p for p in honest if not parties[p].finished}
 
-        def done() -> bool:
-            return all(parties[p].finished for p in honest)
-
-        while pending and step < cfg.max_steps and not done():
+        while pending and step < cfg.max_steps and unfinished:
             step += 1
             if step - pending[0].enqueued > fairness_bound:
                 idx = 0
@@ -697,6 +697,8 @@ def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
                 recorder.current_env = env
                 outs = parties[env.dst].handle(env)
                 recorder.current_env = None
+                if parties[env.dst].finished:
+                    unfinished.discard(env.dst)
                 outbound(env.dst, step, outs)
             if trace or step_callback:
                 rec = {
@@ -710,7 +712,7 @@ def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
                     trace.write(json.dumps(rec, sort_keys=True) + "\n")
                 if step_callback:
                     step_callback(rec)
-        stalled = not done()
+        stalled = bool(unfinished)
     finally:
         if trace:
             trace.close()
@@ -803,27 +805,14 @@ class HarnessParty:
 
     def _dispatch(self, sender: int, msg) -> None:
         inv = self.inv
-        out: List[object] = []
-        if isinstance(msg, VMsg):
-            inv.on_v(sender, msg, out)
-        elif isinstance(msg, AbbaPreprocess):
-            inv.on_preprocess(sender, msg, out)
-        elif isinstance(msg, AbbaPrevote):
-            inv.on_prevote(sender, msg, out)
-        elif isinstance(msg, AbbaMainvote):
-            inv.on_mainvote(sender, msg, out)
-        elif isinstance(msg, AbbaCoinShare):
-            inv.on_coin_share(sender, msg, out)
-        elif isinstance(msg, AbbaDecision):
-            inv.on_decision(sender, msg, out)
-        elif isinstance(msg, DecShare):
-            inv.on_dec_share(sender, msg, out)
-        elif isinstance(msg, Recover):
-            if inv.pair is not None:
-                self._wire.append(("unicast", sender, RecoverResp(1, 0, *inv.pair)))
-        elif isinstance(msg, RecoverResp):
-            inv.on_recover_resp(msg, out)
-        self._emit_all(out)
+        kind = type(msg)
+        handler = SLOT_HANDLERS.get(kind)
+        if handler is not None:
+            out: List[object] = []
+            getattr(inv, handler)(sender, msg, out)
+            self._emit_all(out)
+        elif kind is Recover and inv.pair is not None:
+            self._wire.append(("unicast", sender, RecoverResp(1, 0, *inv.pair)))
 
     def _flush(self) -> List[Envelope]:
         n = self.crypto.n
@@ -855,11 +844,12 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
                      policy: str = "random", policy_params: Optional[dict] = None,
                      max_steps: int = 50_000) -> dict:
     """Run one biased-agreement instance in isolation; 1-inputters hold a proven pair."""
+    params = policy_params or {}
+    validate_run(n, f, byzantine, policy, params)
     if len(inputs) != n:
         raise ConfigError("need one input bit per party")
     if any(inputs[p] not in (0, 1) for p in range(n)):
         raise ConfigError("input bits must be 0 or 1")
-    params = policy_params or {}
     provider = key_setup(128, n, n - f, seed)
     pair = make_proven_pair(provider, 1, 0, b"harness-payload")
     byz = {spec.party for spec in byzantine}
@@ -873,16 +863,13 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
         for spec in byzantine
     }
     pol = make_policy(policy, params, random.Random(f"{seed}|policy"))
-    fairness_bound = int(params.get("fairness_bound", 64 * n))
+    fairness_bound = params.get("fairness_bound", 64 * n)
     honest = [p for p in range(n) if p not in byz]
     pending: List[QueueItem] = []
-    seq = 0
 
     def push(env: Envelope, step: int) -> None:
-        nonlocal seq
-        pending.append(QueueItem(seq, step, env))
+        pending.append(QueueItem(step, env))
         pol.note_enqueue(pending[-1])
-        seq += 1
 
     def outbound(pid: int, step: int, envs: List[Envelope]) -> None:
         b = behaviors.get(pid)
@@ -899,7 +886,8 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
         if b is not None and b.crashed(0):
             continue
         outbound(p.pid, 0, p.begin())
-    while pending and step < max_steps and not all(parties[p].finished for p in honest):
+    unfinished = {p for p in honest if not parties[p].finished}  # see sim_run
+    while pending and step < max_steps and unfinished:
         step += 1
         if step - pending[0].enqueued > fairness_bound:
             idx = 0
@@ -911,8 +899,11 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
             messages += 1
         b = behaviors.get(env.dst)
         if b is None or not b.crashed(step):
-            outbound(env.dst, step, parties[env.dst].handle(env))
-    stalled = not all(parties[p].finished for p in honest)
+            outs = parties[env.dst].handle(env)
+            if parties[env.dst].finished:
+                unfinished.discard(env.dst)
+            outbound(env.dst, step, outs)
+    stalled = bool(unfinished)
     return {
         "decisions": {p: parties[p].inv.decided for p in honest},
         "inputs": {p: inputs[p] for p in honest},

@@ -31,6 +31,9 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(bad)]) == 2
     assert cli.main(["run", "--scenario", str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
+    scn = write_scenario(tmp_path, "params.json", policy_params={"fairness_bound": "x"})
+    assert cli.main(["run", "--scenario", scn]) == 2
+    assert "fairness_bound" in capsys.readouterr().err
 
 
 def test_check_counts_properties(tmp_path, capsys):

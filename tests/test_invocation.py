@@ -107,7 +107,7 @@ def run_until_decided(invs, claims):
             elif isinstance(msg, DecShare):
                 inv.on_dec_share(sender, msg, out)
             elif isinstance(msg, RecoverResp):
-                inv.on_recover_resp(msg, out)
+                inv.on_recover_resp(sender, msg, out)
             elif isinstance(msg, Recover):
                 if inv.pair is not None:
                     out.append(RecoverResp(INSTANCE, SLOT, *inv.pair))

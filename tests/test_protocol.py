@@ -1,7 +1,26 @@
 """Batches, pools, and the orchestrated full stack at small n."""
+import typing
+from typing import Dict, List, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimabc import Party, ProtocolConfig, RequestBatch, SimConfig, sim_run
+from slimabc.crypto import key_setup
+from slimabc.invocation import SLOT_HANDLERS, SlotInvocation
+from slimabc.messages import (
+    BROADCAST,
+    CsShare,
+    Envelope,
+    Message,
+    PpbPayload,
+    PpbShare,
+    Proposal,
+    Recover,
+    Suggestion,
+    VMsg,
+)
 from slimabc.protocol import instance_pool, sample_batch
 
 
@@ -101,3 +120,64 @@ def test_state_digest_distinguishes_parties_mid_run():
     # before any message exchange all digests match except for party id
     digests = {p.state_digest() for p in parties}
     assert len(digests) == 4
+
+
+# -- dispatch table and envelope grouping --------------------------------------------
+
+PARTY_KINDS = {CsShare, Recover, PpbPayload, PpbShare, Proposal, Suggestion}
+
+
+def test_dispatch_table_covers_every_message_kind():
+    assert set(SLOT_HANDLERS).isdisjoint(PARTY_KINDS)
+    assert set(SLOT_HANDLERS) | PARTY_KINDS == set(typing.get_args(Message))
+    for name in SLOT_HANDLERS.values():
+        assert callable(SlotInvocation.__dict__[name])
+
+
+def reference_flush(party: Party, wire) -> List[Envelope]:
+    """Per-peer grouping of one step's wire entries, as every step was flushed
+    before broadcast-only steps shared one envelope body."""
+    grouped: Dict[Tuple[int, int], List[Message]] = {}
+    for dst, msg in wire:
+        if dst == BROADCAST:
+            for q in range(party.n):
+                if q != party.pid:
+                    grouped.setdefault((q, msg.instance), []).append(msg)
+        else:
+            grouped.setdefault((dst, msg.instance), []).append(msg)
+    return [
+        Envelope(dst=dst, sender=party.pid, instance=inst, entries=tuple(msgs))
+        for (dst, inst), msgs in grouped.items()
+    ]
+
+
+FLUSH_N = 4
+FLUSH_PARTY = key_setup(128, FLUSH_N, 3, 4).party_handle(1)
+
+wire_entries = st.lists(
+    st.tuples(
+        st.sampled_from([BROADCAST] * 3 + list(range(FLUSH_N))),  # pid 1 is self
+        st.builds(VMsg, st.sampled_from([1, 2]), st.integers(0, 3), st.integers(0, 1)),
+        st.booleans(),  # a Recover for the same slot instead of the claim
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=wire_entries)
+def test_flush_matches_per_peer_grouping(entries):
+    party = Party(1, FLUSH_PARTY, cfg())
+    for dst, v, recover in entries:
+        party._emit(dst, Recover(v.instance, v.slot) if recover else v)
+    expected = reference_flush(party, list(party._wire))
+    got = party._flush()
+    assert party._wire == []
+    assert [(e.sender, e.instance, e.dst) for e in got] == \
+        [(e.sender, e.instance, e.dst) for e in expected]
+    for e, ref in zip(got, expected):
+        assert e.entries == ref.entries
+        assert e.size() == len(e.encode()) == len(ref.encode())
+    if len({(dst, v.instance) for dst, v, _ in entries if dst != 1}) == 1 and \
+            entries[0][0] == BROADCAST:  # a broadcast-only step of one instance
+        assert len({id(e.entries) for e in got}) == 1

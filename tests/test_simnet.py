@@ -52,6 +52,16 @@ def test_config_rejects_bad_policy_and_ranges():
         base_cfg(instances=0).validate()
 
 
+def test_config_checks_policy_params():
+    for params in ({"fairness_bound": "x"}, {"fairness_bound": 0}, {"fairness_bound": 2.5},
+                   {"fairness_bound": True}, {"budget": -1}, {"budget": "12"}):
+        with pytest.raises(ConfigError):
+            base_cfg(policy="adversarial-delay", policy_params=params).validate()
+    for params in ({}, {"fairness_bound": 3}, {"fairness_bound": 1, "budget": 0},
+                   {"budget": 16}):
+        base_cfg(policy="adversarial-delay", policy_params=params).validate()
+
+
 def test_scenario_dict_roundtrip(tmp_path):
     cfg = base_cfg(n=7, f=2, seed=42, policy="adversarial-delay",
                    byzantine=(BehaviorSpec(1, "crash", at_step=30),), overlap=0.25)
@@ -154,6 +164,28 @@ def test_harness_deterministic_and_validated():
         abba_harness_run(4, 1, 0, {0: 1})  # one bit per party required
     with pytest.raises(ConfigError):
         abba_harness_run(4, 1, 0, {0: 2, 1: 0, 2: 0, 3: 0})
+    with pytest.raises(ConfigError):  # n != 3f+1
+        abba_harness_run(4, 2, 0, [1, 1, 0, 0])
+    with pytest.raises(ConfigError):  # unknown behavior kind
+        abba_harness_run(4, 1, 0, [1, 1, 0, 0], byzantine=(BehaviorSpec(0, "scramble"),))
+    with pytest.raises(ConfigError):  # more than f byzantine parties
+        abba_harness_run(4, 1, 0, [1, 1, 0, 0],
+                         byzantine=(BehaviorSpec(0, "crash"), BehaviorSpec(1, "crash")))
+
+
+def test_stalled_and_crash_runs_keep_stop_and_step_counts():
+    """The stop check ends a run at the same step whether it finishes or
+    runs out of steps (values recorded before the O(1) unfinished set)."""
+    cut = sim_run(base_cfg(n=7, f=2, seed=5, instances=2, policy="random", max_steps=300))
+    assert (cut.stalled, cut.steps) == (True, 300)
+    crash = sim_run(base_cfg(n=7, f=2, seed=5, instances=2, policy="random",
+                             byzantine=(BehaviorSpec(0, "crash", at_step=15),
+                                        BehaviorSpec(3, "crash", at_step=0))))
+    assert (crash.stalled, crash.steps) == (False, 443)
+    r = abba_harness_run(4, 1, 7, [1, 1, 0, 0], max_steps=40)
+    assert (r["stalled"], r["steps"]) == (True, 40)
+    r = abba_harness_run(4, 1, 7, [1, 1, 0, 0], byzantine=(BehaviorSpec(1, "crash", at_step=3),))
+    assert (r["stalled"], r["steps"]) == (False, 36)
 
 
 def test_harness_all_zero_and_all_one():
