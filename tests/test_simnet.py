@@ -1,11 +1,14 @@
 """Simulator: config validation, determinism, policies, behaviors, traces."""
 import gc
+import hashlib
 import json
+import random
 
 import pytest
 
 from slimabc import BehaviorSpec, ConfigError, SimConfig, sim_run
 from slimabc.simnet import (
+    POLICIES,
     abba_harness_run,
     config_from_dict,
     load_scenario,
@@ -211,3 +214,27 @@ def test_finished_runs_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+HARNESS_KINDS = ("random-votes", "crash", "silent", "corrupt-shares")
+HARNESS_DIGEST = "a0d61d0f998d1f0b5cc9f973f4efea1793632bdf008722fa9b0b9deaad3f34cf"
+
+
+def harness_grid():
+    """144 harness runs: n in {4, 7, 13} x four behaviors x four policies x 3 seeds."""
+    for n in (4, 7, 13):
+        f = (n - 1) // 3
+        for kind in HARNESS_KINDS:
+            for policy in POLICIES:
+                for seed in range(3):
+                    rng = random.Random(f"harness-pin|{n}|{kind}|{policy}|{seed}")
+                    inputs = [rng.randrange(2) for _ in range(n)]
+                    byz = tuple(BehaviorSpec(p, kind, at_step=5 * p) for p in range(f))
+                    yield abba_harness_run(n, f, seed, inputs, byzantine=byz, policy=policy)
+
+
+def test_harness_results_pinned():
+    h = hashlib.sha256()
+    for res in harness_grid():
+        h.update(json.dumps(res, sort_keys=True).encode())
+    assert h.hexdigest() == HARNESS_DIGEST
