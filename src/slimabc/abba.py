@@ -79,6 +79,12 @@ class AbbaMachine:
         self.evidence_known = False  # a verified payload proof for this slot exists locally
         self.round = 0  # 0 until n-f pre-process messages arrive
 
+        # Signing strings: pre-process per bit, built once; pre-vote per bit
+        # and main-vote per value (0, 1, ABSTAIN) only for rounds entered, so
+        # round numbers from the wire never add entries.
+        self._pp_msgs = (preprocess_bytes(instance, slot, 0), preprocess_bytes(instance, slot, 1))
+        self._round_msgs: Dict[int, Tuple[bytes, ...]] = {}
+
         self._pp: Dict[int, AbbaPreprocess] = {}
         self._pp_order: List[int] = []
         self._pp_pending_one: List[Tuple[int, AbbaPreprocess]] = []
@@ -130,9 +136,7 @@ class AbbaMachine:
     def on_preprocess(self, sender: int, msg: AbbaPreprocess, out: List[Message]) -> None:
         if self.decided or sender in self._pp or msg.bit not in (0, 1):
             return
-        if not self.crypto.verify_share(
-            preprocess_bytes(self.instance, self.slot, msg.bit), sender, msg.share
-        ):
+        if not self.crypto.verify_share(self._pp_msgs[msg.bit], sender, msg.share):
             return
         if msg.bit == 1 and not self.evidence_known:
             self._pp_pending_one.append((sender, msg))
@@ -194,9 +198,7 @@ class AbbaMachine:
         """Adopt a transferable decision; forward it exactly once."""
         if msg.bit not in (0, 1):
             return
-        if not self.crypto.verify_signature(
-            mainvote_bytes(self.instance, self.slot, msg.round, msg.bit), msg.sig
-        ):
+        if not self.crypto.verify_signature(self._mv_msg(msg.round, msg.bit), msg.sig):
             return
         if self.decided is None:
             self.decided = (msg.bit, msg.round, msg.sig)
@@ -208,7 +210,7 @@ class AbbaMachine:
 
     def _validate_prevote(self, sender: int, msg: AbbaPrevote):
         if msg.share.signer != sender or not self.crypto.verify_share(
-            prevote_bytes(self.instance, self.slot, msg.round, msg.bit), sender, msg.share
+            self._pv_msg(msg.round, msg.bit), sender, msg.share
         ):
             return False
         j = msg.justification
@@ -216,43 +218,33 @@ class AbbaMachine:
             if msg.bit == 1:
                 if j.kind != JUST_PREPROCESS_ONE or j.share is None:
                     return False
-                if not self.crypto.verify_share(
-                    preprocess_bytes(self.instance, self.slot, 1), j.signer, j.share
-                ):
+                if not self.crypto.verify_share(self._pp_msgs[1], j.signer, j.share):
                     return False
                 if not self.evidence_known:
                     return "pending"
                 return True
             if j.kind != JUST_PREPROCESS_ZERO or j.sig is None:
                 return False
-            return self.crypto.verify_signature(
-                preprocess_bytes(self.instance, self.slot, 0), j.sig
-            )
+            return self.crypto.verify_signature(self._pp_msgs[0], j.sig)
         if j.kind == JUST_PREVOTE_THRESHOLD and j.sig is not None:
-            return self.crypto.verify_signature(
-                prevote_bytes(self.instance, self.slot, msg.round - 1, msg.bit), j.sig
-            )
+            return self.crypto.verify_signature(self._pv_msg(msg.round - 1, msg.bit), j.sig)
         if j.kind == JUST_ABSTAIN_THRESHOLD and j.sig is not None:
             coin = self.coins.get(msg.round - 1)
             if coin is None or msg.bit != coin:
                 return False
-            return self.crypto.verify_signature(
-                mainvote_bytes(self.instance, self.slot, msg.round - 1, ABSTAIN), j.sig
-            )
+            return self.crypto.verify_signature(self._mv_msg(msg.round - 1, ABSTAIN), j.sig)
         return False
 
     def _validate_mainvote(self, sender: int, msg: AbbaMainvote):
         if msg.share.signer != sender or not self.crypto.verify_share(
-            mainvote_bytes(self.instance, self.slot, msg.round, msg.value), sender, msg.share
+            self._mv_msg(msg.round, msg.value), sender, msg.share
         ):
             return False
         j = msg.justification
         if msg.value in (0, 1):
             if j.kind != JUST_PREVOTE_THRESHOLD or j.sig is None:
                 return False
-            return self.crypto.verify_signature(
-                prevote_bytes(self.instance, self.slot, msg.round, msg.value), j.sig
-            )
+            return self.crypto.verify_signature(self._pv_msg(msg.round, msg.value), j.sig)
         # abstain: embed one justified pre-vote per bit for this round
         if j.kind != JUST_CONFLICT or j.prevote_zero is None or j.prevote_one is None:
             return False
@@ -303,8 +295,31 @@ class AbbaMachine:
                 continue
             break
 
+    def _pv_msg(self, r: int, bit: int) -> bytes:
+        msgs = self._round_msgs.get(r)
+        if msgs is None:  # a round not entered yet: build, never cache
+            return prevote_bytes(self.instance, self.slot, r, bit)
+        return msgs[bit]
+
+    def _mv_msg(self, r: int, value: int) -> bytes:
+        msgs = self._round_msgs.get(r)
+        if msgs is None:
+            return mainvote_bytes(self.instance, self.slot, r, value)
+        return msgs[2 + value]
+
+    def _enter(self, r: int) -> None:
+        self.round = r
+        i, s = self.instance, self.slot
+        self._round_msgs[r] = (
+            prevote_bytes(i, s, r, 0),
+            prevote_bytes(i, s, r, 1),
+            mainvote_bytes(i, s, r, 0),
+            mainvote_bytes(i, s, r, 1),
+            mainvote_bytes(i, s, r, ABSTAIN),
+        )
+
     def _enter_round_one(self, out: List[Message]) -> None:
-        self.round = 1
+        self._enter(1)
         one_senders = [s for s in self._pp_order if self._pp[s].bit == 1]
         if one_senders:
             signer = one_senders[0]
@@ -312,16 +327,14 @@ class AbbaMachine:
             bit = 1
         else:
             zeros = [self._pp[s].share for s in self._pp_order[: self.n - self.f]]
-            sig = self.crypto.combine_shares(
-                preprocess_bytes(self.instance, self.slot, 0), zeros
-            )
+            sig = self.crypto.combine_shares(self._pp_msgs[0], zeros)
             just = Justification(JUST_PREPROCESS_ZERO, sig=sig)
             bit = 0
         self._emit_prevote(1, bit, just, out)
         self._drain_future(1, out)
 
     def _emit_prevote(self, r: int, bit: int, just: Justification, out: List[Message]) -> None:
-        share = self.crypto.sig_share(prevote_bytes(self.instance, self.slot, r, bit))
+        share = self.crypto.sig_share(self._pv_msg(r, bit))
         out.append(AbbaPrevote(self.instance, self.slot, r, bit, just, share))
 
     def _emit_mainvote(self, r: int, out: List[Message]) -> None:
@@ -331,8 +344,7 @@ class AbbaMachine:
         if len(bits) == 1:
             (bit,) = bits
             sig = self.crypto.combine_shares(
-                prevote_bytes(self.instance, self.slot, r, bit),
-                [self._prevotes[r][s].share for s in first],
+                self._pv_msg(r, bit), [self._prevotes[r][s].share for s in first]
             )
             value, just = bit, Justification(JUST_PREVOTE_THRESHOLD, sig=sig)
         else:
@@ -340,7 +352,7 @@ class AbbaMachine:
             pv1 = next(self._prevotes[r][s] for s in first if self._prevotes[r][s].bit == 1)
             value = ABSTAIN
             just = Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1)
-        share = self.crypto.sig_share(mainvote_bytes(self.instance, self.slot, r, value))
+        share = self.crypto.sig_share(self._mv_msg(r, value))
         out.append(AbbaMainvote(self.instance, self.slot, r, value, just, share))
 
     def _check_decision(self, r: int, out: List[Message]) -> None:
@@ -350,8 +362,7 @@ class AbbaMachine:
         if len(values) == 1 and ABSTAIN not in values:
             (bit,) = values
             sig = self.crypto.combine_shares(
-                mainvote_bytes(self.instance, self.slot, r, bit),
-                [self._mainvotes[r][s].share for s in first],
+                self._mv_msg(r, bit), [self._mainvotes[r][s].share for s in first]
             )
             self.decided = (bit, r, sig)
             if not self._decision_forwarded:
@@ -364,7 +375,7 @@ class AbbaMachine:
             out.append(AbbaCoinShare(self.instance, self.slot, r, share))
 
     def _advance(self, r: int, out: List[Message]) -> None:
-        self.round = r
+        self._enter(r)
         prev = r - 1
         non_abstain = [m for m in self._mainvotes.get(prev, {}).values() if m.value != ABSTAIN]
         values = {m.value for m in non_abstain}
@@ -380,9 +391,7 @@ class AbbaMachine:
             abstains = [
                 m.share for m in self._mainvotes[prev].values() if m.value == ABSTAIN
             ][: self.quorum]
-            sig = self.crypto.combine_shares(
-                mainvote_bytes(self.instance, self.slot, prev, ABSTAIN), abstains
-            )
+            sig = self.crypto.combine_shares(self._mv_msg(prev, ABSTAIN), abstains)
             self._emit_prevote(
                 r, self.coins[prev], Justification(JUST_ABSTAIN_THRESHOLD, sig=sig), out
             )

@@ -52,7 +52,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {seeds}")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
+    _check_seeds(args.seeds)
     cfg = load_scenario(args.scenario)
     base_seed = cfg.seed
     failed: List[tuple] = []
@@ -76,16 +82,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> List[int]:
+def _parse_int_list(option: str, text: str, least: int) -> List[int]:
+    """Distinct integers, at least `least` of them, from a comma-separated list."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as e:
         raise ConfigError(f"bad integer list {text!r}") from e
+    if len(values) < least:
+        raise ConfigError(f"{option} needs at least {least} value(s), got {text!r}")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{option} repeats a value: {text!r}")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_seeds(args.seeds)
+    ns = _parse_int_list("--n-list", args.n_list, 1)
+    ls = _parse_int_list("--l-list", args.l_list, 2) if args.l_list else []
     base = load_scenario(args.scenario) if args.scenario else SimConfig(n=4, f=1)
-    ns = _parse_int_list(args.n_list)
     rows = []
     mean_messages = []
     mean_bytes = []
@@ -121,8 +135,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     summary["message_c_max_run"] = round(
         max(r["messages"] / (r["n"] ** 2) for r in rows), 4
     )
-    if args.l_list:
-        ls = _parse_int_list(args.l_list)
+    if ls:
         n = ns[-1]
         f = (n - 1) // 3
         per_l = []

@@ -11,20 +11,21 @@ valid shares are presented.
 
 Every keyed digest is HMAC-SHA256 (RFC 2104), computed from sha256 inner
 and outer pad states that the provider hashes once per key when it is
-built.  Two memos, both private to the provider and bounded by module
+built.  The memos, all private to the provider and bounded by module
 constants, spare repeated work without changing any result:
 
 * the `tpke-mask` keystream of a ciphertext, keyed by (header, length),
   so the n parties decrypting one ciphertext derive its mask once;
-* the *accepted* results of `verify_share` and `verify_signature`, keyed
-  by their full inputs.  A rejection is never stored, so a sender of
-  invalid shares cannot grow it, and any changed input is a new key that
-  is verified afresh.
+* the *accepted* results of `verify_share`, `verify_signature` and
+  `tpke_dec_share_verify`, keyed by tuples of the bytes and ints each
+  check reads.  A rejection is never stored, so a sender of invalid
+  shares cannot grow them, and any changed input is a new key that is
+  verified afresh.
 
-Both live inside the public methods: every call still enters the method
+All live inside the public methods: every call still enters the method
 (`combine_shares` and `tpke_dec` still check each share through the
-public verifiers), and neither memo is reachable from a `PartyCrypto`
-handle or a `Ciphertext`, so the capability contract above is unchanged.
+public verifiers), and no memo is reachable from a `PartyCrypto` handle
+or a `Ciphertext`, so the capability contract above is unchanged.
 
 WARNING: this is a simulation artifact, not a secure implementation.
 """
@@ -185,7 +186,8 @@ class ThresholdProvider:
             _MacKey(digest(master + b"party" + struct.pack(">H", i))) for i in range(n)
         )
         self._masks: dict = {}  # (ciphertext header, length) -> tpke-mask keystream
-        self._accepted: dict = {}  # full inputs of accepted share/signature checks
+        self._accepted: dict = {}  # inputs of accepted share/signature checks
+        self._dec_accepted: dict = {}  # inputs of accepted decryption-share checks
 
     # -- internal keyed digests ------------------------------------------
 
@@ -216,7 +218,7 @@ class ThresholdProvider:
         return SignatureShare(party, d, self._tag(self._party_keys[party], b"sig", d))
 
     def verify_share(self, message: bytes, signer: int, share: SignatureShare) -> bool:
-        key = (message, signer, share)
+        key = (message, signer, share.signer, share.message_digest, share.share_bytes)
         if key in self._accepted:
             return True
         if not 0 <= signer < self.n or share.signer != signer:
@@ -247,7 +249,7 @@ class ThresholdProvider:
         return ThresholdSignature(d, self._tag(self._master, b"tsig", d))
 
     def verify_signature(self, message: bytes, sig: ThresholdSignature) -> bool:
-        key = (message, sig)
+        key = (message, sig.message_digest, sig.sig_bytes)
         if key in self._accepted:
             return True
         d = digest(message)
@@ -332,14 +334,20 @@ class ThresholdProvider:
         return DecryptionShare(party, d, self._tag(self._party_keys[party], b"tpke-dec", d))
 
     def tpke_dec_share_verify(self, c: Ciphertext, holder: int, share: DecryptionShare) -> bool:
+        d = c.ct_digest()
+        key = (d, holder, share.holder, share.ciphertext_digest, share.share_bytes)
+        if key in self._dec_accepted:
+            return True
         if not 0 <= holder < self.n or share.holder != holder:
             return False
-        d = c.ct_digest()
         if share.ciphertext_digest != d:
             return False
-        return hmac.compare_digest(
+        ok = hmac.compare_digest(
             share.share_bytes, self._tag(self._party_keys[holder], b"tpke-dec", d)
         )
+        if ok:
+            _remember(self._dec_accepted, key, True, VERIFY_MEMO_MAX)
+        return ok
 
     def tpke_dec(self, c: Ciphertext, shares: Iterable[DecryptionShare]) -> bytes:
         """Recover the plaintext from f+1 distinct valid decryption shares."""

@@ -139,26 +139,37 @@ class SlotInvocation:
             self._after_abba(out)
 
     # -- agreement traffic ----------------------------------------------------
+    # Each forwarder runs _after_abba only when the machine's decision is new.
 
     def on_preprocess(self, sender, msg, out: List[Message]) -> None:
-        self.abba.on_preprocess(sender, msg, out)
-        self._after_abba(out)
+        abba = self.abba
+        abba.on_preprocess(sender, msg, out)
+        if abba.decided is not None and self.decided is None:
+            self._after_abba(out)
 
     def on_prevote(self, sender, msg, out: List[Message]) -> None:
-        self.abba.on_prevote(sender, msg, out)
-        self._after_abba(out)
+        abba = self.abba
+        abba.on_prevote(sender, msg, out)
+        if abba.decided is not None and self.decided is None:
+            self._after_abba(out)
 
     def on_mainvote(self, sender, msg, out: List[Message]) -> None:
-        self.abba.on_mainvote(sender, msg, out)
-        self._after_abba(out)
+        abba = self.abba
+        abba.on_mainvote(sender, msg, out)
+        if abba.decided is not None and self.decided is None:
+            self._after_abba(out)
 
     def on_coin_share(self, sender, msg, out: List[Message]) -> None:
-        self.abba.on_coin_share(sender, msg, out)
-        self._after_abba(out)
+        abba = self.abba
+        abba.on_coin_share(sender, msg, out)
+        if abba.decided is not None and self.decided is None:
+            self._after_abba(out)
 
     def on_decision(self, sender, msg, out: List[Message]) -> None:
-        self.abba.on_decision(sender, msg, out)
-        self._after_abba(out)
+        abba = self.abba
+        abba.on_decision(sender, msg, out)
+        if abba.decided is not None and self.decided is None:
+            self._after_abba(out)
 
     def _after_abba(self, out: List[Message]) -> None:
         if self.abba.decided is None or self.decided is not None:

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 
 def duplicate_ratio(batches: Sequence[Sequence[bytes]]) -> float:
@@ -18,11 +17,17 @@ def duplicate_ratio(batches: Sequence[Sequence[bytes]]) -> float:
 
 
 def scaling_fit(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x); all values must be > 0."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two points")
-    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
-                            np.log(np.asarray(ys, dtype=float)), 1)[0])
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    sxx = math.fsum((a - mx) ** 2 for a in lx)
+    if sxx == 0:
+        raise ValueError("need at least two distinct x values")
+    return math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sxx
 
 
 @dataclass

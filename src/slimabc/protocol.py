@@ -139,6 +139,7 @@ class InstanceState:
     ppb_send: Optional[PpbSender] = None
     my_ciphertext: Optional[Ciphertext] = None
     slots: Dict[int, SlotInvocation] = field(default_factory=dict)
+    ready: Set[int] = field(default_factory=set)  # slots whose outcome_ready holds
     sugg_senders: Set[int] = field(default_factory=set)
     relayed: bool = False
     swept: bool = False
@@ -176,8 +177,13 @@ class Party:
         return self._flush()
 
     def handle(self, env: Envelope) -> List[Envelope]:
+        sender = env.sender
+        current = self.instance if self.inst is not None else None
         for msg in env.entries:
-            self._route(env.sender, msg)
+            if msg.instance == current:
+                self._dispatch(sender, msg)
+            else:
+                self._route(sender, msg)
         self._drain_selfq()
         while self._maybe_finalize():
             self._drain_selfq()
@@ -207,8 +213,19 @@ class Party:
             self._wire.append((dst, msg))
 
     def _drain_selfq(self) -> None:
-        while self._selfq:
-            self._route(self.pid, self._selfq.pop(0))
+        # Handlers append to the queue while it is walked by index; the
+        # instance cannot end before the queue is empty.
+        queue = self._selfq
+        current = self.instance
+        i = 0
+        while i < len(queue):
+            msg = queue[i]
+            i += 1
+            if msg.instance == current:
+                self._dispatch(self.pid, msg)
+            else:
+                self._route(self.pid, msg)
+        queue.clear()
 
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
@@ -240,18 +257,25 @@ class Party:
     # -- routing ------------------------------------------------------------------
 
     def _route(self, sender: int, msg: Message) -> None:
-        if msg.instance > self.instance:
-            self._future.setdefault(msg.instance, []).append((sender, msg))
-            return
-        if msg.instance < self.instance:
+        instance = msg.instance
+        if instance == self.instance and self.inst is not None:
+            self._dispatch(sender, msg)
+        elif instance < self.instance:
             if type(msg) is Recover:
                 self._serve_recover(sender, msg)
-            return
-        self._dispatch(sender, msg)
+        elif self.instance < instance <= self.cfg.instances:
+            self._future.setdefault(instance, []).append((sender, msg))
+        # anything else names an instance that will never run: dropped
 
     def _dispatch(self, sender: int, msg: Message) -> None:
         inst = self.inst
         kind = type(msg)
+        handler = SLOT_HANDLERS.get(kind)
+        if handler is not None and inst.committee is not None:
+            inv = inst.slots.get(msg.slot)
+            if inv is not None:
+                self._slot_call(inv, getattr(inv, handler), sender, msg)
+            return
         if kind is CsShare:
             committee = inst.cs.on_share(sender, msg.share)
             if committee is not None and inst.committee is None:
@@ -263,12 +287,7 @@ class Party:
         if inst.committee is None:
             inst.buffer.append((sender, msg))
             return
-        handler = SLOT_HANDLERS.get(kind)
-        if handler is not None:
-            inv = inst.slots.get(msg.slot)
-            if inv is not None:
-                self._slot_call(inv, getattr(inv, handler), sender, msg)
-        elif kind is PpbPayload:
+        if kind is PpbPayload:
             if msg.slot != sender:
                 return
             share = inst.ppb_recv.on_payload(sender, msg.ciphertext)
@@ -296,19 +315,24 @@ class Party:
 
     def _slot_call(self, inv: SlotInvocation, op, *args):
         """Run `op(*args, out)` on one slot, multicast its emissions `out`,
-        report input and decision transitions, and return op's result."""
+        report input, decision and outcome transitions, and return op's result."""
         had_input = inv.input_bit is not None
         had_decision = inv.decided is not None
         out: List[Message] = []
         result = op(*args, out)
-        for m in out:
-            self._emit(BROADCAST, m)
+        if out:
+            self._wire.extend([(BROADCAST, m) for m in out])
+            self._selfq.extend(out)
         if not had_input and inv.input_bit is not None:
             self.observer.on_abba_input(self.pid, self.instance, inv.slot, inv.input_bit)
         if not had_decision and inv.decided is not None:
             self.observer.on_slot_decided(
                 self.pid, self.instance, inv.slot, inv.decided[0], inv.decided[1]
             )
+        if inv.decided is not None:
+            ready = self.inst.ready
+            if inv.slot not in ready and inv.outcome_ready:
+                ready.add(inv.slot)
         return result
 
     # -- phase transitions ---------------------------------------------------------
@@ -377,12 +401,9 @@ class Party:
 
     def _maybe_finalize(self) -> bool:
         inst = self.inst
-        if (
-            self.finished
-            or inst is None
-            or inst.committee is None
-            or not all(inv.outcome_ready for inv in inst.slots.values())
-        ):
+        # An outcome changes only inside a slot call, and _slot_call records
+        # it in inst.ready; the instance is done once every slot is there.
+        if inst is None or inst.committee is None or len(inst.ready) < len(inst.slots):
             return False
         outputs: Dict[int, RequestBatch] = {}
         rounds: Dict[int, int] = {}

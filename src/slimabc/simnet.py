@@ -815,27 +815,40 @@ class HarnessParty:
             self._wire.append(("unicast", sender, RecoverResp(1, 0, *inv.pair)))
 
     def _flush(self) -> List[Envelope]:
-        n = self.crypto.n
+        # Deliver own copies in wire order, walking by index: each delivery
+        # may append to the wire.  Wire entries are broadcast messages or
+        # ("unicast", dst, msg) tuples.
+        pid = self.pid
+        wire = self._wire
+        broadcast_only = True
+        i = 0
+        while i < len(wire):
+            entry = wire[i]
+            i += 1
+            if type(entry) is tuple:
+                broadcast_only = False
+                if entry[1] == pid:
+                    self._dispatch(pid, entry[2])
+            else:
+                self._dispatch(pid, entry)
+        self._wire = []
+        if not wire:
+            return []
+        peers = [q for q in range(self.crypto.n) if q != pid]
+        if broadcast_only:
+            entries = tuple(wire)  # one envelope body shared by all n-1 peers
+            return [Envelope(pid, 1, entries, dst=q) for q in peers]
         grouped: Dict[int, List[object]] = {}
-        selfq: List[object] = []
-        while self._wire:
-            entry = self._wire.pop(0)
-            if isinstance(entry, tuple) and entry and entry[0] == "unicast":
+        for entry in wire:
+            if type(entry) is tuple:
                 _, dst, msg = entry
-                if dst == self.pid:
-                    selfq.append(msg)
-                else:
+                if dst != pid:
                     grouped.setdefault(dst, []).append(msg)
             else:
-                selfq.append(entry)
-                for q in range(n):
-                    if q != self.pid:
-                        grouped.setdefault(q, []).append(entry)
-            for msg in selfq:
-                self._dispatch(self.pid, msg)
-            selfq.clear()
+                for q in peers:
+                    grouped.setdefault(q, []).append(entry)
         return [
-            Envelope(self.pid, 1, tuple(msgs), dst=dst) for dst, msgs in grouped.items()
+            Envelope(pid, 1, tuple(msgs), dst=dst) for dst, msgs in grouped.items()
         ]
 
 

@@ -6,6 +6,7 @@ way the party layer self-delivers).  The dealer provider lets the tests
 forge both valid and invalid justifications at will.
 """
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from slimabc.abba import (
     preprocess_bytes,
     prevote_bytes,
 )
-from slimabc.crypto import key_setup
+from slimabc.crypto import CoinShare, ThresholdSignature, key_setup
 from slimabc.messages import (
     ABSTAIN,
     AbbaCoinShare,
@@ -319,3 +320,71 @@ def test_coin_round_resolves_engineered_split():
     for m in active:
         assert m._mainvotes[1][m.crypto.party].value == ABSTAIN
         assert (m.decided[0], m.decided[1]) == (coin, 2)
+
+
+# -- per-machine signing strings ------------------------------------------------
+
+def run_shuffled(seed, bits):
+    """Deliver every message to every machine (sender included) in a seeded
+    random order until quiescent."""
+    handlers = {
+        AbbaPreprocess: "on_preprocess",
+        AbbaPrevote: "on_prevote",
+        AbbaMainvote: "on_mainvote",
+        AbbaCoinShare: "on_coin_share",
+        AbbaDecision: "on_decision",
+    }
+    provider, machines = make_machines(seed=seed)
+    rng = random.Random(seed)
+    queue = []
+    for m, bit in zip(machines, bits):
+        queue.extend((m.crypto.party, o, dst) for o in m.input(bit) for dst in range(4))
+    while queue:
+        sender, msg, dst = queue.pop(rng.randrange(len(queue)))
+        out = []
+        getattr(machines[dst], handlers[type(msg)])(sender, msg, out)
+        queue.extend((dst, o, q) for o in out for q in range(4))
+    return provider, machines
+
+
+def test_signing_strings_cached_per_entered_round():
+    rounds_seen = set()
+    for seed in range(8):
+        _, machines = run_shuffled(seed, [1, 0, 0, 0] if seed % 2 else [0, 1, 0, 1])
+        for m in machines:
+            assert m.decided is not None
+            assert m._pp_msgs == tuple(preprocess_bytes(INSTANCE, SLOT, b) for b in (0, 1))
+            assert set(m._round_msgs) == set(range(1, m.round + 1))
+            for r, msgs in m._round_msgs.items():
+                assert msgs == (
+                    prevote_bytes(INSTANCE, SLOT, r, 0),
+                    prevote_bytes(INSTANCE, SLOT, r, 1),
+                    mainvote_bytes(INSTANCE, SLOT, r, 0),
+                    mainvote_bytes(INSTANCE, SLOT, r, 1),
+                    mainvote_bytes(INSTANCE, SLOT, r, ABSTAIN),
+                )
+            rounds_seen.add(m.round)
+    assert rounds_seen >= {1, 2}
+
+
+def test_wire_rounds_never_grow_the_string_cache():
+    provider, machines = make_machines()
+    m = machines[0]
+    out = m.input(1)
+    for i in range(1, 4):  # n-f pre-processes: m enters round 1 and stays undecided
+        m.on_preprocess(i, machines[i].input(1)[0], out)
+    assert m.round == 1 and set(m._round_msgs) == {1}
+    entered = dict(m._round_msgs)
+    forged_sig = ThresholdSignature(bytes(32), bytes(8))
+    for r in range(2, 65536):
+        out = []
+        m.on_decision(1, AbbaDecision(INSTANCE, SLOT, r, r & 1, forged_sig), out)
+        bogus = CoinShare(1, abba_coin_name(INSTANCE, SLOT, r), bytes(8))
+        m.on_coin_share(1, AbbaCoinShare(INSTANCE, SLOT, r, bogus), out)
+        assert out == []
+    assert m._round_msgs == entered and m.decided is None
+    # a valid decision for a round never entered is still accepted
+    mv = mainvote_bytes(INSTANCE, SLOT, 70, 1)
+    sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
+    m.on_decision(2, AbbaDecision(INSTANCE, SLOT, 70, 1, sig), [])
+    assert m.decided[:2] == (1, 70) and m._round_msgs == entered

@@ -70,6 +70,30 @@ def test_sweep_rejects_bad_n(tmp_path):
     assert cli.main(["sweep", "--n-list", "4,oops"]) == 2
 
 
+def test_check_rejects_no_seeds(tmp_path, capsys):
+    scn = write_scenario(tmp_path, instances=1)
+    for seeds in ("0", "-3"):
+        assert cli.main(["check", "--scenario", scn, "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out and "--seeds" in captured.err
+
+
+def test_sweep_rejects_no_seeds(capsys):
+    assert cli.main(["sweep", "--n-list", "4", "--seeds", "0"]) == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
+def test_sweep_rejects_empty_n_list(capsys):
+    assert cli.main(["sweep", "--n-list", ""]) == 2
+    assert "--n-list" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_single_l_value(capsys):
+    assert cli.main(["sweep", "--n-list", "4", "--l-list", "32", "--seeds", "1"]) == 2
+    assert "--l-list" in capsys.readouterr().err
+    assert cli.main(["sweep", "--n-list", "4,4", "--seeds", "1"]) == 2  # no spread to fit
+
+
 def test_replay_roundtrip_and_divergence(tmp_path, capsys):
     scn = write_scenario(tmp_path, instances=1, policy="random", seed=11)
     trace = tmp_path / "run.trace"

@@ -466,7 +466,10 @@ def test_rejections_are_never_stored():
     p = provider()
     share = p.sig_share(0, b"flood")
     assert p.verify_share(b"flood", 0, share)
-    size = len(p._accepted)
+    c = p.tpke_enc(b"flood")
+    dec = p.tpke_dec_share(0, c)
+    assert p.tpke_dec_share_verify(c, 0, dec)
+    size, dec_size = len(p._accepted), len(p._dec_accepted)
     rng = random.Random(5)
     for _ in range(500):
         forged = SignatureShare(0, share.message_digest, rng.randbytes(TAG_LEN))
@@ -474,7 +477,12 @@ def test_rejections_are_never_stored():
             assert not p.verify_share(b"flood", 0, forged)
             assert not p.verify_signature(b"flood", ThresholdSignature(share.message_digest,
                                                                        forged.share_bytes))
-    assert len(p._accepted) == size
+        forged_dec = DecryptionShare(0, dec.ciphertext_digest, rng.randbytes(TAG_LEN))
+        if forged_dec != dec:
+            assert not p.tpke_dec_share_verify(c, 0, forged_dec)
+        assert not p.tpke_dec_share_verify(c, 1, DecryptionShare(1, dec.ciphertext_digest,
+                                                                 dec.share_bytes))
+    assert len(p._accepted) == size and len(p._dec_accepted) == dec_size
 
 
 def test_warm_memo_combine_still_names_offenders():
@@ -487,11 +495,28 @@ def test_warm_memo_combine_still_names_offenders():
     assert err.value.offenders == (1, 3)
 
 
+def mutate_dec_share(share: DecryptionShare, kind: int, rng) -> DecryptionShare:
+    """kind 1: flip a share byte; 2: claim another holder; 3: flip a digest byte."""
+    if kind == 1:
+        raw = bytearray(share.share_bytes)
+        raw[rng.randrange(TAG_LEN)] ^= 0x01
+        return DecryptionShare(share.holder, share.ciphertext_digest, bytes(raw))
+    if kind == 2:
+        return DecryptionShare((share.holder + 1) % 7, share.ciphertext_digest,
+                               share.share_bytes)
+    if kind == 3:
+        raw = bytearray(share.ciphertext_digest)
+        raw[rng.randrange(DIGEST_LEN)] ^= 0x01
+        return DecryptionShare(share.holder, bytes(raw), share.share_bytes)
+    return share
+
+
 def test_warm_and_fresh_providers_agree():
     warm = provider(7, seed=3)
     rng = random.Random(17)
     msgs = [b"m%d" % k for k in range(6)]
     sigs = {m: warm.combine_shares(m, [warm.sig_share(i, m) for i in range(5)]) for m in msgs}
+    cts = [warm.tpke_enc(m) for m in msgs]
     calls = []
     for _ in range(400):
         msg, signer = rng.choice(msgs), rng.randrange(7)
@@ -505,10 +530,18 @@ def test_warm_and_fresh_providers_agree():
             msg = rng.choice(msgs)
         calls.append(("verify_share", (msg, signer, share)))
         calls.append(("verify_signature", (msg, sigs[rng.choice(msgs)])))
+        c, holder = rng.choice(cts), rng.randrange(7)
+        dec = mutate_dec_share(warm.tpke_dec_share(holder, c), rng.randrange(4), rng)
+        if rng.randrange(4) == 0:
+            holder = (holder + 3) % 7  # the share arrives from another sender
+        calls.append(("tpke_dec_share_verify", (rng.choice(cts) if rng.randrange(4) == 0 else c,
+                                                holder, dec)))
     for _ in range(2):  # the second pass runs on a warm memo
         got = [getattr(warm, name)(*args) for name, args in calls]
         assert got == [getattr(provider(7, seed=3), name)(*args) for name, args in calls]
-    assert True in got and False in got
+    for kind in ("verify_share", "tpke_dec_share_verify"):
+        results = {ok for (name, _), ok in zip(calls, got) if name == kind}
+        assert results == {True, False}
 
 
 def test_memos_stay_within_their_bounds():
@@ -521,4 +554,10 @@ def test_memos_stay_within_their_bounds():
         c = p.tpke_enc(b"%d" % k)
         assert p.tpke_dec(c, [p.tpke_dec_share(i, c) for i in range(2)]) == b"%d" % k
         assert len(p._masks) <= KEYSTREAM_MEMO_MAX
+    for k in range(VERIFY_MEMO_MAX // 2 + 50):
+        c = Ciphertext(b"STPK" + bytes(16) + b"%d" % k, len(b"%d" % k))
+        for i in range(2):
+            assert p.tpke_dec_share_verify(c, i, p.tpke_dec_share(i, c))
+        assert len(p._dec_accepted) <= VERIFY_MEMO_MAX
     assert len(p._accepted) == VERIFY_MEMO_MAX and len(p._masks) == KEYSTREAM_MEMO_MAX
+    assert len(p._dec_accepted) == VERIFY_MEMO_MAX

@@ -1,9 +1,14 @@
 """Report serialization, duplicate accounting, and the log-log fit."""
 import csv
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import slimabc
 from slimabc import RunReport, duplicate_ratio, scaling_fit
 from slimabc.metrics import write_csv
 
@@ -35,6 +40,28 @@ def test_scaling_fit_needs_two_points():
         scaling_fit([4], [16])
     with pytest.raises(ValueError):
         scaling_fit([4, 7], [16])
+    with pytest.raises(ValueError):  # no spread in x: the slope is undefined
+        scaling_fit([7, 7], [16, 20])
+
+
+def test_scaling_fit_matches_polyfit():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(23)
+    for _ in range(200):
+        k = rng.randrange(2, 12)
+        xs = [rng.uniform(0.5, 5000.0) for _ in range(k)]
+        ys = [rng.uniform(1e-3, 1e7) for _ in range(k)]
+        ref = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+        assert scaling_fit(xs, ys) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(slimabc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, slimabc; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def make_report(**kw):

@@ -181,3 +181,51 @@ def test_flush_matches_per_peer_grouping(entries):
     if len({(dst, v.instance) for dst, v, _ in entries if dst != 1}) == 1 and \
             entries[0][0] == BROADCAST:  # a broadcast-only step of one instance
         assert len({id(e.entries) for e in got}) == 1
+
+
+# -- finalization on slot transitions and instance bounds ---------------------------
+
+def test_ready_slots_follow_outcomes_after_every_handle(monkeypatch):
+    orig = Party.handle
+    sizes = []
+
+    def checked_handle(self, env):
+        out = orig(self, env)
+        inst = self.inst
+        if inst is not None:
+            assert inst.ready == {s for s, inv in inst.slots.items() if inv.outcome_ready}
+            sizes.append((len(inst.ready), len(inst.slots)))
+        return out
+
+    monkeypatch.setattr(Party, "handle", checked_handle)
+    rep = sim_run(SimConfig(n=7, f=2, seed=12, instances=2, policy="random"))
+    assert rep.ok and rep.finalized_instances == 2
+    assert any(0 < ready < slots for ready, slots in sizes)  # partly ready was seen
+
+
+def run_parties(parties, queue):
+    """FIFO delivery among honest parties until every one has finished."""
+    while queue:
+        env = queue.pop(0)
+        queue.extend(parties[env.dst].handle(env))
+    assert all(p.finished for p in parties)
+
+
+def test_traffic_past_the_last_instance_is_dropped():
+    provider = key_setup(128, 4, 3, 6)
+    pcfg = cfg(instances=1)
+    parties = [Party(i, provider.party_handle(i), pcfg) for i in range(4)]
+    queue = [env for p in parties for env in p.begin()]
+    early = Envelope(1, 2, (VMsg(2, 0, 1), CsShare(3, None)), dst=0)
+    assert parties[0].handle(early) == []
+    assert parties[0]._future == {}  # no instance 2 or 3 will ever run
+    run_parties(parties, queue)
+    done = parties[0]
+    log = list(done.log)
+    for instance in (1, 2, 5):
+        assert done.handle(Envelope(1, instance, (VMsg(instance, 0, 1),), dst=0)) == []
+    assert done._future == {} and done.log == log
+    # a finished party still serves recovery for the instances it ran
+    slot = next(iter(done.archive[1]))
+    (resp,) = done.handle(Envelope(2, 1, (Recover(1, slot),), dst=0))
+    assert resp.dst == 2 and resp.entries[0].ciphertext == done.archive[1][slot][0]
