@@ -3,7 +3,7 @@ adversarial network simulator for property checking at desk scale."""
 
 from .crypto import key_setup, ThresholdProvider, PartyCrypto
 from .metrics import RunReport, duplicate_ratio, scaling_fit
-from .protocol import Party, ProtocolConfig, RequestBatch
+from .protocol import Party, RequestBatch
 from .simnet import (
     BehaviorSpec,
     ConfigError,
@@ -24,7 +24,6 @@ __all__ = [
     "duplicate_ratio",
     "scaling_fit",
     "Party",
-    "ProtocolConfig",
     "RequestBatch",
     "BehaviorSpec",
     "ConfigError",

@@ -14,7 +14,7 @@ import statistics
 import sys
 from typing import List, Optional
 
-from .metrics import scaling_fit, write_csv
+from .metrics import RunReport, scaling_fit, write_csv
 from .simnet import ConfigError, SimConfig, load_scenario, replay_trace, sim_run
 
 log = logging.getLogger("slimabc")
@@ -95,36 +95,44 @@ def _parse_int_list(option: str, text: str, least: int) -> List[int]:
     return values
 
 
+def _sweep_point(base: SimConfig, seeds: int, rows: List[dict], label: str,
+                 **changes) -> Optional[List[RunReport]]:
+    """Run one sweep point on `seeds` seeds, appending a CSV row per run;
+    None, with a message on stderr, as soon as a run fails."""
+    reports = []
+    for k in range(seeds):
+        cfg = dataclasses.replace(base, seed=base.seed + k, byzantine=(), **changes)
+        report = sim_run(cfg)
+        if not report.ok:
+            print(f"run {label} seed={cfg.seed} failed", file=sys.stderr)
+            return None
+        reports.append(report)
+        rows.append({
+            "n": cfg.n, "f": cfg.f, "seed": cfg.seed,
+            "batch_bytes": cfg.batch_size * cfg.request_size,
+            "messages": report.messages, "bytes": report.bytes,
+            "steps": report.steps,
+        })
+    return reports
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_seeds(args.seeds)
     ns = _parse_int_list("--n-list", args.n_list, 1)
     ls = _parse_int_list("--l-list", args.l_list, 2) if args.l_list else []
     base = load_scenario(args.scenario) if args.scenario else SimConfig(n=4, f=1)
-    rows = []
+    rows: List[dict] = []
     mean_messages = []
     mean_bytes = []
     for n in ns:
         f = (n - 1) // 3
         if n != 3 * f + 1 or f < 1:
             raise ConfigError(f"n={n} is not 3f+1")
-        per_run = []
-        per_bytes = []
-        for k in range(args.seeds):
-            cfg = dataclasses.replace(base, n=n, f=f, seed=base.seed + k, byzantine=())
-            report = sim_run(cfg)
-            if not report.ok:
-                print(f"run n={n} seed={cfg.seed} failed", file=sys.stderr)
-                return 1
-            per_run.append(report.messages)
-            per_bytes.append(report.bytes)
-            rows.append({
-                "n": n, "f": f, "seed": cfg.seed,
-                "batch_bytes": cfg.batch_size * cfg.request_size,
-                "messages": report.messages, "bytes": report.bytes,
-                "steps": report.steps,
-            })
-        mean_messages.append(statistics.fmean(per_run))
-        mean_bytes.append(statistics.fmean(per_bytes))
+        reports = _sweep_point(base, args.seeds, rows, f"n={n}", n=n, f=f)
+        if reports is None:
+            return 1
+        mean_messages.append(statistics.fmean(r.messages for r in reports))
+        mean_bytes.append(statistics.fmean(r.bytes for r in reports))
     summary = {"n_list": ns, "mean_messages": mean_messages, "mean_bytes": mean_bytes}
     if len(ns) >= 2:
         summary["message_exponent_vs_n"] = scaling_fit(ns, mean_messages)
@@ -140,22 +148,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f = (n - 1) // 3
         per_l = []
         for l in ls:
-            vals = []
-            for k in range(args.seeds):
-                cfg = dataclasses.replace(base, n=n, f=f, seed=base.seed + k, byzantine=(),
-                                          request_size=l)
-                report = sim_run(cfg)
-                if not report.ok:
-                    print(f"run n={n} l={l} seed={cfg.seed} failed", file=sys.stderr)
-                    return 1
-                vals.append(report.bytes)
-                rows.append({
-                    "n": n, "f": f, "seed": cfg.seed,
-                    "batch_bytes": cfg.batch_size * l,
-                    "messages": report.messages, "bytes": report.bytes,
-                    "steps": report.steps,
-                })
-            per_l.append(statistics.fmean(vals))
+            reports = _sweep_point(base, args.seeds, rows, f"n={n} l={l}",
+                                   n=n, f=f, request_size=l)
+            if reports is None:
+                return 1
+            per_l.append(statistics.fmean(r.bytes for r in reports))
         summary["l_list"] = ls
         summary["mean_bytes_vs_l"] = per_l
         summary["bytes_exponent_vs_l"] = scaling_fit(

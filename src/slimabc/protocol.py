@@ -20,7 +20,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .committee import Committee, CsState
 from .crypto import Ciphertext, PartyCrypto, ThresholdSignature
@@ -39,6 +39,9 @@ from .messages import (
     entries_size,
 )
 from .ppb import PpbReceiver, PpbSender
+
+if TYPE_CHECKING:
+    from .simnet import SimConfig
 
 BATCH_MAGIC = b"RB1"
 
@@ -79,17 +82,7 @@ class RequestBatch:
         return cls(proposer, instance, tuple(requests))
 
 
-@dataclass
-class ProtocolConfig:
-    instances: int
-    pool_size: int
-    batch_size: int
-    request_size: int
-    overlap: float
-    seed: int
-
-
-def instance_pool(cfg: ProtocolConfig, instance: int, party: int) -> List[bytes]:
+def instance_pool(cfg: SimConfig, instance: int, party: int) -> List[bytes]:
     """Fresh requests entering this party's pending pool for one instance.
 
     The first round(overlap * pool_size) requests are shared verbatim by
@@ -103,7 +96,7 @@ def instance_pool(cfg: ProtocolConfig, instance: int, party: int) -> List[bytes]
     return pool
 
 
-def sample_batch(cfg: ProtocolConfig, party: int, instance: int,
+def sample_batch(cfg: SimConfig, party: int, instance: int,
                  pending: List[bytes]) -> Tuple[bytes, ...]:
     rng = random.Random(f"{cfg.seed}|batch|{party}|{instance}")
     k = min(cfg.batch_size, len(pending))
@@ -111,12 +104,37 @@ def sample_batch(cfg: ProtocolConfig, party: int, instance: int,
     return tuple(pending[i] for i in idx)
 
 
+def wire_envelopes(pid: int, n: int, wire: List[Tuple[int, Message]],
+                   sized: bool = False) -> List[Envelope]:
+    """Group one step's `(dst, msg)` wire entries from `pid` into envelopes,
+    one per (peer, instance) in order of first use; BROADCAST reaches all n-1
+    peers.  A step that only broadcast within one instance sends every peer
+    one shared entries tuple, and with `sized` one precomputed wire size."""
+    if not wire:
+        return []
+    instance = wire[0][1].instance
+    if all(dst == BROADCAST and msg.instance == instance for dst, msg in wire):
+        entries = tuple(msg for _, msg in wire)
+        size = entries_size(entries) if sized else None
+        return [Envelope(pid, instance, entries, dst=q, _size=size) for q in range(n) if q != pid]
+    grouped: Dict[Tuple[int, int], List[Message]] = {}
+    for dst, msg in wire:
+        if dst == BROADCAST:
+            for q in range(n):
+                if q != pid:
+                    grouped.setdefault((q, msg.instance), []).append(msg)
+        else:
+            grouped.setdefault((dst, msg.instance), []).append(msg)
+    return [
+        Envelope(dst=dst, sender=pid, instance=inst, entries=tuple(msgs))
+        for (dst, inst), msgs in grouped.items()
+    ]
+
+
 class Observer:
     """No-op hooks; the simulator subclasses what it needs."""
 
     def on_committee(self, party: int, instance: int, committee: Committee) -> None: ...
-
-    def on_proof(self, party: int, instance: int, slot: int) -> None: ...
 
     def on_sweep(self, party: int, instance: int) -> None: ...
 
@@ -127,8 +145,6 @@ class Observer:
 
     def on_finalized(self, party: int, instance: int, outputs: Dict[int, RequestBatch],
                      rounds: Dict[int, int], phases: int) -> None: ...
-
-    def on_finished(self, party: int) -> None: ...
 
 
 @dataclass
@@ -147,7 +163,7 @@ class InstanceState:
 
 
 class Party:
-    def __init__(self, pid: int, crypto: PartyCrypto, cfg: ProtocolConfig,
+    def __init__(self, pid: int, crypto: PartyCrypto, cfg: SimConfig,
                  observer: Optional[Observer] = None):
         self.pid = pid
         self.crypto = crypto
@@ -229,30 +245,7 @@ class Party:
 
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
-        if not wire:
-            return []
-        instance = wire[0][1].instance
-        if all(dst == BROADCAST and msg.instance == instance for dst, msg in wire):
-            # One envelope body for all n-1 peers: share its entries and size.
-            entries = tuple(msg for _, msg in wire)
-            size = entries_size(entries)
-            return [
-                Envelope(self.pid, instance, entries, dst=q, _size=size)
-                for q in range(self.n)
-                if q != self.pid
-            ]
-        grouped: Dict[Tuple[int, int], List[Message]] = {}
-        for dst, msg in wire:
-            if dst == BROADCAST:
-                for q in range(self.n):
-                    if q != self.pid:
-                        grouped.setdefault((q, msg.instance), []).append(msg)
-            else:
-                grouped.setdefault((dst, msg.instance), []).append(msg)
-        return [
-            Envelope(dst=dst, sender=self.pid, instance=inst, entries=tuple(msgs))
-            for (dst, inst), msgs in grouped.items()
-        ]
+        return wire_envelopes(self.pid, self.n, wire, sized=True)
 
     # -- routing ------------------------------------------------------------------
 
@@ -299,7 +292,6 @@ class Party:
             proof = inst.ppb_send.on_share(sender, msg.share)
             if proof is not None:
                 inst.relayed = True  # own proposal doubles as this party's relay
-                self.observer.on_proof(self.pid, self.instance, self.pid)
                 self._emit(
                     BROADCAST,
                     Proposal(self.instance, self.pid, inst.my_ciphertext, proof.sig),
@@ -437,7 +429,6 @@ class Party:
             self.finished = True
             self.inst = None
             self.instance = finished_instance + 1
-            self.observer.on_finished(self.pid)
         else:
             self._start_instance(finished_instance + 1)
         return True

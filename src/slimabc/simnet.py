@@ -22,14 +22,16 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .crypto import Ciphertext, ThresholdSignature, key_setup
 from .invocation import SLOT_HANDLERS, SlotInvocation
 from .messages import (
+    BROADCAST,
     AbbaMainvote,
     AbbaPrevote,
     Envelope,
+    Message,
     PpbPayload,
     Proposal,
     Recover,
@@ -39,7 +41,7 @@ from .messages import (
 )
 from .metrics import RunReport, duplicate_ratio
 from .ppb import ppb_sign_bytes
-from .protocol import Observer, Party, ProtocolConfig, instance_pool
+from .protocol import Observer, Party, instance_pool, wire_envelopes
 
 SCENARIO_FORMAT = "slimabc-scenario-1"
 TRACE_FORMAT = "slimabc-trace-1"
@@ -97,16 +99,6 @@ class SimConfig:
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
 
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            instances=self.instances,
-            pool_size=self.pool_size,
-            batch_size=self.batch_size,
-            request_size=self.request_size,
-            overlap=self.overlap,
-            seed=self.seed,
-        )
-
     def honest(self) -> List[int]:
         byz = {b.party for b in self.byzantine}
         return [p for p in range(self.n) if p not in byz]
@@ -143,16 +135,36 @@ def scenario_dict(cfg: SimConfig) -> dict:
     return d
 
 
+# JSON type of each scenario field other than `byzantine`; any field not
+# named here is an integer.  bool is never accepted where a number is meant.
+FIELD_TYPES = {"policy": str, "policy_params": dict, "overlap": (int, float), "kind": str}
+
+
+def _check_field_types(obj) -> None:
+    for fld in dataclasses.fields(obj):
+        if fld.name == "byzantine":
+            continue
+        value = getattr(obj, fld.name)
+        want = FIELD_TYPES.get(fld.name, int)
+        if type(value) is bool or not isinstance(value, want):
+            raise ConfigError(f"scenario field {fld.name} has the wrong type: {value!r}")
+
+
 def config_from_dict(d: dict) -> SimConfig:
     d = dict(d)
     fmt = d.pop("format", SCENARIO_FORMAT)
     if fmt != SCENARIO_FORMAT:
         raise ConfigError(f"unsupported scenario format {fmt!r}")
+    byz_list = d.pop("byzantine", [])
+    if not isinstance(byz_list, list):
+        raise ConfigError("scenario field byzantine must be a list")
     try:
-        byz = tuple(BehaviorSpec(**b) for b in d.pop("byzantine", []))
+        byz = tuple(BehaviorSpec(**b) for b in byz_list)
         cfg = SimConfig(byzantine=byz, **d)
     except TypeError as e:
         raise ConfigError(f"bad scenario fields: {e}") from e
+    for obj in (cfg, *byz):
+        _check_field_types(obj)
     cfg.validate()
     return cfg
 
@@ -267,9 +279,7 @@ def make_policy(name: str, params: dict, rng: random.Random):
         return RandomPolicy(rng)
     if name == "adversarial-delay":
         return AdversarialDelayPolicy(budget=params.get("budget", 12))
-    if name == "targeted-starve":
-        return TargetedStarvePolicy()
-    raise ConfigError(f"unknown policy {name!r}")
+    return TargetedStarvePolicy()  # validate_run admits only POLICIES
 
 
 # -- byzantine behaviors -------------------------------------------------------------
@@ -374,7 +384,7 @@ class RunRecorder(Observer):
         self.honest = set(cfg.honest())
         self.parties: List[Party] = []
         self.pending: List[QueueItem] = []
-        self.current_env: Optional[Envelope] = None
+        self.current_env: Optional[Envelope] = None  # the envelope being handled
         self.committees: Dict[int, Dict[int, tuple]] = {}
         self.inputs: Dict[Tuple[int, int], Dict[int, int]] = {}
         self.decisions: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
@@ -588,7 +598,7 @@ class RunRecorder(Observer):
 
         censorship = None
         if self.cfg.overlap > 0 and round(self.cfg.overlap * self.cfg.pool_size) >= 1:
-            marked = instance_pool(self.cfg.protocol_config(), 1, 0)[0]
+            marked = instance_pool(self.cfg, 1, 0)[0]
             delivered_at = next(
                 (inst for inst, slot, r in ref.log if r == marked), None
             )
@@ -627,31 +637,28 @@ class RunRecorder(Observer):
 # -- the event loop ---------------------------------------------------------------------
 
 
-def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
-            step_callback: Optional[Callable[[dict], None]] = None) -> RunReport:
-    cfg.validate()
-    provider = key_setup(cfg.security_param, cfg.n, cfg.n - cfg.f, cfg.seed)
-    recorder = RunRecorder(cfg, provider)
-    pcfg = cfg.protocol_config()
-    parties = [Party(p, provider.party_handle(p), pcfg, observer=recorder) for p in range(cfg.n)]
+def deliver(parties: list, byzantine: Tuple[BehaviorSpec, ...], seed: int, policy: str,
+            policy_params: dict, max_steps: int, recorder: Optional[RunRecorder] = None,
+            on_step: Optional[Callable[[int, Envelope], None]] = None
+            ) -> Tuple[int, int, int, int, bool]:
+    """Start every party, then deliver one queued envelope per step until all
+    honest parties have finished, the queue is empty or `max_steps` is reached.
+
+    `parties[p]` is party p, with `begin()`, `handle(env)`, `finished` and
+    `crypto`.  `on_step(step, env)` runs after each delivery.  Returns
+    (steps, honest envelopes, honest bytes, fairness overrides, stalled);
+    bytes are counted only when a recorder is given."""
     behaviors = {
-        spec.party: make_behavior(
-            spec, provider.party_handle(spec.party),
-            random.Random(f"{cfg.seed}|byz|{spec.party}"),
-        )
-        for spec in cfg.byzantine
+        spec.party: make_behavior(spec, parties[spec.party].crypto,
+                                  random.Random(f"{seed}|byz|{spec.party}"))
+        for spec in byzantine
     }
-    policy = make_policy(cfg.policy, cfg.policy_params, random.Random(f"{cfg.seed}|policy"))
-    fairness_bound = cfg.policy_params.get("fairness_bound", 64 * cfg.n)
-    honest = set(cfg.honest())
-
+    pol = make_policy(policy, policy_params, random.Random(f"{seed}|policy"))
+    fairness_bound = policy_params.get("fairness_bound", 64 * len(parties))
+    honest = {p for p in range(len(parties)) if p not in behaviors}
     pending: List[QueueItem] = []
-    recorder.attach(parties, pending)
-
-    def push(env: Envelope, step: int) -> None:
-        item = QueueItem(step, env)
-        policy.note_enqueue(item)
-        pending.append(item)
+    if recorder is not None:
+        recorder.attach(parties, pending)
 
     def outbound(pid: int, step: int, envs: List[Envelope]) -> None:
         b = behaviors.get(pid)
@@ -660,74 +667,95 @@ def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
         for env in envs:
             if env.sender != pid:  # behaviors cannot spoof the sender
                 env = Envelope(pid, env.instance, env.entries, dst=env.dst)
-            push(env, step)
+            item = QueueItem(step, env)
+            pol.note_enqueue(item)
+            pending.append(item)
 
+    for p in parties:
+        b = behaviors.get(p.pid)
+        if b is None or not b.crashed(0):
+            outbound(p.pid, 0, p.begin())
+    # A party's state changes only while it handles an envelope, so each
+    # step only the receiver can leave this set.
+    unfinished = {p for p in honest if not parties[p].finished}
+    step = messages = nbytes = fairness_overrides = 0
+    while pending and step < max_steps and unfinished:
+        step += 1
+        if step - pending[0].enqueued > fairness_bound:
+            idx = 0
+            fairness_overrides += 1
+        else:
+            idx = pol.choose(pending, step)
+        env = pending.pop(idx).env
+        if env.sender in honest:
+            messages += 1
+            if recorder is not None:
+                nbytes += env.size()
+        dst = env.dst
+        b = behaviors.get(dst)
+        if b is None or not b.crashed(step):
+            party = parties[dst]
+            if recorder is not None:
+                recorder.current_env = env  # read only while the receiver handles it
+            outs = party.handle(env)
+            if party.finished:
+                unfinished.discard(dst)
+            outbound(dst, step, outs)
+        if on_step is not None:
+            on_step(step, env)
+    return step, messages, nbytes, fairness_overrides, bool(unfinished)
+
+
+def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
+            step_callback: Optional[Callable[[dict], None]] = None) -> RunReport:
+    cfg.validate()
+    provider = key_setup(cfg.security_param, cfg.n, cfg.n - cfg.f, cfg.seed)
+    recorder = RunRecorder(cfg, provider)
+    parties = [Party(p, provider.party_handle(p), cfg, observer=recorder) for p in range(cfg.n)]
     trace = open(trace_path, "w") if trace_path else None
-    fairness_overrides = 0
-    step = 0
-    messages = 0
-    nbytes = 0
+    on_step = None
+    if trace or step_callback:
+        def on_step(step: int, env: Envelope) -> None:
+            rec = {
+                "step": step,
+                "src": env.sender,
+                "dst": env.dst,
+                "size": env.size(),
+                "digest": parties[env.dst].state_digest()[:8].hex(),
+            }
+            if trace:
+                trace.write(json.dumps(rec, sort_keys=True) + "\n")
+            if step_callback:
+                step_callback(rec)
+
     try:
         if trace:
             trace.write(json.dumps({"format": TRACE_FORMAT, "config": scenario_dict(cfg)},
                                    sort_keys=True) + "\n")
-        for p in parties:
-            b = behaviors.get(p.pid)
-            if b is not None and b.crashed(0):
-                continue
-            outbound(p.pid, 0, p.begin())
-        # A party's state changes only while it handles an envelope, so each
-        # step only the receiver can leave this set.
-        unfinished = {p for p in honest if not parties[p].finished}
-
-        while pending and step < cfg.max_steps and unfinished:
-            step += 1
-            if step - pending[0].enqueued > fairness_bound:
-                idx = 0
-                fairness_overrides += 1
-            else:
-                idx = policy.choose(pending, step)
-            item = pending.pop(idx)
-            env = item.env
-            if env.sender in honest:
-                messages += 1
-                nbytes += env.size()
-            b = behaviors.get(env.dst)
-            if b is None or not b.crashed(step):
-                recorder.current_env = env
-                outs = parties[env.dst].handle(env)
-                recorder.current_env = None
-                if parties[env.dst].finished:
-                    unfinished.discard(env.dst)
-                outbound(env.dst, step, outs)
-            if trace or step_callback:
-                rec = {
-                    "step": step,
-                    "src": env.sender,
-                    "dst": env.dst,
-                    "size": env.size(),
-                    "digest": parties[env.dst].state_digest()[:8].hex(),
-                }
-                if trace:
-                    trace.write(json.dumps(rec, sort_keys=True) + "\n")
-                if step_callback:
-                    step_callback(rec)
-        stalled = bool(unfinished)
+        steps, messages, nbytes, fairness_overrides, stalled = deliver(
+            parties, cfg.byzantine, cfg.seed, cfg.policy, cfg.policy_params, cfg.max_steps,
+            recorder, on_step,
+        )
     finally:
         if trace:
             trace.close()
-    return recorder.finish(step, messages, nbytes, stalled, fairness_overrides)
+    return recorder.finish(steps, messages, nbytes, stalled, fairness_overrides)
 
 
 def replay_trace(path: str) -> Tuple[bool, Optional[int], str]:
     """Re-execute a trace's config and compare per-step records.
 
     Returns (ok, first_divergent_step, detail)."""
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("format") != TRACE_FORMAT:
+    try:
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh if line.strip()]
+    except ValueError as e:  # undecodable text or a malformed JSON line
+        raise ConfigError(f"cannot parse trace {path}: {e}") from e
+    header = lines[0] if lines else None
+    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT \
+            or not isinstance(header.get("config"), dict):
         raise ConfigError("not a trace file")
-    cfg = config_from_dict(lines[0]["config"])
+    cfg = config_from_dict(header["config"])
     records = lines[1:]
     state = {"i": 0, "bad": None, "detail": ""}
 
@@ -769,10 +797,14 @@ class HarnessParty:
                  pair: Optional[Tuple[Ciphertext, ThresholdSignature]]):
         self.pid = pid
         self.crypto = crypto
+        self.n = crypto.n
         self.input_bit = input_bit
         self.pair = pair
         self.inv = SlotInvocation(1, 0, crypto)
-        self._wire: List[Tuple[int, object]] = []
+        self._wire: List[Tuple[int, Message]] = []
+        self._selfq: List[Message] = []
+
+    _emit = Party._emit  # same (dst, msg) wire and self queue as a full party
 
     @property
     def finished(self) -> bool:
@@ -781,21 +813,21 @@ class HarnessParty:
     def held_pairs(self, instance: int) -> Set[int]:
         return {0} if self.inv.pair is not None else set()
 
-    def _emit_all(self, msgs) -> None:
-        for m in msgs:
-            self._wire.append(m)
+    def _multicast(self, out: List[Message]) -> None:
+        self._wire.extend([(BROADCAST, m) for m in out])
+        self._selfq.extend(out)
 
     def begin(self) -> List[Envelope]:
         if self.input_bit == 1:
-            self._emit_all(self.inv.inv_start(1, *self.pair))
+            self._multicast(self.inv.inv_start(1, *self.pair))
             # No proposal layer here, so holders diffuse the pair themselves;
             # 1-claims are bare and non-holders need the evidence to vote.
-            self._wire.append(RecoverResp(1, 0, *self.pair))
+            self._emit(BROADCAST, RecoverResp(1, 0, *self.pair))
         else:
-            self._emit_all(self.inv.inv_start(0))
+            self._multicast(self.inv.inv_start(0))
         v = self.inv.take_v()
         if v is not None:
-            self._wire.append(v)
+            self._emit(BROADCAST, v)
         return self._flush()
 
     def handle(self, env: Envelope) -> List[Envelope]:
@@ -803,53 +835,31 @@ class HarnessParty:
             self._dispatch(env.sender, msg)
         return self._flush()
 
-    def _dispatch(self, sender: int, msg) -> None:
+    def _dispatch(self, sender: int, msg: Message) -> None:
         inv = self.inv
         kind = type(msg)
         handler = SLOT_HANDLERS.get(kind)
         if handler is not None:
-            out: List[object] = []
+            out: List[Message] = []
             getattr(inv, handler)(sender, msg, out)
-            self._emit_all(out)
+            if out:
+                self._multicast(out)
         elif kind is Recover and inv.pair is not None:
-            self._wire.append(("unicast", sender, RecoverResp(1, 0, *inv.pair)))
+            self._emit(sender, RecoverResp(1, 0, *inv.pair))
 
     def _flush(self) -> List[Envelope]:
-        # Deliver own copies in wire order, walking by index: each delivery
-        # may append to the wire.  Wire entries are broadcast messages or
-        # ("unicast", dst, msg) tuples.
-        pid = self.pid
-        wire = self._wire
-        broadcast_only = True
+        # Deliver own copies first, walking by index: each delivery may queue more.
+        queue = self._selfq
         i = 0
-        while i < len(wire):
-            entry = wire[i]
+        while i < len(queue):
+            msg = queue[i]
             i += 1
-            if type(entry) is tuple:
-                broadcast_only = False
-                if entry[1] == pid:
-                    self._dispatch(pid, entry[2])
-            else:
-                self._dispatch(pid, entry)
-        self._wire = []
-        if not wire:
+            self._dispatch(self.pid, msg)
+        queue.clear()
+        if not self._wire:
             return []
-        peers = [q for q in range(self.crypto.n) if q != pid]
-        if broadcast_only:
-            entries = tuple(wire)  # one envelope body shared by all n-1 peers
-            return [Envelope(pid, 1, entries, dst=q) for q in peers]
-        grouped: Dict[int, List[object]] = {}
-        for entry in wire:
-            if type(entry) is tuple:
-                _, dst, msg = entry
-                if dst != pid:
-                    grouped.setdefault(dst, []).append(msg)
-            else:
-                for q in peers:
-                    grouped.setdefault(q, []).append(entry)
-        return [
-            Envelope(pid, 1, tuple(msgs), dst=dst) for dst, msgs in grouped.items()
-        ]
+        wire, self._wire = self._wire, []
+        return wire_envelopes(self.pid, self.n, wire)
 
 
 def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
@@ -865,62 +875,17 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
         raise ConfigError("input bits must be 0 or 1")
     provider = key_setup(128, n, n - f, seed)
     pair = make_proven_pair(provider, 1, 0, b"harness-payload")
-    byz = {spec.party for spec in byzantine}
     parties = [
         HarnessParty(p, provider.party_handle(p), inputs[p], pair if inputs[p] == 1 else None)
         for p in range(n)
     ]
-    behaviors = {
-        spec.party: make_behavior(spec, provider.party_handle(spec.party),
-                                  random.Random(f"{seed}|byz|{spec.party}"))
-        for spec in byzantine
-    }
-    pol = make_policy(policy, params, random.Random(f"{seed}|policy"))
-    fairness_bound = params.get("fairness_bound", 64 * n)
+    steps, messages, _, _, stalled = deliver(parties, byzantine, seed, policy, params, max_steps)
+    byz = {spec.party for spec in byzantine}
     honest = [p for p in range(n) if p not in byz]
-    pending: List[QueueItem] = []
-
-    def push(env: Envelope, step: int) -> None:
-        pending.append(QueueItem(step, env))
-        pol.note_enqueue(pending[-1])
-
-    def outbound(pid: int, step: int, envs: List[Envelope]) -> None:
-        b = behaviors.get(pid)
-        if b is not None:
-            envs = b.filter(step, envs)
-        for env in envs:
-            if env.sender != pid:
-                env = Envelope(pid, env.instance, env.entries, dst=env.dst)
-            push(env, step)
-
-    step = messages = 0
-    for p in parties:
-        b = behaviors.get(p.pid)
-        if b is not None and b.crashed(0):
-            continue
-        outbound(p.pid, 0, p.begin())
-    unfinished = {p for p in honest if not parties[p].finished}  # see sim_run
-    while pending and step < max_steps and unfinished:
-        step += 1
-        if step - pending[0].enqueued > fairness_bound:
-            idx = 0
-        else:
-            idx = pol.choose(pending, step)
-        item = pending.pop(idx)
-        env = item.env
-        if env.sender not in byz:
-            messages += 1
-        b = behaviors.get(env.dst)
-        if b is None or not b.crashed(step):
-            outs = parties[env.dst].handle(env)
-            if parties[env.dst].finished:
-                unfinished.discard(env.dst)
-            outbound(env.dst, step, outs)
-    stalled = bool(unfinished)
     return {
         "decisions": {p: parties[p].inv.decided for p in honest},
         "inputs": {p: inputs[p] for p in honest},
         "messages": messages,
-        "steps": step,
+        "steps": steps,
         "stalled": stalled,
     }

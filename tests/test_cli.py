@@ -2,8 +2,10 @@
 import csv
 import json
 
+import pytest
+
 from slimabc import SimConfig, cli, sim_run
-from slimabc.simnet import scenario_dict
+from slimabc.simnet import TRACE_FORMAT, scenario_dict
 
 
 def write_scenario(tmp_path, name="scn.json", **kw):
@@ -34,6 +36,25 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     scn = write_scenario(tmp_path, "params.json", policy_params={"fairness_bound": "x"})
     assert cli.main(["run", "--scenario", scn]) == 2
     assert "fairness_bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"f": "1"},
+    {"instances": "2"},
+    {"overlap": "x"},
+    {"byzantine": [{"party": 0, "kind": "crash", "at_step": "x"}]},
+    {"policy_params": []},
+    {"seed": "abc"},
+    {"request_size": 1.5},
+    {"max_steps": 2.5},
+])
+def test_run_rejects_mistyped_scenario_fields(tmp_path, capsys, change):
+    d = scenario_dict(SimConfig(n=4, f=1, instances=1))
+    d.update(change)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_check_counts_properties(tmp_path, capsys):
@@ -129,3 +150,28 @@ def test_sweep_keeps_scenario_policy_params_and_security_param(tmp_path, capsys)
         rep = sim_run(cfg)
         got = tuple(int(row[k]) for k in ("messages", "bytes", "steps"))
         assert got == (rep.messages, rep.bytes, rep.steps)
+
+
+def _truncate_last_line(lines):
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+
+
+def _list_header(lines):
+    lines[0] = "[1]"
+
+
+def _header_without_config(lines):
+    lines[0] = json.dumps({"format": TRACE_FORMAT})
+
+
+@pytest.mark.parametrize("damage", [_truncate_last_line, _list_header, _header_without_config])
+def test_replay_rejects_malformed_trace(tmp_path, capsys, damage):
+    scn = write_scenario(tmp_path, instances=1)
+    trace = tmp_path / "run.trace"
+    assert cli.main(["run", "--scenario", scn, "--trace", str(trace),
+                     "--out", str(tmp_path / "r.json")]) == 0
+    lines = trace.read_text().splitlines()
+    damage(lines)
+    trace.write_text("\n".join(lines) + "\n")
+    assert cli.main(["replay", "--trace", str(trace)]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimabc import Party, ProtocolConfig, RequestBatch, SimConfig, sim_run
+from slimabc import Party, RequestBatch, SimConfig, sim_run
 from slimabc.crypto import key_setup
 from slimabc.invocation import SLOT_HANDLERS, SlotInvocation
 from slimabc.messages import (
@@ -22,13 +22,14 @@ from slimabc.messages import (
     VMsg,
 )
 from slimabc.protocol import instance_pool, sample_batch
+from slimabc.simnet import HarnessParty
 
 
 def cfg(**kw):
     base = dict(instances=1, pool_size=16, batch_size=4, request_size=32,
                 overlap=0.0, seed=9)
     base.update(kw)
-    return ProtocolConfig(**base)
+    return SimConfig(n=4, f=1, **base)
 
 
 # -- batch codec ---------------------------------------------------------------
@@ -164,12 +165,9 @@ wire_entries = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(entries=wire_entries)
-def test_flush_matches_per_peer_grouping(entries):
-    party = Party(1, FLUSH_PARTY, cfg())
-    for dst, v, recover in entries:
-        party._emit(dst, Recover(v.instance, v.slot) if recover else v)
+def check_flush(party, entries) -> None:
+    """`party._flush()` groups its wire as `reference_flush` does, and sends
+    a broadcast-only step of one instance as one shared entries tuple."""
     expected = reference_flush(party, list(party._wire))
     got = party._flush()
     assert party._wire == []
@@ -181,6 +179,26 @@ def test_flush_matches_per_peer_grouping(entries):
     if len({(dst, v.instance) for dst, v, _ in entries if dst != 1}) == 1 and \
             entries[0][0] == BROADCAST:  # a broadcast-only step of one instance
         assert len({id(e.entries) for e in got}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=wire_entries)
+def test_flush_matches_per_peer_grouping(entries):
+    party = Party(1, FLUSH_PARTY, cfg())
+    for dst, v, recover in entries:
+        party._emit(dst, Recover(v.instance, v.slot) if recover else v)
+    check_flush(party, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=wire_entries)
+def test_harness_flush_matches_per_peer_grouping(entries):
+    party = HarnessParty(1, FLUSH_PARTY, 0, None)
+    # Fill the wire as _emit would, minus the self queue: own copies would be
+    # handled by the party's one agreement slot and could emit more.
+    party._wire = [(dst, Recover(v.instance, v.slot) if recover else v)
+                   for dst, v, recover in entries if dst != 1]
+    check_flush(party, entries)
 
 
 # -- finalization on slot transitions and instance bounds ---------------------------
