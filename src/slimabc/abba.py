@@ -85,21 +85,21 @@ class AbbaMachine:
         self._pp_msgs = (preprocess_bytes(instance, slot, 0), preprocess_bytes(instance, slot, 1))
         self._round_msgs: Dict[int, Tuple[bytes, ...]] = {}
 
+        # Vote ledgers keep arrival order: the first quorum of a dict is the
+        # quorum a threshold signature or a decision is built from.
         self._pp: Dict[int, AbbaPreprocess] = {}
-        self._pp_order: List[int] = []
         self._pp_pending_one: List[Tuple[int, AbbaPreprocess]] = []
         self._prevotes: Dict[int, Dict[int, AbbaPrevote]] = {}
-        self._pv_order: Dict[int, List[int]] = {}
         self._mainvotes: Dict[int, Dict[int, AbbaMainvote]] = {}
-        self._mv_order: Dict[int, List[int]] = {}
         self._coin_shares: Dict[int, Dict[int, CoinShare]] = {}
         self.coins: Dict[int, int] = {}
-        self._future: Dict[int, List[Tuple[str, int, Message]]] = {}
-        self._ev_pending: List[Tuple[str, int, Message]] = []
+        self._future: Dict[int, List[Tuple[int, Message]]] = {}  # votes for rounds ahead
+        self._ev_pending: List[Tuple[int, Message]] = []  # votes awaiting the payload proof
 
-        self._mv_sent: set = set()
-        self._checked: set = set()
-        self._coin_sent: set = set()
+        # Progress within the current round: 0 awaits 2f+1 pre-votes, 1 has
+        # sent the main-vote, 2 has checked for a decision and sent the coin share.
+        self._stage = 0
+
         self.decided: Optional[Tuple[int, int, ThresholdSignature]] = None  # (bit, round, sig)
         self._decision_forwarded = False
 
@@ -121,13 +121,9 @@ class AbbaMachine:
         out: List[Message] = []
         pending, self._pp_pending_one = self._pp_pending_one, []
         for sender, msg in pending:
-            self._accept_preprocess(sender, msg)
+            self._pp.setdefault(sender, msg)
         replay, self._ev_pending = self._ev_pending, []
-        for kind, sender, msg in replay:
-            if kind == "pv":
-                self.on_prevote(sender, msg, out)
-            else:
-                self.on_mainvote(sender, msg, out)
+        self._replay(replay, out)
         self._pump(out)
         return out
 
@@ -141,48 +137,34 @@ class AbbaMachine:
         if msg.bit == 1 and not self.evidence_known:
             self._pp_pending_one.append((sender, msg))
             return
-        self._accept_preprocess(sender, msg)
+        self._pp[sender] = msg
         self._pump(out)
-
-    def _accept_preprocess(self, sender: int, msg: AbbaPreprocess) -> None:
-        if sender not in self._pp:
-            self._pp[sender] = msg
-            self._pp_order.append(sender)
 
     def on_prevote(self, sender: int, msg: AbbaPrevote, out: List[Message]) -> None:
-        if self.decided or msg.bit not in (0, 1) or msg.round < 1:
-            return
-        if msg.round > max(self.round, 1):  # round-1 votes are verifiable before entry
-            self._future.setdefault(msg.round, []).append(("pv", sender, msg))
-            return
-        if sender in self._prevotes.get(msg.round, {}):
-            return
-        ok = self._validate_prevote(sender, msg)
-        if ok == "pending":
-            self._ev_pending.append(("pv", sender, msg))
-            return
-        if not ok:
-            return
-        self._prevotes.setdefault(msg.round, {})[sender] = msg
-        self._pv_order.setdefault(msg.round, []).append(sender)
-        self._pump(out)
+        if msg.bit in (0, 1):
+            self._on_vote(sender, msg, self._prevotes, self._validate_prevote, out)
 
     def on_mainvote(self, sender: int, msg: AbbaMainvote, out: List[Message]) -> None:
-        if self.decided or msg.value not in (0, 1, ABSTAIN) or msg.round < 1:
+        if msg.value in (0, 1, ABSTAIN):
+            self._on_vote(sender, msg, self._mainvotes, self._validate_mainvote, out)
+
+    def _on_vote(self, sender: int, msg, ledger: Dict[int, Dict[int, Message]],
+                 validate, out: List[Message]) -> None:
+        r = msg.round
+        if self.decided or r < 1:
             return
-        if msg.round > max(self.round, 1):
-            self._future.setdefault(msg.round, []).append(("mv", sender, msg))
+        if r > max(self.round, 1):  # round-1 votes are verifiable before entry
+            self._future.setdefault(r, []).append((sender, msg))
             return
-        if sender in self._mainvotes.get(msg.round, {}):
+        if sender in ledger.get(r, ()):
             return
-        ok = self._validate_mainvote(sender, msg)
+        ok = validate(sender, msg)
         if ok == "pending":
-            self._ev_pending.append(("mv", sender, msg))
+            self._ev_pending.append((sender, msg))
             return
         if not ok:
             return
-        self._mainvotes.setdefault(msg.round, {})[sender] = msg
-        self._mv_order.setdefault(msg.round, []).append(sender)
+        ledger.setdefault(r, {})[sender] = msg
         self._pump(out)
 
     def on_coin_share(self, sender: int, msg: AbbaCoinShare, out: List[Message]) -> None:
@@ -263,37 +245,28 @@ class AbbaMachine:
 
     def _pump(self, out: List[Message]) -> None:
         while self.decided is None:
-            if (
-                self.round == 0
-                and self.input_given is not None
-                and len(self._pp) >= self.n - self.f
-            ):
-                self._enter_round_one(out)
-                continue
             r = self.round
-            if r >= 1 and r not in self._mv_sent and len(self._prevotes.get(r, {})) >= self.quorum:
+            if r == 0:
+                if self.input_given is None or len(self._pp) < self.n - self.f:
+                    break
+                self._enter_round_one(out)
+            elif self._stage == 0:
+                if len(self._prevotes.get(r, ())) < self.quorum:
+                    break
                 self._emit_mainvote(r, out)
-                continue
-            if (
-                r >= 1
-                and r in self._mv_sent
-                and r not in self._checked
-                and len(self._mainvotes.get(r, {})) >= self.quorum
-            ):
+            elif self._stage == 1:
+                if len(self._mainvotes.get(r, ())) < self.quorum:
+                    break
                 self._check_decision(r, out)
-                continue
-            if (
-                r in self._checked
-                and r not in self.coins
-                and len(self._coin_shares.get(r, {})) >= self.quorum
-            ):
-                shares = list(self._coin_shares[r].values())[: self.quorum]
+            else:
+                shares = self._coin_shares.get(r, {})
+                if len(shares) < self.quorum:
+                    break
                 self.coins[r] = self.crypto.coin_toss_bit(
-                    abba_coin_name(self.instance, self.slot, r), shares
+                    abba_coin_name(self.instance, self.slot, r),
+                    list(shares.values())[: self.quorum],
                 )
                 self._advance(r + 1, out)
-                continue
-            break
 
     def _pv_msg(self, r: int, bit: int) -> bytes:
         msgs = self._round_msgs.get(r)
@@ -309,6 +282,7 @@ class AbbaMachine:
 
     def _enter(self, r: int) -> None:
         self.round = r
+        self._stage = 0
         i, s = self.instance, self.slot
         self._round_msgs[r] = (
             prevote_bytes(i, s, r, 0),
@@ -320,59 +294,52 @@ class AbbaMachine:
 
     def _enter_round_one(self, out: List[Message]) -> None:
         self._enter(1)
-        one_senders = [s for s in self._pp_order if self._pp[s].bit == 1]
-        if one_senders:
-            signer = one_senders[0]
+        signer = next((s for s, m in self._pp.items() if m.bit == 1), None)
+        if signer is not None:
             just = Justification(JUST_PREPROCESS_ONE, signer=signer, share=self._pp[signer].share)
             bit = 1
         else:
-            zeros = [self._pp[s].share for s in self._pp_order[: self.n - self.f]]
+            zeros = [m.share for m in list(self._pp.values())[: self.n - self.f]]
             sig = self.crypto.combine_shares(self._pp_msgs[0], zeros)
             just = Justification(JUST_PREPROCESS_ZERO, sig=sig)
             bit = 0
         self._emit_prevote(1, bit, just, out)
-        self._drain_future(1, out)
+        self._replay(self._future.pop(1, []), out)
 
     def _emit_prevote(self, r: int, bit: int, just: Justification, out: List[Message]) -> None:
         share = self.crypto.sig_share(self._pv_msg(r, bit))
         out.append(AbbaPrevote(self.instance, self.slot, r, bit, just, share))
 
     def _emit_mainvote(self, r: int, out: List[Message]) -> None:
-        self._mv_sent.add(r)
-        first = self._pv_order[r][: self.quorum]
-        bits = {self._prevotes[r][s].bit for s in first}
+        self._stage = 1
+        first = list(self._prevotes[r].values())[: self.quorum]
+        bits = {pv.bit for pv in first}
         if len(bits) == 1:
             (bit,) = bits
-            sig = self.crypto.combine_shares(
-                self._pv_msg(r, bit), [self._prevotes[r][s].share for s in first]
-            )
+            sig = self.crypto.combine_shares(self._pv_msg(r, bit), [pv.share for pv in first])
             value, just = bit, Justification(JUST_PREVOTE_THRESHOLD, sig=sig)
         else:
-            pv0 = next(self._prevotes[r][s] for s in first if self._prevotes[r][s].bit == 0)
-            pv1 = next(self._prevotes[r][s] for s in first if self._prevotes[r][s].bit == 1)
+            pv0 = next(pv for pv in first if pv.bit == 0)
+            pv1 = next(pv for pv in first if pv.bit == 1)
             value = ABSTAIN
             just = Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1)
         share = self.crypto.sig_share(self._mv_msg(r, value))
         out.append(AbbaMainvote(self.instance, self.slot, r, value, just, share))
 
     def _check_decision(self, r: int, out: List[Message]) -> None:
-        self._checked.add(r)
-        first = self._mv_order[r][: self.quorum]
-        values = {self._mainvotes[r][s].value for s in first}
+        self._stage = 2
+        first = list(self._mainvotes[r].values())[: self.quorum]
+        values = {mv.value for mv in first}
         if len(values) == 1 and ABSTAIN not in values:
             (bit,) = values
-            sig = self.crypto.combine_shares(
-                self._mv_msg(r, bit), [self._mainvotes[r][s].share for s in first]
-            )
+            sig = self.crypto.combine_shares(self._mv_msg(r, bit), [mv.share for mv in first])
             self.decided = (bit, r, sig)
             if not self._decision_forwarded:
                 self._decision_forwarded = True
                 out.append(AbbaDecision(self.instance, self.slot, r, bit, sig))
             return
-        if r not in self._coin_sent:
-            self._coin_sent.add(r)
-            share = self.crypto.coin_share(abba_coin_name(self.instance, self.slot, r))
-            out.append(AbbaCoinShare(self.instance, self.slot, r, share))
+        share = self.crypto.coin_share(abba_coin_name(self.instance, self.slot, r))
+        out.append(AbbaCoinShare(self.instance, self.slot, r, share))
 
     def _advance(self, r: int, out: List[Message]) -> None:
         self._enter(r)
@@ -395,11 +362,12 @@ class AbbaMachine:
             self._emit_prevote(
                 r, self.coins[prev], Justification(JUST_ABSTAIN_THRESHOLD, sig=sig), out
             )
-        self._drain_future(r, out)
+        self._replay(self._future.pop(r, []), out)
 
-    def _drain_future(self, r: int, out: List[Message]) -> None:
-        for kind, sender, msg in self._future.pop(r, []):
-            if kind == "pv":
+    def _replay(self, parked: List[Tuple[int, Message]], out: List[Message]) -> None:
+        """Hand parked votes to the public handlers again, in arrival order."""
+        for sender, msg in parked:
+            if type(msg) is AbbaPrevote:
                 self.on_prevote(sender, msg, out)
             else:
                 self.on_mainvote(sender, msg, out)

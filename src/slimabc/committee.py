@@ -2,21 +2,17 @@
 
 Each instance, every party contributes one coin share for the name
 derived from the instance number; once f+1 distinct valid shares are
-collected the toss yields kappa = f+1 distinct committee members, the
-same tuple at every party.  Shares arriving before the local machine
-starts are buffered; the first valid share per sender wins.
+collected the toss yields f+1 distinct committee members, the same
+tuple at every party.  The machine takes its own share when it is
+built; the first valid share per sender wins.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .crypto import CoinShare, PartyCrypto
-
-
-class AlreadyStartedError(Exception):
-    pass
 
 
 def committee_coin_name(instance: int) -> bytes:
@@ -31,47 +27,30 @@ class Committee:
     def __contains__(self, party: int) -> bool:
         return party in self.members
 
-    def slot_of(self, party: int) -> int:
-        return self.members.index(party)
-
 
 class CsState:
-    """Per-party committee-selection machine for one instance."""
+    """Per-party committee-selection machine for one instance; `own` is the
+    local share, for the owner to multicast."""
 
     def __init__(self, instance: int, crypto: PartyCrypto):
         self.instance = instance
         self.crypto = crypto
-        self.kappa = crypto.f + 1
         self.name = committee_coin_name(instance)
-        self.started = False
         self.committee: Optional[Committee] = None
         self._shares: Dict[int, CoinShare] = {}
-        self._buffer: List[Tuple[int, CoinShare]] = []
-
-    def start(self) -> CoinShare:
-        """Produce the local share (to multicast) and drain buffered ones."""
-        if self.started:
-            raise AlreadyStartedError(f"committee selection for {self.instance} already started")
-        self.started = True
-        own = self.crypto.coin_share(self.name)
-        self.on_share(self.crypto.party, own)
-        for sender, share in self._buffer:
-            self.on_share(sender, share)
-        self._buffer.clear()
-        return own
+        self.own = crypto.coin_share(self.name)
+        self.on_share(crypto.party, self.own)
 
     def on_share(self, sender: int, share: CoinShare) -> Optional[Committee]:
         if self.committee is not None:
             return self.committee
-        if not self.started:
-            self._buffer.append((sender, share))
-            return None
         if sender in self._shares:
             return None
         if not self.crypto.coin_share_verify(self.name, sender, share):
             return None
         self._shares[sender] = share
-        if len(self._shares) >= self.crypto.f + 1:
-            members = self.crypto.coin_toss_committee(self.name, self._shares.values(), self.kappa)
+        size = self.crypto.f + 1  # f+1 shares elect f+1 members
+        if len(self._shares) >= size:
+            members = self.crypto.coin_toss_committee(self.name, self._shares.values(), size)
             self.committee = Committee(self.instance, members)
         return self.committee

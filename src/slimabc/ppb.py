@@ -9,8 +9,7 @@ into the transferable proof.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from .committee import Committee
 from .crypto import (
@@ -18,7 +17,6 @@ from .crypto import (
     PartyCrypto,
     SignatureShare,
     ThresholdSignature,
-    digest,
 )
 
 
@@ -28,13 +26,6 @@ class NotCommitteeMemberError(Exception):
 
 def ppb_sign_bytes(instance: int, slot: int, ct_digest: bytes) -> bytes:
     return b"PPB" + struct.pack(">QH", instance, slot) + ct_digest
-
-
-@dataclass(frozen=True)
-class PpbProof:
-    instance: int
-    slot: int
-    sig: ThresholdSignature
 
 
 def verify_proof(crypto: PartyCrypto, instance: int, slot: int,
@@ -55,9 +46,9 @@ class PpbSender:
         self.ciphertext = ciphertext
         self._bytes = ppb_sign_bytes(instance, self.slot, ciphertext.ct_digest())
         self._shares: Dict[int, SignatureShare] = {}
-        self.proof: Optional[PpbProof] = None
+        self.proof: Optional[ThresholdSignature] = None
 
-    def on_share(self, sender: int, share: SignatureShare) -> Optional[PpbProof]:
+    def on_share(self, sender: int, share: SignatureShare) -> Optional[ThresholdSignature]:
         """Returns the proof exactly once, when n-f valid shares are in."""
         if self.proof is not None or sender in self._shares:
             return None
@@ -65,8 +56,7 @@ class PpbSender:
             return None
         self._shares[sender] = share
         if len(self._shares) >= self.crypto.n - self.crypto.f:
-            sig = self.crypto.combine_shares(self._bytes, self._shares.values())
-            self.proof = PpbProof(self.instance, self.slot, sig)
+            self.proof = self.crypto.combine_shares(self._bytes, self._shares.values())
             return self.proof
         return None
 
@@ -74,23 +64,18 @@ class PpbSender:
 class PpbReceiver:
     """Countersigning ledger for one instance; one signature per sender."""
 
-    def __init__(self, instance: int, crypto: PartyCrypto, committee: Committee,
-                 validator: Optional[Callable[[Ciphertext], bool]] = None):
+    def __init__(self, instance: int, crypto: PartyCrypto, committee: Committee):
         self.instance = instance
         self.crypto = crypto
         self.committee = committee
-        self.validator = validator
-        self.abandoned = False
         self.payloads: Dict[int, Ciphertext] = {}  # slot -> first ciphertext seen
 
     def on_payload(self, sender: int, ciphertext: Ciphertext) -> Optional[SignatureShare]:
-        """Countersign the first payload from a committee member, or stay silent."""
-        if self.abandoned or sender not in self.committee or sender in self.payloads:
+        """Countersign the first well-formed payload from a committee member,
+        or stay silent."""
+        if sender not in self.committee or sender in self.payloads:
             return None
-        if self.validator is not None and not self.validator(ciphertext):
+        if not self.crypto.ciphertext_wellformed(ciphertext):
             return None
         self.payloads[sender] = ciphertext
         return self.crypto.sig_share(ppb_sign_bytes(self.instance, sender, ciphertext.ct_digest()))
-
-    def abandon(self) -> None:
-        self.abandoned = True

@@ -153,7 +153,6 @@ class InstanceState:
     committee: Optional[Committee] = None
     ppb_recv: Optional[PpbReceiver] = None
     ppb_send: Optional[PpbSender] = None
-    my_ciphertext: Optional[Ciphertext] = None
     slots: Dict[int, SlotInvocation] = field(default_factory=dict)
     ready: Set[int] = field(default_factory=set)  # slots whose outcome_ready holds
     sugg_senders: Set[int] = field(default_factory=set)
@@ -209,11 +208,7 @@ class Party:
         self.instance = number
         self.pending.extend(instance_pool(self.cfg, number, self.pid))
         self.inst = InstanceState(cs=CsState(number, self.crypto))
-        share = self.inst.cs.start()
-        self._emit(BROADCAST, CsShare(number, share))
-        committee = self.inst.cs.committee  # f+1 buffered shares can already settle it
-        if committee is not None:
-            self._on_committee(committee)
+        self._emit(BROADCAST, CsShare(number, self.inst.cs.own))
         for sender, msg in self._future.pop(number, []):
             self._route(sender, msg)
 
@@ -294,7 +289,7 @@ class Party:
                 inst.relayed = True  # own proposal doubles as this party's relay
                 self._emit(
                     BROADCAST,
-                    Proposal(self.instance, self.pid, inst.my_ciphertext, proof.sig),
+                    Proposal(self.instance, self.pid, inst.ppb_send.ciphertext, proof),
                 )
         elif kind is Proposal:
             if msg.slot != sender:
@@ -333,18 +328,16 @@ class Party:
         inst = self.inst
         inst.committee = committee
         self.observer.on_committee(self.pid, self.instance, committee)
-        inst.ppb_recv = PpbReceiver(
-            self.instance, self.crypto, committee, validator=self.crypto.ciphertext_wellformed
-        )
+        inst.ppb_recv = PpbReceiver(self.instance, self.crypto, committee)
         for member in committee.members:
             inst.slots[member] = SlotInvocation(self.instance, member, self.crypto)
         if self.pid in committee:
             batch = RequestBatch(
                 self.pid, self.instance, sample_batch(self.cfg, self.pid, self.instance, self.pending)
             )
-            inst.my_ciphertext = self.crypto.tpke_enc(batch.encode())
-            inst.ppb_send = PpbSender(self.instance, self.crypto, committee, inst.my_ciphertext)
-            self._emit(BROADCAST, PpbPayload(self.instance, self.pid, inst.my_ciphertext))
+            ciphertext = self.crypto.tpke_enc(batch.encode())
+            inst.ppb_send = PpbSender(self.instance, self.crypto, committee, ciphertext)
+            self._emit(BROADCAST, PpbPayload(self.instance, self.pid, ciphertext))
         buffered, inst.buffer = inst.buffer, []
         for sender, msg in buffered:
             self._dispatch(sender, msg)
@@ -421,7 +414,6 @@ class Party:
         self.pending = [r for r in self.pending if r not in self.delivered]
         self.outputs_by_instance[self.instance] = outputs
         self.archive[self.instance] = pairs
-        inst.ppb_recv.abandon()
         phases = 4 + max(rounds.values())
         self.observer.on_finalized(self.pid, self.instance, outputs, rounds, phases)
         finished_instance = self.instance

@@ -61,10 +61,6 @@ class ConfigError(Exception):
     pass
 
 
-class StalledError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class BehaviorSpec:
     party: int
@@ -389,7 +385,6 @@ class RunRecorder(Observer):
         self.inputs: Dict[Tuple[int, int], Dict[int, int]] = {}
         self.decisions: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
         self.phases: Dict[int, int] = {}
-        self.rounds: Dict[Tuple[int, int], int] = {}
         self.swept: Set[int] = set()
         self.lemma: List[dict] = []
         self.failures: List[str] = []
@@ -417,8 +412,6 @@ class RunRecorder(Observer):
     def on_slot_decided(self, party, instance, slot, bit, round_) -> None:
         if party in self.honest:
             self.decisions.setdefault((instance, slot), {})[party] = (bit, round_)
-            key = (instance, slot)
-            self.rounds[key] = max(self.rounds.get(key, 0), round_)
 
     def on_finalized(self, party, instance, outputs, rounds, phases) -> None:
         if party in self.honest:
@@ -619,7 +612,10 @@ class RunRecorder(Observer):
             bytes=nbytes,
             finalized_instances=finalized,
             phases=dict(self.phases),
-            rounds={f"{i}:{s}": r for (i, s), r in self.rounds.items()},
+            rounds={
+                f"{i}:{s}": max(round_ for _, round_ in per.values())
+                for (i, s), per in self.decisions.items()
+            },
             decisions={
                 f"{i}:{s}": next(iter(per.values()))[0] for (i, s), per in self.decisions.items()
             },

@@ -7,6 +7,7 @@ forge both valid and invalid justifications at will.
 """
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,6 +34,7 @@ from slimabc.messages import (
     JUST_PREVOTE_THRESHOLD,
     Justification,
 )
+from slimabc.simnet import BehaviorSpec, HarnessParty, abba_harness_run
 
 INSTANCE, SLOT = 1, 0
 
@@ -46,8 +48,9 @@ def make_machines(n=4, seed=11, evidence=True):
     return provider, machines
 
 
-def pump(machines, queue):
-    """Deliver (sender, msg) items to every machine until quiescent."""
+def pump(machines, queue, sent=None):
+    """Deliver (sender, msg) items to every machine until quiescent; each
+    item is also appended to `sent` when one is given."""
     handlers = {
         AbbaPreprocess: "on_preprocess",
         AbbaPrevote: "on_prevote",
@@ -60,6 +63,8 @@ def pump(machines, queue):
         steps += 1
         assert steps < 10_000, "delivery loop did not quiesce"
         sender, msg = queue.pop(0)
+        if sent is not None:
+            sent.append((sender, msg))
         for m in machines:
             out = []
             getattr(m, handlers[type(msg)])(sender, msg, out)
@@ -278,9 +283,10 @@ def test_future_round_votes_buffered():
     assert m._future  # parked for round 2
 
 
-def test_coin_round_resolves_engineered_split():
-    """One party pre-votes 1, two pre-vote 0 => abstain main-votes, coin,
-    and a unanimous round-2 decision on the coin bit."""
+def engineered_split(sent=None):
+    """One party pre-votes 1, two pre-vote 0 => abstain main-votes and a coin.
+    Returns the provider and the three active machines; every vote, coin share
+    and decision they send is appended to `sent` when one is given."""
     provider, machines = make_machines()
     active = machines[:3]
     queue = []
@@ -312,7 +318,14 @@ def test_coin_round_resolves_engineered_split():
     assert all(len(v) == 1 and isinstance(v[0], AbbaPrevote) for _, v in votes)
     assert [v[0].bit for _, v in votes] == [1, 0, 0]
     queue = [(pid, v[0]) for pid, v in votes]
-    pump(active, queue)
+    pump(active, queue, sent)
+    return provider, active
+
+
+def test_coin_round_resolves_engineered_split():
+    """The split's abstain main-votes lead to a unanimous round-2 decision
+    on the coin bit."""
+    provider, active = engineered_split()
     coin = provider.coin_toss_bit(
         abba_coin_name(INSTANCE, SLOT, 1),
         [provider.coin_share(i, abba_coin_name(INSTANCE, SLOT, 1)) for i in range(2)],
@@ -324,9 +337,10 @@ def test_coin_round_resolves_engineered_split():
 
 # -- per-machine signing strings ------------------------------------------------
 
-def run_shuffled(seed, bits):
+def run_shuffled(seed, bits, sent=None):
     """Deliver every message to every machine (sender included) in a seeded
-    random order until quiescent."""
+    random order until quiescent; each emitted (sender, msg) is also appended
+    to `sent` when one is given."""
     handlers = {
         AbbaPreprocess: "on_preprocess",
         AbbaPrevote: "on_prevote",
@@ -338,11 +352,16 @@ def run_shuffled(seed, bits):
     rng = random.Random(seed)
     queue = []
     for m, bit in zip(machines, bits):
-        queue.extend((m.crypto.party, o, dst) for o in m.input(bit) for dst in range(4))
+        out = m.input(bit)
+        if sent is not None:
+            sent.extend((m.crypto.party, o) for o in out)
+        queue.extend((m.crypto.party, o, dst) for o in out for dst in range(4))
     while queue:
         sender, msg, dst = queue.pop(rng.randrange(len(queue)))
         out = []
         getattr(machines[dst], handlers[type(msg)])(sender, msg, out)
+        if sent is not None:
+            sent.extend((dst, o) for o in out)
         queue.extend((dst, o, q) for o in out for q in range(4))
     return provider, machines
 
@@ -388,3 +407,56 @@ def test_wire_rounds_never_grow_the_string_cache():
     sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
     m.on_decision(2, AbbaDecision(INSTANCE, SLOT, 70, 1, sig), [])
     assert m.decided[:2] == (1, 70) and m._round_msgs == entered
+
+
+# -- one vote per sender per round -------------------------------------------
+
+def votes_per_round(sent):
+    """Count each sender's pre-votes, main-votes and coin shares per round."""
+    return Counter(
+        (sender, type(msg).__name__, msg.round)
+        for sender, msg in sent
+        if type(msg) in (AbbaPrevote, AbbaMainvote, AbbaCoinShare)
+    )
+
+
+def test_one_vote_per_sender_per_round_in_coin_rounds():
+    sent = []
+    engineered_split(sent)
+    counts = votes_per_round(sent)
+    assert max(counts.values()) == 1
+    assert {k for k in counts if k[1] == "AbbaCoinShare"} == {
+        (p, "AbbaCoinShare", 1) for p in range(3)
+    }
+    rounds_seen = set()
+    for seed in range(8):
+        sent = []
+        _, machines = run_shuffled(seed, [1, 0, 0, 0] if seed % 2 else [0, 1, 0, 1], sent)
+        assert max(votes_per_round(sent).values()) == 1, seed
+        rounds_seen |= {m.round for m in machines}
+    assert rounds_seen >= {1, 2}
+
+
+def test_one_vote_per_sender_per_round_under_random_votes(monkeypatch):
+    sent = []
+    multicast = HarnessParty._multicast
+
+    def recording(self, out):
+        sent.extend((self.pid, m) for m in out)
+        multicast(self, out)
+
+    monkeypatch.setattr(HarnessParty, "_multicast", recording)
+    byz = (BehaviorSpec(5, "random-votes"), BehaviorSpec(6, "random-votes"))
+    decided_rounds = set()
+    for seed in range(6):
+        for policy in ("random", "adversarial-delay"):
+            sent.clear()
+            # one honest 1-input: the honest parties split and need the coin
+            result = abba_harness_run(7, 2, seed, [0, 1, 0, 0, 0, 0, 0], byzantine=byz,
+                                      policy=policy)
+            assert not result["stalled"]
+            counts = votes_per_round([(p, m) for p, m in sent if p < 5])
+            assert max(counts.values()) == 1, (seed, policy)
+            assert any(k[1] == "AbbaCoinShare" for k in counts), (seed, policy)
+            decided_rounds |= {d[1] for d in result["decisions"].values()}
+    assert decided_rounds >= {2, 3}

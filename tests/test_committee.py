@@ -1,7 +1,5 @@
 """Committee selection: agreement, buffering, and fault cases."""
-import pytest
-
-from slimabc.committee import AlreadyStartedError, Committee, CsState, committee_coin_name
+from slimabc.committee import Committee, CsState, committee_coin_name
 from slimabc.crypto import CoinShare, key_setup
 
 
@@ -11,8 +9,8 @@ def make_states(n=4, seed=5, instance=1):
 
 
 def run_selection(states, senders=None):
-    """Start every state and deliver all shares to all; returns committees."""
-    shares = {s.crypto.party: s.start() for s in states}
+    """Deliver every state's own share to all; returns committees."""
+    shares = {s.crypto.party: s.own for s in states}
     for st in states:
         for pid, share in shares.items():
             if senders is None or pid in senders:
@@ -50,26 +48,9 @@ def test_instances_select_differently():
     assert len(members) > 1
 
 
-def test_shares_buffered_before_start():
-    states = make_states()
-    early = states[1].crypto.coin_share(committee_coin_name(1))
-    st = states[0]
-    assert st.on_share(1, early) is None  # buffered, not started yet
-    st.start()
-    assert st.committee is not None  # own + buffered = f+1
-
-
-def test_double_start_rejected():
-    st = make_states()[0]
-    st.start()
-    with pytest.raises(AlreadyStartedError):
-        st.start()
-
-
 def test_invalid_and_duplicate_shares_ignored():
     states = make_states()
     st = states[0]
-    st.start()
     garbage = CoinShare(2, committee_coin_name(1), b"\x00" * 8)
     assert st.on_share(2, garbage) is None
     assert st.committee is None
@@ -82,7 +63,6 @@ def test_invalid_and_duplicate_shares_ignored():
 def test_wrong_instance_share_rejected():
     states = make_states(instance=1)
     st = states[0]
-    st.start()
     other = states[1].crypto.coin_share(committee_coin_name(9))
     assert st.on_share(1, other) is None
     assert st.committee is None
@@ -91,7 +71,3 @@ def test_wrong_instance_share_rejected():
 def test_committee_membership_helpers():
     c = Committee(3, (5, 2))
     assert 5 in c and 2 in c and 0 not in c
-    assert c.slot_of(5) == 0
-    assert c.slot_of(2) == 1
-    with pytest.raises(ValueError):
-        c.slot_of(0)
