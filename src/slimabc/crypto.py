@@ -14,8 +14,11 @@ and outer pad states that the provider hashes once per key when it is
 built.  The memos, all private to the provider and bounded by module
 constants, spare repeated work without changing any result:
 
-* the `tpke-mask` keystream of a ciphertext, keyed by (header, length),
-  so the n parties decrypting one ciphertext derive its mask once;
+* the ciphertext of each plaintext, keyed by the plaintext's digest, and
+  the plaintext of each ciphertext, keyed by `ct_digest()`, so a batch is
+  encrypted once and the n parties decrypting it share one XOR.  Both are
+  bounded by `TPKE_MEMO_MAX`; `tpke_dec` reads its memo only after the
+  ciphertext, every share and the holder count have been checked;
 * the *accepted* results of `verify_share`, `verify_signature` and
   `tpke_dec_share_verify`, keyed by tuples of the bytes and ints each
   check reads.  A rejection is never stored, so a sender of invalid
@@ -42,7 +45,7 @@ TAG_LEN = 8  # length of share / combined-signature evidence tags
 KM_MAGIC = b"SABC-KM1"
 
 # Entry bounds of the provider-private memos; the oldest entry goes first.
-KEYSTREAM_MEMO_MAX = 64
+TPKE_MEMO_MAX = 64
 VERIFY_MEMO_MAX = 8192
 
 _HMAC_BLOCK = 64  # sha256 block size
@@ -173,6 +176,8 @@ class ThresholdProvider:
         f = (n - 1) // 3
         if not (f < t_sig <= n - f):
             raise ValueError(f"t_sig must satisfy f < t_sig <= n-f, got {t_sig}")
+        if not 1 <= security_param < 2**32:
+            raise ValueError(f"security_param must be in 1..2**32-1, got {security_param}")
         self.security_param = security_param
         self.n = n
         self.f = f
@@ -185,7 +190,8 @@ class ThresholdProvider:
         self._party_keys = tuple(
             _MacKey(digest(master + b"party" + struct.pack(">H", i))) for i in range(n)
         )
-        self._masks: dict = {}  # (ciphertext header, length) -> tpke-mask keystream
+        self._ciphertexts: dict = {}  # plaintext digest -> Ciphertext
+        self._plaintexts: dict = {}  # ct_digest() -> plaintext
         self._accepted: dict = {}  # inputs of accepted share/signature checks
         self._dec_accepted: dict = {}  # inputs of accepted decryption-share checks
 
@@ -195,16 +201,25 @@ class ThresholdProvider:
         return key.mac(b"\x00".join(parts))[:TAG_LEN]
 
     def _stream(self, key: _MacKey, label: bytes, nbytes: int) -> bytes:
-        blocks = (nbytes + DIGEST_LEN - 1) // DIGEST_LEN
-        return b"".join(key.mac(label + struct.pack(">I", i)) for i in range(blocks))[:nbytes]
+        """HMAC(key, label || be32(i)) for i = 0, 1, ..., cut to nbytes.
+
+        The label is absorbed into the inner pad state once; each block
+        then hashes only its counter.
+        """
+        labelled = key._inner.copy()
+        labelled.update(label)
+        outer = key._outer
+        blocks = []
+        for i in range((nbytes + DIGEST_LEN - 1) // DIGEST_LEN):
+            inner = labelled.copy()
+            inner.update(i.to_bytes(4, "big"))
+            h = outer.copy()
+            h.update(inner.digest())
+            blocks.append(h.digest())
+        return b"".join(blocks)[:nbytes]
 
     def _mask(self, header: bytes, nbytes: int) -> bytes:
-        key = (header, nbytes)
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = self._stream(self._master, b"tpke-mask" + header, nbytes)
-            _remember(self._masks, key, mask, KEYSTREAM_MEMO_MAX)
-        return mask
+        return self._stream(self._master, b"tpke-mask" + header, nbytes)
 
     def _check_party(self, party: int) -> None:
         if not 0 <= party < self.n:
@@ -306,10 +321,16 @@ class ThresholdProvider:
 
     def tpke_enc(self, plaintext: bytes) -> Ciphertext:
         """Deterministic: identical plaintexts encrypt to identical ciphertexts."""
-        # 16-byte masked-seed header regardless of the evidence-tag width.
-        header = self._stream(self._master, b"tpke-hdr" + digest(plaintext), _CT_HEADER - len(_CT_MAGIC))
-        body = _xor(plaintext, self._mask(header, len(plaintext)))
-        return Ciphertext(_CT_MAGIC + header + body, len(plaintext))
+        pd = digest(plaintext)
+        c = self._ciphertexts.get(pd)
+        if c is None:
+            # 16-byte masked-seed header regardless of the evidence-tag width.
+            header = self._stream(self._master, b"tpke-hdr" + pd, _CT_HEADER - len(_CT_MAGIC))
+            body = _xor(plaintext, self._mask(header, len(plaintext)))
+            c = Ciphertext(_CT_MAGIC + header + body, len(plaintext))
+            _remember(self._ciphertexts, pd, c, TPKE_MEMO_MAX)
+            _remember(self._plaintexts, c.ct_digest(), plaintext, TPKE_MEMO_MAX)
+        return c
 
     def _check_ciphertext(self, c: Ciphertext) -> None:
         if (
@@ -358,8 +379,13 @@ class ThresholdProvider:
         holders = {s.holder for s in shares}
         if len(holders) < self.f + 1:
             raise InsufficientSharesError(self.f + 1, len(holders))
-        header = c.payload[len(_CT_MAGIC):_CT_HEADER]
-        return _xor(c.payload[_CT_HEADER:], self._mask(header, c.length_plain))
+        d = c.ct_digest()
+        plaintext = self._plaintexts.get(d)
+        if plaintext is None:
+            header = c.payload[len(_CT_MAGIC):_CT_HEADER]
+            plaintext = _xor(c.payload[_CT_HEADER:], self._mask(header, c.length_plain))
+            _remember(self._plaintexts, d, plaintext, TPKE_MEMO_MAX)
+        return plaintext
 
     # -- capabilities and serialization -------------------------------------
 

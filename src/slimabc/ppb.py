@@ -9,7 +9,7 @@ into the transferable proof.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from .committee import Committee
 from .crypto import (
@@ -68,14 +68,14 @@ class PpbReceiver:
         self.instance = instance
         self.crypto = crypto
         self.committee = committee
-        self.payloads: Dict[int, Ciphertext] = {}  # slot -> first ciphertext seen
+        self.countersigned: Set[int] = set()  # slots whose first payload was signed
 
     def on_payload(self, sender: int, ciphertext: Ciphertext) -> Optional[SignatureShare]:
         """Countersign the first well-formed payload from a committee member,
         or stay silent."""
-        if sender not in self.committee or sender in self.payloads:
+        if sender not in self.committee or sender in self.countersigned:
             return None
         if not self.crypto.ciphertext_wellformed(ciphertext):
             return None
-        self.payloads[sender] = ciphertext
+        self.countersigned.add(sender)
         return self.crypto.sig_share(ppb_sign_bytes(self.instance, sender, ciphertext.ct_digest()))

@@ -94,6 +94,8 @@ class SimConfig:
             raise ConfigError("overlap must be within [0, 1]")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
+        if not 1 <= self.security_param < 2**32:
+            raise ConfigError("security_param must be in 1..2**32-1")
 
     def honest(self) -> List[int]:
         byz = {b.party for b in self.byzantine}

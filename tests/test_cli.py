@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from slimabc import SimConfig, cli, sim_run
+from slimabc import SimConfig, cli, key_setup, sim_run
 from slimabc.simnet import TRACE_FORMAT, scenario_dict
 
 
@@ -55,6 +55,18 @@ def test_run_rejects_mistyped_scenario_fields(tmp_path, capsys, change):
     path.write_text(json.dumps(d))
     assert cli.main(["run", "--scenario", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("security_param", [-1, 2**32])
+def test_run_rejects_security_param_out_of_range(tmp_path, capsys, security_param):
+    d = scenario_dict(SimConfig(n=4, f=1, instances=1))
+    d["security_param"] = security_param
+    path = tmp_path / "sec.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert "security_param" in capsys.readouterr().err
+    with pytest.raises(ValueError):  # the provider refuses it on its own, too
+        key_setup(security_param, 4, 3, 0)
 
 
 def test_check_counts_properties(tmp_path, capsys):

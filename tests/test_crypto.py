@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slimabc import SimConfig, crypto, sim_run
 from slimabc.crypto import (
     DIGEST_LEN,
-    KEYSTREAM_MEMO_MAX,
     TAG_LEN,
+    TPKE_MEMO_MAX,
     VERIFY_MEMO_MAX,
     CoinShare,
     Ciphertext,
@@ -413,6 +414,16 @@ def test_pad_state_mac_equals_hmac(key, msg):
     assert _MacKey(key).mac(msg) == hmac.new(key, msg, hashlib.sha256).digest()
 
 
+@settings(max_examples=60, deadline=None)
+@given(key=st.binary(max_size=80), label=st.binary(max_size=80),
+       nbytes=st.sampled_from((0, 31, 32, 33, 25_600)))
+def test_stream_equals_per_block_mac(key, label, nbytes):
+    mac = _MacKey(key)
+    blocks = (nbytes + DIGEST_LEN - 1) // DIGEST_LEN
+    want = b"".join(mac.mac(label + struct.pack(">I", i)) for i in range(blocks))[:nbytes]
+    assert provider()._stream(mac, label, nbytes) == want
+
+
 @pytest.mark.parametrize("length", (0, 1, 31, 32, 33, 25_600))
 def test_xor_equals_bytewise_xor(length):
     rng = random.Random(length)
@@ -511,13 +522,46 @@ def mutate_dec_share(share: DecryptionShare, kind: int, rng) -> DecryptionShare:
     return share
 
 
+def flip_payload(c: Ciphertext, pos: int) -> Ciphertext:
+    raw = bytearray(c.payload)
+    raw[pos] ^= 0x01
+    return Ciphertext(bytes(raw), c.length_plain)
+
+
+def outcome(p, name, args):
+    """A call's result, or the type and offenders of the error it raised."""
+    try:
+        return getattr(p, name)(*args)
+    except (InvalidShareError, InsufficientSharesError, MalformedCiphertextError) as e:
+        return type(e).__name__, getattr(e, "offenders", None)
+
+
+def tpke_dec_call(p, rng, cts):
+    """Arguments of one tpke_dec call: a ciphertext that is kept, has a
+    flipped header or body byte, a wrong length or a wrong magic, and
+    shares that are kept, mutated or too few."""
+    c = shared = rng.choice(cts)
+    kind = rng.randrange(5)
+    if kind == 1:
+        c = shared = flip_payload(c, rng.randrange(4, len(c.payload)))
+    elif kind == 2:
+        c = Ciphertext(c.payload, c.length_plain + 1)
+    elif kind == 3:
+        c = flip_payload(c, rng.randrange(4))
+    shares = [p.tpke_dec_share(h, shared) for h in rng.sample(range(7), rng.randrange(1, 4))]
+    if rng.randrange(3) == 0:
+        i = rng.randrange(len(shares))
+        shares[i] = mutate_dec_share(shares[i], rng.randrange(1, 4), rng)
+    return c, shares
+
+
 def test_warm_and_fresh_providers_agree():
     warm = provider(7, seed=3)
     rng = random.Random(17)
     msgs = [b"m%d" % k for k in range(6)]
     sigs = {m: warm.combine_shares(m, [warm.sig_share(i, m) for i in range(5)]) for m in msgs}
     cts = [warm.tpke_enc(m) for m in msgs]
-    calls = []
+    calls = [("tpke_enc", (m,)) for m in msgs + [b"", b"new" * 20]]
     for _ in range(400):
         msg, signer = rng.choice(msgs), rng.randrange(7)
         share = warm.sig_share(signer, msg)
@@ -536,12 +580,17 @@ def test_warm_and_fresh_providers_agree():
             holder = (holder + 3) % 7  # the share arrives from another sender
         calls.append(("tpke_dec_share_verify", (rng.choice(cts) if rng.randrange(4) == 0 else c,
                                                 holder, dec)))
+        calls.append(("tpke_dec", tpke_dec_call(warm, rng, cts)))
     for _ in range(2):  # the second pass runs on a warm memo
-        got = [getattr(warm, name)(*args) for name, args in calls]
-        assert got == [getattr(provider(7, seed=3), name)(*args) for name, args in calls]
+        got = [outcome(warm, name, args) for name, args in calls]
+        assert got == [outcome(provider(7, seed=3), name, args) for name, args in calls]
     for kind in ("verify_share", "tpke_dec_share_verify"):
         results = {ok for (name, _), ok in zip(calls, got) if name == kind}
         assert results == {True, False}
+    decs = [r for (name, _), r in zip(calls, got) if name == "tpke_dec"]
+    assert set(msgs) <= set(decs)
+    assert {r[0] for r in decs if isinstance(r, tuple)} == {
+        "InvalidShareError", "InsufficientSharesError", "MalformedCiphertextError"}
 
 
 def test_memos_stay_within_their_bounds():
@@ -550,14 +599,85 @@ def test_memos_stay_within_their_bounds():
         msg = b"bound %d" % k
         assert p.verify_share(msg, k % 4, p.sig_share(k % 4, msg))
         assert len(p._accepted) <= VERIFY_MEMO_MAX
-    for k in range(KEYSTREAM_MEMO_MAX + 10):
+    for k in range(TPKE_MEMO_MAX + 10):
         c = p.tpke_enc(b"%d" % k)
         assert p.tpke_dec(c, [p.tpke_dec_share(i, c) for i in range(2)]) == b"%d" % k
-        assert len(p._masks) <= KEYSTREAM_MEMO_MAX
+        assert len(p._ciphertexts) <= TPKE_MEMO_MAX and len(p._plaintexts) <= TPKE_MEMO_MAX
     for k in range(VERIFY_MEMO_MAX // 2 + 50):
         c = Ciphertext(b"STPK" + bytes(16) + b"%d" % k, len(b"%d" % k))
+        shares = [p.tpke_dec_share(i, c) for i in range(2)]
         for i in range(2):
-            assert p.tpke_dec_share_verify(c, i, p.tpke_dec_share(i, c))
+            assert p.tpke_dec_share_verify(c, i, shares[i])
+        p.tpke_dec(c, shares)  # each a miss that fills the plaintext memo
         assert len(p._dec_accepted) <= VERIFY_MEMO_MAX
-    assert len(p._accepted) == VERIFY_MEMO_MAX and len(p._masks) == KEYSTREAM_MEMO_MAX
-    assert len(p._dec_accepted) == VERIFY_MEMO_MAX
+        assert len(p._plaintexts) <= TPKE_MEMO_MAX
+    assert len(p._accepted) == VERIFY_MEMO_MAX and len(p._dec_accepted) == VERIFY_MEMO_MAX
+    assert len(p._ciphertexts) == TPKE_MEMO_MAX and len(p._plaintexts) == TPKE_MEMO_MAX
+
+
+# -- encryption and decryption memo soundness ---------------------------------------
+
+def test_warm_plaintext_memo_still_checks_ciphertext_and_shares():
+    p = provider()
+    c = p.tpke_enc(b"warm batch" * 10)
+    assert c.ct_digest() in p._plaintexts
+    shares = [p.tpke_dec_share(i, c) for i in range(4)]
+    bad = DecryptionShare(2, shares[2].ciphertext_digest, bytes(TAG_LEN))
+    with pytest.raises(InvalidShareError) as err:
+        p.tpke_dec(c, [shares[0], bad, shares[3]])
+    assert err.value.offenders == (2,)
+    with pytest.raises(InsufficientSharesError):
+        p.tpke_dec(c, [shares[1], shares[1]])
+    # same payload, hence the same memo key, but a length that does not match it
+    for bad_ct in (Ciphertext(c.payload, c.length_plain + 1),
+                   Ciphertext(c.payload, c.length_plain - 1)):
+        assert bad_ct.ct_digest() in p._plaintexts
+        with pytest.raises(MalformedCiphertextError):
+            p.tpke_dec(bad_ct, shares)
+    assert p.tpke_dec(c, shares[:2]) == b"warm batch" * 10
+
+
+def test_flipped_payload_byte_decrypts_as_a_fresh_provider_would():
+    p = provider()
+    pt = bytes(range(200))
+    c = p.tpke_enc(pt)
+    for pos in (4, 19, 20, len(c.payload) - 1):  # header bytes, then body bytes
+        bent = flip_payload(c, pos)
+        shares = [p.tpke_dec_share(i, bent) for i in range(2)]
+        got = p.tpke_dec(bent, shares)
+        assert got == provider().tpke_dec(bent, shares)
+        assert got != pt and len(got) == len(pt)
+
+
+def test_twin_providers_ciphertext_decrypts_unseen():
+    twin, p = provider(), provider()
+    pt = b"from the twin" * 50
+    c = twin.tpke_enc(pt)
+    assert c.ct_digest() not in p._plaintexts
+    assert p.tpke_dec(c, [p.tpke_dec_share(i, c) for i in (0, 3)]) == pt
+    assert p._plaintexts[c.ct_digest()] == pt
+
+
+def test_each_plaintext_is_xored_once_per_run(monkeypatch):
+    xors, plaintexts, decs = [], set(), []
+    real_xor, real_enc, real_dec = crypto._xor, ThresholdProvider.tpke_enc, ThresholdProvider.tpke_dec
+
+    def count_xor(a, b):
+        xors.append(len(a))
+        return real_xor(a, b)
+
+    def record_enc(self, plaintext):
+        plaintexts.add(plaintext)
+        return real_enc(self, plaintext)
+
+    def record_dec(self, c, shares):
+        decs.append(c.ct_digest())
+        return real_dec(self, c, shares)
+
+    monkeypatch.setattr(crypto, "_xor", count_xor)
+    monkeypatch.setattr(ThresholdProvider, "tpke_enc", record_enc)
+    monkeypatch.setattr(ThresholdProvider, "tpke_dec", record_dec)
+    report = sim_run(SimConfig(n=4, f=1, seed=5, instances=3, request_size=3200))
+    assert report.ok
+    assert len(plaintexts) <= TPKE_MEMO_MAX and len(decs) > len(plaintexts)
+    assert len(xors) == len(plaintexts)

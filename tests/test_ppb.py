@@ -113,12 +113,3 @@ def test_receiver_validator_gates_countersigning():
     r = PpbReceiver(1, handles[2], committee)
     assert r.on_payload(0, Ciphertext(b"junk", 4)) is None
     assert r.on_payload(0, provider.tpke_enc(b"ok")) is not None
-
-
-def test_receiver_retains_countersigned_payloads():
-    # the payload ledger is what recovery leans on after a 1-decision
-    provider, handles, committee = setup()
-    ct = provider.tpke_enc(b"retained")
-    r = PpbReceiver(1, handles[3], committee)
-    r.on_payload(0, ct)
-    assert r.payloads[0] is ct
