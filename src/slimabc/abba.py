@@ -142,30 +142,41 @@ class AbbaMachine:
 
     def on_prevote(self, sender: int, msg: AbbaPrevote, out: List[Message]) -> None:
         if msg.bit in (0, 1):
-            self._on_vote(sender, msg, self._prevotes, self._validate_prevote, out)
+            self._on_vote(sender, msg, self._prevotes, 0, out)
 
     def on_mainvote(self, sender: int, msg: AbbaMainvote, out: List[Message]) -> None:
         if msg.value in (0, 1, ABSTAIN):
-            self._on_vote(sender, msg, self._mainvotes, self._validate_mainvote, out)
+            self._on_vote(sender, msg, self._mainvotes, 1, out)
 
     def _on_vote(self, sender: int, msg, ledger: Dict[int, Dict[int, Message]],
-                 validate, out: List[Message]) -> None:
+                 stage: int, out: List[Message]) -> None:
+        """Count a justified vote; `stage` is the round stage its quorum ends
+        (0 for pre-votes, 1 for main-votes)."""
         r = msg.round
         if self.decided or r < 1:
             return
         if r > max(self.round, 1):  # round-1 votes are verifiable before entry
             self._future.setdefault(r, []).append((sender, msg))
             return
-        if sender in ledger.get(r, ()):
+        votes = ledger.get(r)
+        if votes is not None and sender in votes:
             return
-        ok = validate(sender, msg)
+        if stage:
+            ok = self._validate_mainvote(sender, msg)
+        else:
+            ok = self._validate_prevote(sender, msg)
         if ok == "pending":
             self._ev_pending.append((sender, msg))
             return
         if not ok:
             return
-        ledger.setdefault(r, {})[sender] = msg
-        self._pump(out)
+        if votes is None:
+            votes = ledger[r] = {}
+        votes[sender] = msg
+        # Only the current stage's quorum can move the machine; every other
+        # vote waits in the ledger for the _pump that reaches its stage.
+        if r == self.round and stage == self._stage and len(votes) >= self.quorum:
+            self._pump(out)
 
     def on_coin_share(self, sender: int, msg: AbbaCoinShare, out: List[Message]) -> None:
         if self.decided or sender in self._coin_shares.get(msg.round, {}):

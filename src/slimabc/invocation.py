@@ -11,6 +11,10 @@ party that learns the slot decided 1 without holding the pair
 multicasts a recovery request; any holder answers with the pair.
 After deciding 1, holders contribute decryption shares and the
 plaintext is recovered from f+1 of them.
+
+The invocation reports its own transitions to its owner as they happen:
+input fixed, decided, and outcome ready (decided 0, or decided 1 and
+decrypted).
 """
 from __future__ import annotations
 
@@ -51,11 +55,27 @@ class InvalidProofError(Exception):
     pass
 
 
+class SlotOwner:
+    """Receives an invocation's transitions, each once, when it happens.
+    These hooks do nothing; a party overrides them."""
+
+    def slot_input(self, inv: "SlotInvocation") -> None: ...
+
+    def slot_decided(self, inv: "SlotInvocation") -> None: ...
+
+    def slot_ready(self, inv: "SlotInvocation") -> None: ...
+
+
+NO_OWNER = SlotOwner()
+
+
 class SlotInvocation:
-    def __init__(self, instance: int, slot: int, crypto: PartyCrypto):
+    def __init__(self, instance: int, slot: int, crypto: PartyCrypto,
+                 owner: SlotOwner = NO_OWNER):
         self.instance = instance
         self.slot = slot
         self.crypto = crypto
+        self.owner = owner
         self.abba = AbbaMachine(instance, slot, crypto)
         self.pair: Optional[Tuple[Ciphertext, ThresholdSignature]] = None
         self.u = 0
@@ -135,6 +155,7 @@ class SlotInvocation:
             and len(self._v_senders) >= 2 * self.crypto.f + 1
         ):
             self.input_bit = self.u
+            self.owner.slot_input(self)
             out.extend(self.abba.input(self.u))
             self._after_abba(out)
 
@@ -176,7 +197,10 @@ class SlotInvocation:
             return
         bit, round_, _sig = self.abba.decided
         self.decided = (bit, round_)
-        if bit == 1:
+        self.owner.slot_decided(self)
+        if bit == 0:
+            self.owner.slot_ready(self)
+        else:
             if self.pair is not None:
                 self._emit_dec_share(out)
                 self._try_decrypt()
@@ -215,6 +239,7 @@ class SlotInvocation:
         ):
             shares = list(self._dec_shares.values())[: self.crypto.f + 1]
             self.plaintext = self.crypto.tpke_dec(self.pair[0], shares)
+            self.owner.slot_ready(self)
 
     def on_recover_resp(self, sender: int, msg: RecoverResp, out: List[Message]) -> None:
         self.record_pair(msg.ciphertext, msg.proof, out)

@@ -19,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .committee import Committee, CsState
 from .crypto import Ciphertext, PartyCrypto, ThresholdSignature
-from .invocation import SLOT_HANDLERS, SlotInvocation
+from .invocation import SLOT_HANDLERS, SlotInvocation, SlotOwner
 from .messages import (
     BROADCAST,
     CsShare,
@@ -44,6 +45,10 @@ if TYPE_CHECKING:
     from .simnet import SimConfig
 
 BATCH_MAGIC = b"RB1"
+
+# One outbound item of a step: a bare message goes to every peer, a
+# `(dst, msg)` pair to peer dst only.
+WireItem = Union[Message, Tuple[int, Message]]
 
 
 @dataclass(frozen=True)
@@ -104,27 +109,31 @@ def sample_batch(cfg: SimConfig, party: int, instance: int,
     return tuple(pending[i] for i in idx)
 
 
-def wire_envelopes(pid: int, n: int, wire: List[Tuple[int, Message]],
+def wire_envelopes(pid: int, n: int, wire: List[WireItem],
                    sized: bool = False) -> List[Envelope]:
-    """Group one step's `(dst, msg)` wire entries from `pid` into envelopes,
-    one per (peer, instance) in order of first use; BROADCAST reaches all n-1
-    peers.  A step that only broadcast within one instance sends every peer
-    one shared entries tuple, and with `sized` one precomputed wire size."""
+    """Group one step's wire items from `pid` into envelopes, one per (peer,
+    instance) in order of first use; a bare message reaches all n-1 peers.
+    A step that only broadcast within one instance sends every peer one
+    shared entries tuple, and with `sized` one precomputed wire size."""
     if not wire:
         return []
-    instance = wire[0][1].instance
-    if all(dst == BROADCAST and msg.instance == instance for dst, msg in wire):
-        entries = tuple(msg for _, msg in wire)
-        size = entries_size(entries) if sized else None
-        return [Envelope(pid, instance, entries, dst=q, _size=size) for q in range(n) if q != pid]
+    head = wire[0]
+    if type(head) is not tuple:
+        instance = head.instance
+        if all(type(m) is not tuple and m.instance == instance for m in wire):
+            entries = tuple(wire)
+            size = entries_size(entries) if sized else None
+            return [Envelope(pid, instance, entries, dst=q, _size=size)
+                    for q in range(n) if q != pid]
     grouped: Dict[Tuple[int, int], List[Message]] = {}
-    for dst, msg in wire:
-        if dst == BROADCAST:
+    for item in wire:
+        if type(item) is tuple:
+            dst, msg = item
+            grouped.setdefault((dst, msg.instance), []).append(msg)
+        else:
             for q in range(n):
                 if q != pid:
-                    grouped.setdefault((q, msg.instance), []).append(msg)
-        else:
-            grouped.setdefault((dst, msg.instance), []).append(msg)
+                    grouped.setdefault((q, item.instance), []).append(item)
     return [
         Envelope(dst=dst, sender=pid, instance=inst, entries=tuple(msgs))
         for (dst, inst), msgs in grouped.items()
@@ -161,7 +170,7 @@ class InstanceState:
     buffer: List[Tuple[int, Message]] = field(default_factory=list)  # pre-committee
 
 
-class Party:
+class Party(SlotOwner):
     def __init__(self, pid: int, crypto: PartyCrypto, cfg: SimConfig,
                  observer: Optional[Observer] = None):
         self.pid = pid
@@ -179,8 +188,12 @@ class Party:
         self.archive: Dict[int, Dict[int, Tuple[Ciphertext, ThresholdSignature]]] = {}
         self.inst: Optional[InstanceState] = None
         self._future: Dict[int, List[Tuple[int, Message]]] = {}
-        self._wire: List[Tuple[int, Message]] = []
+        self._wire: List[WireItem] = []
         self._selfq: List[Message] = []
+        self._out: List[Message] = []  # a slot handler's emissions, emptied after each
+        # Slots report to a weak proxy: an unfinished party's live slots would
+        # otherwise hold it in a reference cycle.
+        self._owner = weakref.proxy(self)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -192,13 +205,7 @@ class Party:
         return self._flush()
 
     def handle(self, env: Envelope) -> List[Envelope]:
-        sender = env.sender
-        current = self.instance if self.inst is not None else None
-        for msg in env.entries:
-            if msg.instance == current:
-                self._dispatch(sender, msg)
-            else:
-                self._route(sender, msg)
+        self._deliver(env.sender, env.entries)
         self._drain_selfq()
         while self._maybe_finalize():
             self._drain_selfq()
@@ -216,27 +223,25 @@ class Party:
 
     def _emit(self, dst: int, msg: Message) -> None:
         if dst == BROADCAST:
-            self._wire.append((BROADCAST, msg))
+            self._wire.append(msg)
             self._selfq.append(msg)
         elif dst == self.pid:
             self._selfq.append(msg)
         else:
             self._wire.append((dst, msg))
 
+    def _multicast(self, out: List[Message]) -> None:
+        """Broadcast a slot's emissions `out` and empty it for reuse."""
+        if out:
+            self._wire += out
+            self._selfq += out
+            out.clear()
+
     def _drain_selfq(self) -> None:
-        # Handlers append to the queue while it is walked by index; the
-        # instance cannot end before the queue is empty.
-        queue = self._selfq
-        current = self.instance
-        i = 0
-        while i < len(queue):
-            msg = queue[i]
-            i += 1
-            if msg.instance == current:
-                self._dispatch(self.pid, msg)
-            else:
-                self._route(self.pid, msg)
-        queue.clear()
+        # _deliver walks the live queue, so own copies queued meanwhile are
+        # delivered too; the instance cannot end before the queue is empty.
+        self._deliver(self.pid, self._selfq)
+        self._selfq.clear()
 
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
@@ -244,10 +249,41 @@ class Party:
 
     # -- routing ------------------------------------------------------------------
 
+    def _deliver(self, sender: int, msgs: Iterable[Message]) -> None:
+        """Handle entries from one sender in order: slot-level entries of the
+        current instance go straight to their slot's handler, which appends
+        its emissions to one reused list; everything else is dispatched or
+        routed."""
+        inst = self.inst
+        if inst is None:
+            for msg in msgs:
+                self._route(sender, msg)
+            return
+        current = self.instance
+        slots = inst.slots
+        out, wire, selfq = self._out, self._wire, self._selfq
+        for msg in msgs:
+            if msg.instance != current:
+                self._route(sender, msg)
+                continue
+            name = SLOT_HANDLERS.get(type(msg))
+            if name is None:
+                self._dispatch(sender, msg)
+                continue
+            inv = slots.get(msg.slot)
+            if inv is not None:
+                getattr(inv, name)(sender, msg, out)
+                if out:  # _multicast, inlined: this runs once per entry
+                    wire += out
+                    selfq += out
+                    out.clear()
+            elif inst.committee is None:
+                inst.buffer.append((sender, msg))
+
     def _route(self, sender: int, msg: Message) -> None:
         instance = msg.instance
         if instance == self.instance and self.inst is not None:
-            self._dispatch(sender, msg)
+            self._deliver(sender, (msg,))
         elif instance < self.instance:
             if type(msg) is Recover:
                 self._serve_recover(sender, msg)
@@ -256,14 +292,9 @@ class Party:
         # anything else names an instance that will never run: dropped
 
     def _dispatch(self, sender: int, msg: Message) -> None:
+        """Handle one party-level entry of the current instance."""
         inst = self.inst
         kind = type(msg)
-        handler = SLOT_HANDLERS.get(kind)
-        if handler is not None and inst.committee is not None:
-            inv = inst.slots.get(msg.slot)
-            if inv is not None:
-                self._slot_call(inv, getattr(inv, handler), sender, msg)
-            return
         if kind is CsShare:
             committee = inst.cs.on_share(sender, msg.share)
             if committee is not None and inst.committee is None:
@@ -300,27 +331,17 @@ class Party:
                 return
             self._on_pair(sender, msg.slot, msg.ciphertext, msg.proof)
 
-    def _slot_call(self, inv: SlotInvocation, op, *args):
-        """Run `op(*args, out)` on one slot, multicast its emissions `out`,
-        report input, decision and outcome transitions, and return op's result."""
-        had_input = inv.input_bit is not None
-        had_decision = inv.decided is not None
-        out: List[Message] = []
-        result = op(*args, out)
-        if out:
-            self._wire.extend([(BROADCAST, m) for m in out])
-            self._selfq.extend(out)
-        if not had_input and inv.input_bit is not None:
-            self.observer.on_abba_input(self.pid, self.instance, inv.slot, inv.input_bit)
-        if not had_decision and inv.decided is not None:
-            self.observer.on_slot_decided(
-                self.pid, self.instance, inv.slot, inv.decided[0], inv.decided[1]
-            )
-        if inv.decided is not None:
-            ready = self.inst.ready
-            if inv.slot not in ready and inv.outcome_ready:
-                ready.add(inv.slot)
-        return result
+    # -- slot transitions, reported by each SlotInvocation as they happen -----------
+
+    def slot_input(self, inv: SlotInvocation) -> None:
+        self.observer.on_abba_input(self.pid, inv.instance, inv.slot, inv.input_bit)
+
+    def slot_decided(self, inv: SlotInvocation) -> None:
+        bit, round_ = inv.decided
+        self.observer.on_slot_decided(self.pid, inv.instance, inv.slot, bit, round_)
+
+    def slot_ready(self, inv: SlotInvocation) -> None:
+        self.inst.ready.add(inv.slot)
 
     # -- phase transitions ---------------------------------------------------------
 
@@ -330,7 +351,7 @@ class Party:
         self.observer.on_committee(self.pid, self.instance, committee)
         inst.ppb_recv = PpbReceiver(self.instance, self.crypto, committee)
         for member in committee.members:
-            inst.slots[member] = SlotInvocation(self.instance, member, self.crypto)
+            inst.slots[member] = SlotInvocation(self.instance, member, self.crypto, self._owner)
         if self.pid in committee:
             batch = RequestBatch(
                 self.pid, self.instance, sample_batch(self.cfg, self.pid, self.instance, self.pending)
@@ -340,7 +361,7 @@ class Party:
             self._emit(BROADCAST, PpbPayload(self.instance, self.pid, ciphertext))
         buffered, inst.buffer = inst.buffer, []
         for sender, msg in buffered:
-            self._dispatch(sender, msg)
+            self._deliver(sender, (msg,))
 
     def _on_pair(self, sender: int, slot: int, ciphertext: Ciphertext,
                  proof: ThresholdSignature) -> None:
@@ -348,14 +369,17 @@ class Party:
         inv = inst.slots.get(slot)
         if inv is None:
             return
-        if not self._slot_call(inv, inv.record_pair, ciphertext, proof):
+        out = self._out
+        recorded = inv.record_pair(ciphertext, proof, out)
+        self._multicast(out)
+        if not recorded:
             return
         inst.sugg_senders.add(sender)
         if not inst.relayed:
             inst.relayed = True
             self._emit(BROADCAST, Suggestion(self.instance, slot, ciphertext, proof, self.pid))
         if not inv.started:
-            self._slot_call(inv, inv.inv_start, 1, ciphertext, proof)
+            self._multicast(inv.inv_start(1, ciphertext, proof, out))
         self._maybe_sweep()
 
     def _maybe_sweep(self) -> None:
@@ -367,7 +391,7 @@ class Party:
         for slot in sorted(inst.slots):
             inv = inst.slots[slot]
             if not inv.started:
-                self._slot_call(inv, inv.inv_start, 0, None, None)
+                self._multicast(inv.inv_start(0, None, None, self._out))
             v = inv.take_v()
             if v is not None:
                 self._emit(BROADCAST, v)
@@ -386,8 +410,8 @@ class Party:
 
     def _maybe_finalize(self) -> bool:
         inst = self.inst
-        # An outcome changes only inside a slot call, and _slot_call records
-        # it in inst.ready; the instance is done once every slot is there.
+        # Each slot reports its outcome into inst.ready (slot_ready); the
+        # instance is done once every slot is there.
         if inst is None or inst.committee is None or len(inst.ready) < len(inst.slots):
             return False
         outputs: Dict[int, RequestBatch] = {}

@@ -22,7 +22,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .crypto import Ciphertext, ThresholdSignature, key_setup
 from .invocation import SLOT_HANDLERS, SlotInvocation
@@ -41,7 +41,7 @@ from .messages import (
 )
 from .metrics import RunReport, duplicate_ratio
 from .ppb import ppb_sign_bytes
-from .protocol import Observer, Party, instance_pool, wire_envelopes
+from .protocol import Observer, Party, WireItem, instance_pool, wire_envelopes
 
 SCENARIO_FORMAT = "slimabc-scenario-1"
 TRACE_FORMAT = "slimabc-trace-1"
@@ -55,6 +55,8 @@ BEHAVIORS = (
     "withhold-suggestions",
     "random-votes",
 )
+
+POLICY_PARAMS = {"fairness_bound": 1, "budget": 0}  # key -> least allowed value
 
 
 class ConfigError(Exception):
@@ -109,7 +111,10 @@ def validate_run(n: int, f: int, byzantine: Tuple[BehaviorSpec, ...], policy: st
         raise ConfigError(f"need n = 3f+1 with f >= 1, got n={n} f={f}")
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
-    for key, least in (("fairness_bound", 1), ("budget", 0)):
+    for key in policy_params:
+        if key not in POLICY_PARAMS:
+            raise ConfigError(f"unknown policy_params key {key!r}")
+    for key, least in POLICY_PARAMS.items():
         value = policy_params.get(key, least)
         if type(value) is not int or value < least:
             raise ConfigError(f"policy_params {key} must be an integer >= {least}, got {value!r}")
@@ -789,7 +794,8 @@ def make_proven_pair(provider, instance: int, slot: int,
 
 
 class HarnessParty:
-    """Single-slot wrapper: one agreement invocation, no committees or batches."""
+    """Single-slot wrapper: one agreement invocation, no committees or batches.
+    Its invocation keeps the default no-op owner: nothing observes the slot."""
 
     def __init__(self, pid: int, crypto, input_bit: int,
                  pair: Optional[Tuple[Ciphertext, ThresholdSignature]]):
@@ -799,10 +805,13 @@ class HarnessParty:
         self.input_bit = input_bit
         self.pair = pair
         self.inv = SlotInvocation(1, 0, crypto)
-        self._wire: List[Tuple[int, Message]] = []
+        self._wire: List[WireItem] = []
         self._selfq: List[Message] = []
+        self._out: List[Message] = []
 
-    _emit = Party._emit  # same (dst, msg) wire and self queue as a full party
+    # same wire and self queue as a full party
+    _emit = Party._emit
+    _multicast = Party._multicast
 
     @property
     def finished(self) -> bool:
@@ -811,49 +820,38 @@ class HarnessParty:
     def held_pairs(self, instance: int) -> Set[int]:
         return {0} if self.inv.pair is not None else set()
 
-    def _multicast(self, out: List[Message]) -> None:
-        self._wire.extend([(BROADCAST, m) for m in out])
-        self._selfq.extend(out)
-
     def begin(self) -> List[Envelope]:
         if self.input_bit == 1:
-            self._multicast(self.inv.inv_start(1, *self.pair))
+            self._multicast(self.inv.inv_start(1, *self.pair, self._out))
             # No proposal layer here, so holders diffuse the pair themselves;
             # 1-claims are bare and non-holders need the evidence to vote.
             self._emit(BROADCAST, RecoverResp(1, 0, *self.pair))
         else:
-            self._multicast(self.inv.inv_start(0))
+            self._multicast(self.inv.inv_start(0, None, None, self._out))
         v = self.inv.take_v()
         if v is not None:
             self._emit(BROADCAST, v)
         return self._flush()
 
     def handle(self, env: Envelope) -> List[Envelope]:
-        for msg in env.entries:
-            self._dispatch(env.sender, msg)
+        self._deliver(env.sender, env.entries)
         return self._flush()
 
-    def _dispatch(self, sender: int, msg: Message) -> None:
-        inv = self.inv
-        kind = type(msg)
-        handler = SLOT_HANDLERS.get(kind)
-        if handler is not None:
-            out: List[Message] = []
-            getattr(inv, handler)(sender, msg, out)
-            if out:
+    def _deliver(self, sender: int, msgs: Iterable[Message]) -> None:
+        inv, out = self.inv, self._out
+        for msg in msgs:
+            handler = SLOT_HANDLERS.get(type(msg))
+            if handler is not None:
+                getattr(inv, handler)(sender, msg, out)
                 self._multicast(out)
-        elif kind is Recover and inv.pair is not None:
-            self._emit(sender, RecoverResp(1, 0, *inv.pair))
+            elif type(msg) is Recover and inv.pair is not None:
+                self._emit(sender, RecoverResp(1, 0, *inv.pair))
 
     def _flush(self) -> List[Envelope]:
-        # Deliver own copies first, walking by index: each delivery may queue more.
-        queue = self._selfq
-        i = 0
-        while i < len(queue):
-            msg = queue[i]
-            i += 1
-            self._dispatch(self.pid, msg)
-        queue.clear()
+        # Deliver own copies first; the loop walks the live queue, so copies
+        # queued meanwhile are delivered too.
+        self._deliver(self.pid, self._selfq)
+        self._selfq.clear()
         if not self._wire:
             return []
         wire, self._wire = self._wire, []
@@ -869,8 +867,10 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
     validate_run(n, f, byzantine, policy, params)
     if len(inputs) != n:
         raise ConfigError("need one input bit per party")
-    if any(inputs[p] not in (0, 1) for p in range(n)):
-        raise ConfigError("input bits must be 0 or 1")
+    if any(type(inputs[p]) is not int or inputs[p] not in (0, 1) for p in range(n)):
+        raise ConfigError("input bits must be the ints 0 or 1")
+    if type(max_steps) is not int or max_steps < 1:
+        raise ConfigError("max_steps must be an integer >= 1")
     provider = key_setup(128, n, n - f, seed)
     pair = make_proven_pair(provider, 1, 0, b"harness-payload")
     parties = [

@@ -38,6 +38,13 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "fairness_bound" in capsys.readouterr().err
 
 
+def test_run_rejects_unknown_policy_params_keys(tmp_path, capsys):
+    scn = write_scenario(tmp_path, policy="adversarial-delay",
+                         policy_params={"fairness_bnd": 2, "budgett": 5})
+    assert cli.main(["run", "--scenario", scn]) == 2
+    assert "unknown policy_params key 'fairness_bnd'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change", [
     {"f": "1"},
     {"instances": "2"},

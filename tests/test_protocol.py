@@ -1,4 +1,6 @@
 """Batches, pools, and the orchestrated full stack at small n."""
+import hashlib
+import itertools
 import typing
 from typing import Dict, List, Tuple
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimabc import Party, RequestBatch, SimConfig, sim_run
+from slimabc import BehaviorSpec, Party, RequestBatch, SimConfig, sim_run
 from slimabc.crypto import key_setup
 from slimabc.invocation import SLOT_HANDLERS, SlotInvocation
 from slimabc.messages import (
@@ -22,7 +24,7 @@ from slimabc.messages import (
     VMsg,
 )
 from slimabc.protocol import instance_pool, sample_batch
-from slimabc.simnet import HarnessParty
+from slimabc.simnet import BEHAVIORS, POLICIES, HarnessParty, RunRecorder
 
 
 def cfg(**kw):
@@ -136,10 +138,12 @@ def test_dispatch_table_covers_every_message_kind():
 
 
 def reference_flush(party: Party, wire) -> List[Envelope]:
-    """Per-peer grouping of one step's wire entries, as every step was flushed
-    before broadcast-only steps shared one envelope body."""
+    """Per-peer grouping of one step's wire items (a bare message for every
+    peer, `(dst, msg)` for one), as every step was flushed before
+    broadcast-only steps shared one envelope body."""
     grouped: Dict[Tuple[int, int], List[Message]] = {}
-    for dst, msg in wire:
+    for item in wire:
+        dst, msg = item if type(item) is tuple else (BROADCAST, item)
         if dst == BROADCAST:
             for q in range(party.n):
                 if q != party.pid:
@@ -196,8 +200,9 @@ def test_harness_flush_matches_per_peer_grouping(entries):
     party = HarnessParty(1, FLUSH_PARTY, 0, None)
     # Fill the wire as _emit would, minus the self queue: own copies would be
     # handled by the party's one agreement slot and could emit more.
-    party._wire = [(dst, Recover(v.instance, v.slot) if recover else v)
-                   for dst, v, recover in entries if dst != 1]
+    msgs = [(dst, Recover(v.instance, v.slot) if recover else v)
+            for dst, v, recover in entries if dst != 1]
+    party._wire = [msg if dst == BROADCAST else (dst, msg) for dst, msg in msgs]
     check_flush(party, entries)
 
 
@@ -219,6 +224,33 @@ def test_ready_slots_follow_outcomes_after_every_handle(monkeypatch):
     rep = sim_run(SimConfig(n=7, f=2, seed=12, instances=2, policy="random"))
     assert rep.ok and rep.finalized_instances == 2
     assert any(0 < ready < slots for ready, slots in sizes)  # partly ready was seen
+
+
+OBSERVER_HOOKS = ("on_committee", "on_sweep", "on_abba_input", "on_slot_decided",
+                  "on_finalized")
+# sha256 over every observer hook call, in call order, of the runs below.
+# The grid digest sees only each run's aggregates; this pins when each
+# party reports an input, a decision or a finalized instance.
+OBSERVER_STREAM_DIGEST = "ceeeb61f68d4253030507dcfc84722e68e43769778fe00311b015450212a1916"
+
+
+def test_observer_stream_pinned(monkeypatch):
+    h = hashlib.sha256()
+    for name in OBSERVER_HOOKS:
+        def hook(self, *args, _name=name, _orig=getattr(RunRecorder, name)):
+            ints = ",".join(str(a) for a in args if type(a) is int)
+            h.update(f"{_name}({ints})".encode())
+            return _orig(self, *args)
+        monkeypatch.setattr(RunRecorder, name, hook)
+    runs = 0
+    for (n, f), fault, policy, seed in itertools.product(
+            ((4, 1), (7, 2), (10, 3)), BEHAVIORS, POLICIES, range(3)):
+        byz = tuple(BehaviorSpec(p, fault, at_step=(seed * 7) % 40) for p in range(f))
+        sim_run(SimConfig(n=n, f=f, seed=seed, instances=2, policy=policy, byzantine=byz))
+        h.update(b"|")
+        runs += 1
+    assert runs == 216
+    assert h.hexdigest() == OBSERVER_STREAM_DIGEST
 
 
 def run_parties(parties, queue):

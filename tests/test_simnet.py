@@ -57,7 +57,8 @@ def test_config_rejects_bad_policy_and_ranges():
 
 def test_config_checks_policy_params():
     for params in ({"fairness_bound": "x"}, {"fairness_bound": 0}, {"fairness_bound": 2.5},
-                   {"fairness_bound": True}, {"budget": -1}, {"budget": "12"}):
+                   {"fairness_bound": True}, {"budget": -1}, {"budget": "12"},
+                   {"fairness_bnd": 2}, {"budget": 16, "budgett": 5}):
         with pytest.raises(ConfigError):
             base_cfg(policy="adversarial-delay", policy_params=params).validate()
     for params in ({}, {"fairness_bound": 3}, {"fairness_bound": 1, "budget": 0},
@@ -167,6 +168,12 @@ def test_harness_deterministic_and_validated():
         abba_harness_run(4, 1, 0, {0: 1})  # one bit per party required
     with pytest.raises(ConfigError):
         abba_harness_run(4, 1, 0, {0: 2, 1: 0, 2: 0, 3: 0})
+    with pytest.raises(ConfigError):  # bools are not input bits
+        abba_harness_run(4, 1, 0, [True, False, True, True])
+    for max_steps in (0, -1, 2.5, True):
+        with pytest.raises(ConfigError):  # no vacuous or untyped step budget
+            abba_harness_run(4, 1, 0, [1, 1, 0, 0], max_steps=max_steps)
+    assert abba_harness_run(4, 1, 0, [1, 1, 0, 0], max_steps=1)["steps"] == 1
     with pytest.raises(ConfigError):  # n != 3f+1
         abba_harness_run(4, 2, 0, [1, 1, 0, 0])
     with pytest.raises(ConfigError):  # unknown behavior kind
@@ -199,14 +206,19 @@ def test_harness_all_zero_and_all_one():
 
 
 def test_finished_runs_leave_no_reference_cycles():
-    """A finished run is freed by reference counting alone."""
+    """A finished run is freed by reference counting alone, also when some
+    party stops mid-instance with live slots (crashed late, or stalled)."""
     gc.collect()
     gc.disable()
     try:
-        rep = sim_run(base_cfg(n=7, f=2, seed=3, instances=2, policy="random",
-                               byzantine=(BehaviorSpec(0, "corrupt-shares"),
-                                          BehaviorSpec(1, "crash", at_step=20))))
-        assert rep.ok
+        for at_step in (20, 200):
+            rep = sim_run(base_cfg(n=7, f=2, seed=3, instances=2, policy="random",
+                                   byzantine=(BehaviorSpec(0, "corrupt-shares"),
+                                              BehaviorSpec(1, "crash", at_step=at_step))))
+            assert rep.ok
+            assert gc.collect() == 0
+        cut = sim_run(base_cfg(n=7, f=2, seed=5, instances=2, policy="random", max_steps=300))
+        assert cut.stalled
         assert gc.collect() == 0
         res = abba_harness_run(7, 2, 5, [0, 0, 1, 1, 1, 0, 1],
                                byzantine=(BehaviorSpec(0, "random-votes"),))
