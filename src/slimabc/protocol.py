@@ -10,9 +10,11 @@ one binary agreement per slot.  Slots decided 1 are threshold-decrypted
 and their batches delivered in slot order, deduplicated byte-exactly
 against everything delivered before.
 
-Messages for future instances are buffered; traffic for finished
-instances is dropped, except recovery requests, which are served from
-the archive of proven pairs so a lagging party can always catch up.
+Messages a party cannot handle yet (for a later instance, or for a slot
+of the current one before its committee is known) wait in one buffer per
+instance; traffic for finished instances is dropped, except recovery
+requests, which are served from the archive of proven pairs so a lagging
+party can always catch up.
 """
 from __future__ import annotations
 
@@ -158,7 +160,7 @@ class Observer:
 
 @dataclass
 class InstanceState:
-    cs: CsState
+    cs: Optional[CsState] = None  # None where the committee is fixed (agreement harness)
     committee: Optional[Committee] = None
     ppb_recv: Optional[PpbReceiver] = None
     ppb_send: Optional[PpbSender] = None
@@ -167,7 +169,6 @@ class InstanceState:
     sugg_senders: Set[int] = field(default_factory=set)
     relayed: bool = False
     swept: bool = False
-    buffer: List[Tuple[int, Message]] = field(default_factory=list)  # pre-committee
 
 
 class Party(SlotOwner):
@@ -187,6 +188,8 @@ class Party(SlotOwner):
         self.outputs_by_instance: Dict[int, Dict[int, RequestBatch]] = {}
         self.archive: Dict[int, Dict[int, Tuple[Ciphertext, ThresholdSignature]]] = {}
         self.inst: Optional[InstanceState] = None
+        # Entries this party cannot handle yet, per instance: later instances,
+        # and the current one's slot traffic until its committee is known.
         self._future: Dict[int, List[Tuple[int, Message]]] = {}
         self._wire: List[WireItem] = []
         self._selfq: List[Message] = []
@@ -240,8 +243,9 @@ class Party(SlotOwner):
     def _drain_selfq(self) -> None:
         # _deliver walks the live queue, so own copies queued meanwhile are
         # delivered too; the instance cannot end before the queue is empty.
-        self._deliver(self.pid, self._selfq)
-        self._selfq.clear()
+        if self._selfq:  # most handled entries emit nothing
+            self._deliver(self.pid, self._selfq)
+            self._selfq.clear()
 
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
@@ -278,7 +282,7 @@ class Party(SlotOwner):
                     selfq += out
                     out.clear()
             elif inst.committee is None:
-                inst.buffer.append((sender, msg))
+                self._future.setdefault(current, []).append((sender, msg))
 
     def _route(self, sender: int, msg: Message) -> None:
         instance = msg.instance
@@ -304,7 +308,7 @@ class Party(SlotOwner):
             self._serve_recover(sender, msg)
             return
         if inst.committee is None:
-            inst.buffer.append((sender, msg))
+            self._future.setdefault(self.instance, []).append((sender, msg))
             return
         if kind is PpbPayload:
             if msg.slot != sender:
@@ -359,8 +363,7 @@ class Party(SlotOwner):
             ciphertext = self.crypto.tpke_enc(batch.encode())
             inst.ppb_send = PpbSender(self.instance, self.crypto, committee, ciphertext)
             self._emit(BROADCAST, PpbPayload(self.instance, self.pid, ciphertext))
-        buffered, inst.buffer = inst.buffer, []
-        for sender, msg in buffered:
+        for sender, msg in self._future.pop(self.instance, []):
             self._deliver(sender, (msg,))
 
     def _on_pair(self, sender: int, slot: int, ciphertext: Ciphertext,

@@ -22,39 +22,28 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from .committee import Committee
 from .crypto import Ciphertext, ThresholdSignature, key_setup
-from .invocation import SLOT_HANDLERS, SlotInvocation
+from .invocation import SlotInvocation
 from .messages import (
     BROADCAST,
     AbbaMainvote,
     AbbaPrevote,
     Envelope,
-    Message,
     PpbPayload,
     Proposal,
-    Recover,
     RecoverResp,
     Suggestion,
     VMsg,
 )
 from .metrics import RunReport, duplicate_ratio
 from .ppb import ppb_sign_bytes
-from .protocol import Observer, Party, WireItem, instance_pool, wire_envelopes
+from .protocol import InstanceState, Observer, Party, instance_pool, wire_envelopes
 
 SCENARIO_FORMAT = "slimabc-scenario-1"
 TRACE_FORMAT = "slimabc-trace-1"
-
-POLICIES = ("fifo", "random", "adversarial-delay", "targeted-starve")
-BEHAVIORS = (
-    "crash",
-    "silent",
-    "equivocate-ppb",
-    "corrupt-shares",
-    "withhold-suggestions",
-    "random-votes",
-)
 
 POLICY_PARAMS = {"fairness_bound": 1, "budget": 0}  # key -> least allowed value
 
@@ -87,7 +76,32 @@ class SimConfig:
     security_param: int = 128
 
     def validate(self) -> None:
-        validate_run(self.n, self.f, self.byzantine, self.policy, self.policy_params)
+        """Raise ConfigError unless this config can run; `_check_field_types`
+        checks the field types."""
+        n, f = self.n, self.f
+        if f < 1 or n != 3 * f + 1:
+            raise ConfigError(f"need n = 3f+1 with f >= 1, got n={n} f={f}")
+        if self.policy not in POLICIES:
+            raise ConfigError(f"unknown policy {self.policy!r}")
+        for key in self.policy_params:
+            if key not in POLICY_PARAMS:
+                raise ConfigError(f"unknown policy_params key {key!r}")
+        for key, least in POLICY_PARAMS.items():
+            value = self.policy_params.get(key, least)
+            if type(value) is not int or value < least:
+                raise ConfigError(
+                    f"policy_params {key} must be an integer >= {least}, got {value!r}")
+        if len(self.byzantine) > f:
+            raise ConfigError(f"at most f={f} byzantine parties")
+        seen = set()
+        for spec in self.byzantine:
+            if spec.kind not in BEHAVIORS:
+                raise ConfigError(f"unknown behavior {spec.kind!r}")
+            if not 0 <= spec.party < n:
+                raise ConfigError(f"behavior party {spec.party} out of range")
+            if spec.party in seen:
+                raise ConfigError(f"duplicate behavior for party {spec.party}")
+            seen.add(spec.party)
         if self.instances < 1:
             raise ConfigError("instances must be >= 1")
         if min(self.pool_size, self.batch_size, self.request_size) < 1:
@@ -104,33 +118,6 @@ class SimConfig:
         return [p for p in range(self.n) if p not in byz]
 
 
-def validate_run(n: int, f: int, byzantine: Tuple[BehaviorSpec, ...], policy: str,
-                 policy_params: dict) -> None:
-    """Checks shared by `sim_run` and `abba_harness_run`; raises ConfigError."""
-    if f < 1 or n != 3 * f + 1:
-        raise ConfigError(f"need n = 3f+1 with f >= 1, got n={n} f={f}")
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-    for key in policy_params:
-        if key not in POLICY_PARAMS:
-            raise ConfigError(f"unknown policy_params key {key!r}")
-    for key, least in POLICY_PARAMS.items():
-        value = policy_params.get(key, least)
-        if type(value) is not int or value < least:
-            raise ConfigError(f"policy_params {key} must be an integer >= {least}, got {value!r}")
-    if len(byzantine) > f:
-        raise ConfigError(f"at most f={f} byzantine parties")
-    seen = set()
-    for spec in byzantine:
-        if spec.kind not in BEHAVIORS:
-            raise ConfigError(f"unknown behavior {spec.kind!r}")
-        if not 0 <= spec.party < n:
-            raise ConfigError(f"behavior party {spec.party} out of range")
-        if spec.party in seen:
-            raise ConfigError(f"duplicate behavior for party {spec.party}")
-        seen.add(spec.party)
-
-
 def scenario_dict(cfg: SimConfig) -> dict:
     d = dataclasses.asdict(cfg)
     d["byzantine"] = [dataclasses.asdict(b) for b in cfg.byzantine]
@@ -143,14 +130,15 @@ def scenario_dict(cfg: SimConfig) -> dict:
 FIELD_TYPES = {"policy": str, "policy_params": dict, "overlap": (int, float), "kind": str}
 
 
-def _check_field_types(obj) -> None:
-    for fld in dataclasses.fields(obj):
-        if fld.name == "byzantine":
-            continue
-        value = getattr(obj, fld.name)
-        want = FIELD_TYPES.get(fld.name, int)
-        if type(value) is bool or not isinstance(value, want):
-            raise ConfigError(f"scenario field {fld.name} has the wrong type: {value!r}")
+def _check_field_types(cfg: SimConfig) -> None:
+    for obj in (cfg, *cfg.byzantine):
+        for fld in dataclasses.fields(obj):
+            if fld.name == "byzantine":
+                continue
+            value = getattr(obj, fld.name)
+            want = FIELD_TYPES.get(fld.name, int)
+            if type(value) is bool or not isinstance(value, want):
+                raise ConfigError(f"scenario field {fld.name} has the wrong type: {value!r}")
 
 
 def config_from_dict(d: dict) -> SimConfig:
@@ -166,8 +154,7 @@ def config_from_dict(d: dict) -> SimConfig:
         cfg = SimConfig(byzantine=byz, **d)
     except TypeError as e:
         raise ConfigError(f"bad scenario fields: {e}") from e
-    for obj in (cfg, *byz):
-        _check_field_types(obj)
+    _check_field_types(cfg)
     cfg.validate()
     return cfg
 
@@ -204,31 +191,31 @@ def _pair_entries(env: Envelope, instance: int, slot: int) -> bool:
     return False
 
 
-class FifoPolicy:
-    def note_enqueue(self, item: QueueItem) -> None:
-        pass
+class Policy:
+    """Picks which pending envelope is delivered next (`choose` returns its
+    index).  Every policy is built as cls(policy_params, rng)."""
 
-    def choose(self, pending: List[QueueItem], step: int) -> int:
-        return 0
-
-
-class RandomPolicy:
-    def __init__(self, rng: random.Random):
+    def __init__(self, params: dict, rng: random.Random):
         self.rng = rng
 
     def note_enqueue(self, item: QueueItem) -> None:
         pass
 
-    def choose(self, pending: List[QueueItem], step: int) -> int:
+
+class FifoPolicy(Policy):
+    def choose(self, pending: List[QueueItem]) -> int:
+        return 0
+
+
+class RandomPolicy(Policy):
+    def choose(self, pending: List[QueueItem]) -> int:
         return self.rng.randrange(len(pending))
 
 
-class AdversarialDelayPolicy:
-    """Defers every envelope touching the first proposed slot `budget` times."""
+class TargetingPolicy(Policy):
+    """Targets the (instance, slot) of the first proposal enqueued."""
 
-    def __init__(self, budget: int = 12):
-        self.budget = budget
-        self.target: Optional[Tuple[int, int]] = None  # (instance, slot)
+    target: Optional[Tuple[int, int]] = None
 
     def note_enqueue(self, item: QueueItem) -> None:
         if self.target is None:
@@ -237,13 +224,21 @@ class AdversarialDelayPolicy:
                     self.target = (m.instance, m.slot)
                     return
 
+
+class AdversarialDelayPolicy(TargetingPolicy):
+    """Defers every envelope touching the target slot `budget` times."""
+
+    def __init__(self, params: dict, rng: random.Random):
+        super().__init__(params, rng)
+        self.budget = params.get("budget", 12)
+
     def _targeted(self, item: QueueItem) -> bool:
         return self.target is not None and any(
             getattr(m, "slot", None) == self.target[1] and m.instance == self.target[0]
             for m in item.env.entries
         )
 
-    def choose(self, pending: List[QueueItem], step: int) -> int:
+    def choose(self, pending: List[QueueItem]) -> int:
         for i, item in enumerate(pending):
             if self._targeted(item) and item.deferrals < self.budget:
                 item.deferrals += 1
@@ -252,21 +247,11 @@ class AdversarialDelayPolicy:
         return 0
 
 
-class TargetedStarvePolicy:
-    """Holds the first proposed slot's pair dissemination back while anything
-    else is deliverable, so that slot's agreement must run without it."""
+class TargetedStarvePolicy(TargetingPolicy):
+    """Holds the target slot's pair dissemination back while anything else
+    is deliverable, so that slot's agreement must run without it."""
 
-    def __init__(self):
-        self.target: Optional[Tuple[int, int]] = None
-
-    def note_enqueue(self, item: QueueItem) -> None:
-        if self.target is None:
-            for m in item.env.entries:
-                if isinstance(m, Proposal):
-                    self.target = (m.instance, m.slot)
-                    return
-
-    def choose(self, pending: List[QueueItem], step: int) -> int:
+    def choose(self, pending: List[QueueItem]) -> int:
         if self.target is not None:
             inst, slot = self.target
             for i, item in enumerate(pending):
@@ -275,14 +260,12 @@ class TargetedStarvePolicy:
         return 0
 
 
-def make_policy(name: str, params: dict, rng: random.Random):
-    if name == "fifo":
-        return FifoPolicy()
-    if name == "random":
-        return RandomPolicy(rng)
-    if name == "adversarial-delay":
-        return AdversarialDelayPolicy(budget=params.get("budget", 12))
-    return TargetedStarvePolicy()  # validate_run admits only POLICIES
+POLICIES = {
+    "fifo": FifoPolicy,
+    "random": RandomPolicy,
+    "adversarial-delay": AdversarialDelayPolicy,
+    "targeted-starve": TargetedStarvePolicy,
+}
 
 
 # -- byzantine behaviors -------------------------------------------------------------
@@ -365,16 +348,14 @@ class RandomVotesBehavior(Behavior):
         return msg
 
 
-def make_behavior(spec: BehaviorSpec, crypto, rng: random.Random) -> Behavior:
-    cls = {
-        "crash": CrashBehavior,
-        "silent": SilentBehavior,
-        "equivocate-ppb": EquivocatePpbBehavior,
-        "corrupt-shares": CorruptSharesBehavior,
-        "withhold-suggestions": WithholdSuggestionsBehavior,
-        "random-votes": RandomVotesBehavior,
-    }[spec.kind]
-    return cls(spec, crypto, rng)
+BEHAVIORS = {
+    "crash": CrashBehavior,
+    "silent": SilentBehavior,
+    "equivocate-ppb": EquivocatePpbBehavior,
+    "corrupt-shares": CorruptSharesBehavior,
+    "withhold-suggestions": WithholdSuggestionsBehavior,
+    "random-votes": RandomVotesBehavior,
+}
 
 
 # -- run recording and property checking ------------------------------------------------
@@ -640,24 +621,27 @@ class RunRecorder(Observer):
 # -- the event loop ---------------------------------------------------------------------
 
 
-def deliver(parties: list, byzantine: Tuple[BehaviorSpec, ...], seed: int, policy: str,
-            policy_params: dict, max_steps: int, recorder: Optional[RunRecorder] = None,
+def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder] = None,
             on_step: Optional[Callable[[int, Envelope], None]] = None
             ) -> Tuple[int, int, int, int, bool]:
     """Start every party, then deliver one queued envelope per step until all
-    honest parties have finished, the queue is empty or `max_steps` is reached.
+    honest parties have finished, the queue is empty or `cfg.max_steps` is
+    reached.  The config's byzantine specs, seed, policy and policy params
+    set the behaviors and the delivery order.
 
-    `parties[p]` is party p, with `begin()`, `handle(env)`, `finished` and
-    `crypto`.  `on_step(step, env)` runs after each delivery.  Returns
+    `parties[p]` is party p: a `Party`, or a `HarnessParty` for the agreement
+    harness.  `on_step(step, env)` runs after each delivery.  Returns
     (steps, honest envelopes, honest bytes, fairness overrides, stalled);
     bytes are counted only when a recorder is given."""
+    seed, params = cfg.seed, cfg.policy_params
     behaviors = {
-        spec.party: make_behavior(spec, parties[spec.party].crypto,
-                                  random.Random(f"{seed}|byz|{spec.party}"))
-        for spec in byzantine
+        spec.party: BEHAVIORS[spec.kind](spec, parties[spec.party].crypto,
+                                         random.Random(f"{seed}|byz|{spec.party}"))
+        for spec in cfg.byzantine
     }
-    pol = make_policy(policy, policy_params, random.Random(f"{seed}|policy"))
-    fairness_bound = policy_params.get("fairness_bound", 64 * len(parties))
+    pol = POLICIES[cfg.policy](params, random.Random(f"{seed}|policy"))
+    fairness_bound = params.get("fairness_bound", 64 * len(parties))
+    max_steps = cfg.max_steps
     honest = {p for p in range(len(parties)) if p not in behaviors}
     pending: List[QueueItem] = []
     if recorder is not None:
@@ -688,7 +672,7 @@ def deliver(parties: list, byzantine: Tuple[BehaviorSpec, ...], seed: int, polic
             idx = 0
             fairness_overrides += 1
         else:
-            idx = pol.choose(pending, step)
+            idx = pol.choose(pending)
         env = pending.pop(idx).env
         if env.sender in honest:
             messages += 1
@@ -736,9 +720,7 @@ def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
             trace.write(json.dumps({"format": TRACE_FORMAT, "config": scenario_dict(cfg)},
                                    sort_keys=True) + "\n")
         steps, messages, nbytes, fairness_overrides, stalled = deliver(
-            parties, cfg.byzantine, cfg.seed, cfg.policy, cfg.policy_params, cfg.max_steps,
-            recorder, on_step,
-        )
+            parties, cfg, recorder, on_step)
     finally:
         if trace:
             trace.close()
@@ -793,65 +775,46 @@ def make_proven_pair(provider, instance: int, slot: int,
     return ct, provider.combine_shares(msg, shares)
 
 
-class HarnessParty:
-    """Single-slot wrapper: one agreement invocation, no committees or batches.
-    Its invocation keeps the default no-op owner: nothing observes the slot."""
+class HarnessParty(Party):
+    """A party whose one instance is one agreement slot: instance 1 starts
+    with the fixed committee (0,), without coin, provable broadcast or
+    batches, and the party is finished once the slot's outcome is ready.
+    Given the proven pair it inputs 1, else 0.  Entries go through
+    `Party._deliver`, but `begin` and `handle` are its own: perfbench's
+    tracer times each class's entry points apart, so a call through to
+    `Party`'s would count an envelope twice.  The harness counts no bytes,
+    so its flush sizes no envelope."""
 
-    def __init__(self, pid: int, crypto, input_bit: int,
+    def __init__(self, pid: int, crypto, cfg: SimConfig,
                  pair: Optional[Tuple[Ciphertext, ThresholdSignature]]):
-        self.pid = pid
-        self.crypto = crypto
-        self.n = crypto.n
-        self.input_bit = input_bit
+        super().__init__(pid, crypto, cfg)
         self.pair = pair
-        self.inv = SlotInvocation(1, 0, crypto)
-        self._wire: List[WireItem] = []
-        self._selfq: List[Message] = []
-        self._out: List[Message] = []
-
-    # same wire and self queue as a full party
-    _emit = Party._emit
-    _multicast = Party._multicast
-
-    @property
-    def finished(self) -> bool:
-        return self.inv.outcome_ready
-
-    def held_pairs(self, instance: int) -> Set[int]:
-        return {0} if self.inv.pair is not None else set()
+        self.instance = 1
+        self.inv = SlotInvocation(1, 0, crypto, self._owner)
+        self.inst = InstanceState(committee=Committee(1, (0,)), slots={0: self.inv})
 
     def begin(self) -> List[Envelope]:
-        if self.input_bit == 1:
-            self._multicast(self.inv.inv_start(1, *self.pair, self._out))
+        inv, out = self.inv, self._out
+        if self.pair is not None:
+            self._multicast(inv.inv_start(1, *self.pair, out))
             # No proposal layer here, so holders diffuse the pair themselves;
             # 1-claims are bare and non-holders need the evidence to vote.
             self._emit(BROADCAST, RecoverResp(1, 0, *self.pair))
         else:
-            self._multicast(self.inv.inv_start(0, None, None, self._out))
-        v = self.inv.take_v()
-        if v is not None:
-            self._emit(BROADCAST, v)
+            self._multicast(inv.inv_start(0, None, None, out))
+        self._emit(BROADCAST, inv.take_v())
+        self._drain_selfq()
         return self._flush()
 
     def handle(self, env: Envelope) -> List[Envelope]:
         self._deliver(env.sender, env.entries)
+        self._drain_selfq()
         return self._flush()
 
-    def _deliver(self, sender: int, msgs: Iterable[Message]) -> None:
-        inv, out = self.inv, self._out
-        for msg in msgs:
-            handler = SLOT_HANDLERS.get(type(msg))
-            if handler is not None:
-                getattr(inv, handler)(sender, msg, out)
-                self._multicast(out)
-            elif type(msg) is Recover and inv.pair is not None:
-                self._emit(sender, RecoverResp(1, 0, *inv.pair))
+    def slot_ready(self, inv: SlotInvocation) -> None:
+        self.finished = True
 
     def _flush(self) -> List[Envelope]:
-        # Deliver own copies first; the loop walks the live queue, so copies
-        # queued meanwhile are delivered too.
-        self._deliver(self.pid, self._selfq)
-        self._selfq.clear()
         if not self._wire:
             return []
         wire, self._wire = self._wire, []
@@ -863,23 +826,22 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
                      policy: str = "random", policy_params: Optional[dict] = None,
                      max_steps: int = 50_000) -> dict:
     """Run one biased-agreement instance in isolation; 1-inputters hold a proven pair."""
-    params = policy_params or {}
-    validate_run(n, f, byzantine, policy, params)
+    cfg = SimConfig(n, f, seed, policy=policy, policy_params=policy_params or {},
+                    byzantine=byzantine, max_steps=max_steps)
+    _check_field_types(cfg)
+    cfg.validate()
     if len(inputs) != n:
         raise ConfigError("need one input bit per party")
     if any(type(inputs[p]) is not int or inputs[p] not in (0, 1) for p in range(n)):
         raise ConfigError("input bits must be the ints 0 or 1")
-    if type(max_steps) is not int or max_steps < 1:
-        raise ConfigError("max_steps must be an integer >= 1")
-    provider = key_setup(128, n, n - f, seed)
+    provider = key_setup(cfg.security_param, n, n - f, seed)
     pair = make_proven_pair(provider, 1, 0, b"harness-payload")
     parties = [
-        HarnessParty(p, provider.party_handle(p), inputs[p], pair if inputs[p] == 1 else None)
+        HarnessParty(p, provider.party_handle(p), cfg, pair if inputs[p] == 1 else None)
         for p in range(n)
     ]
-    steps, messages, _, _, stalled = deliver(parties, byzantine, seed, policy, params, max_steps)
-    byz = {spec.party for spec in byzantine}
-    honest = [p for p in range(n) if p not in byz]
+    steps, messages, _, _, stalled = deliver(parties, cfg)
+    honest = cfg.honest()
     return {
         "decisions": {p: parties[p].inv.decided for p in honest},
         "inputs": {p: inputs[p] for p in honest},

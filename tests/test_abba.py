@@ -439,13 +439,14 @@ def test_one_vote_per_sender_per_round_in_coin_rounds():
 
 def test_one_vote_per_sender_per_round_under_random_votes(monkeypatch):
     sent = []
-    multicast = HarnessParty._multicast
+    flush = HarnessParty._flush
 
-    def recording(self, out):
-        sent.extend((self.pid, m) for m in out)
-        multicast(self, out)
+    def recording(self):
+        # every vote is broadcast: a bare message on the party's wire
+        sent.extend((self.pid, m) for m in self._wire if type(m) is not tuple)
+        return flush(self)
 
-    monkeypatch.setattr(HarnessParty, "_multicast", recording)
+    monkeypatch.setattr(HarnessParty, "_flush", recording)
     byz = (BehaviorSpec(5, "random-votes"), BehaviorSpec(6, "random-votes"))
     decided_rounds = set()
     for seed in range(6):

@@ -197,13 +197,10 @@ def test_flush_matches_per_peer_grouping(entries):
 @settings(max_examples=150, deadline=None)
 @given(entries=wire_entries)
 def test_harness_flush_matches_per_peer_grouping(entries):
-    party = HarnessParty(1, FLUSH_PARTY, 0, None)
-    # Fill the wire as _emit would, minus the self queue: own copies would be
-    # handled by the party's one agreement slot and could emit more.
-    msgs = [(dst, Recover(v.instance, v.slot) if recover else v)
-            for dst, v, recover in entries if dst != 1]
-    party._wire = [msg if dst == BROADCAST else (dst, msg) for dst, msg in msgs]
-    check_flush(party, entries)
+    party = HarnessParty(1, FLUSH_PARTY, cfg(), None)
+    for dst, v, recover in entries:
+        party._emit(dst, Recover(v.instance, v.slot) if recover else v)
+    check_flush(party, entries)  # the unsized flush groups as the sized one
 
 
 # -- finalization on slot transitions and instance bounds ---------------------------

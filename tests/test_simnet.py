@@ -7,11 +7,15 @@ import random
 import pytest
 
 from slimabc import BehaviorSpec, ConfigError, SimConfig, sim_run
+from slimabc.crypto import key_setup
+from slimabc.messages import Envelope, Recover, RecoverResp
 from slimabc.simnet import (
     POLICIES,
+    HarnessParty,
     abba_harness_run,
     config_from_dict,
     load_scenario,
+    make_proven_pair,
     replay_trace,
     scenario_dict,
 )
@@ -181,6 +185,23 @@ def test_harness_deterministic_and_validated():
     with pytest.raises(ConfigError):  # more than f byzantine parties
         abba_harness_run(4, 1, 0, [1, 1, 0, 0],
                          byzantine=(BehaviorSpec(0, "crash"), BehaviorSpec(1, "crash")))
+    for seed in (True, 1.5):
+        with pytest.raises(ConfigError):  # the seed is checked as a SimConfig field
+            abba_harness_run(4, 1, seed, [1, 1, 0, 0])
+
+
+def test_harness_party_answers_recover_with_its_pair():
+    provider = key_setup(128, 4, 3, 2)
+    pair = make_proven_pair(provider, 1, 0, b"payload")
+    cfg = SimConfig(n=4, f=1)
+    holder = HarnessParty(0, provider.party_handle(0), cfg, pair)
+    other = HarnessParty(1, provider.party_handle(1), cfg, None)
+    holder.begin()
+    other.begin()
+    (resp,) = holder.handle(Envelope(2, 1, (Recover(1, 0),), dst=0))
+    assert (resp.sender, resp.instance, resp.dst) == (0, 1, 2)
+    assert resp.entries == (RecoverResp(1, 0, *pair),)
+    assert other.handle(Envelope(2, 1, (Recover(1, 0),), dst=1)) == []
 
 
 def test_stalled_and_crash_runs_keep_stop_and_step_counts():
