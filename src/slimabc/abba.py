@@ -66,6 +66,17 @@ def abba_coin_name(instance: int, slot: int, round_: int) -> bytes:
     return b"ABBA-COIN" + struct.pack(">QHH", instance, slot, round_)
 
 
+def round_strings(instance: int, slot: int, r: int) -> Tuple[bytes, ...]:
+    """Round r's signing strings: pre-vote 0 and 1, then main-vote 0, 1 and ABSTAIN."""
+    return (
+        prevote_bytes(instance, slot, r, 0),
+        prevote_bytes(instance, slot, r, 1),
+        mainvote_bytes(instance, slot, r, 0),
+        mainvote_bytes(instance, slot, r, 1),
+        mainvote_bytes(instance, slot, r, ABSTAIN),
+    )
+
+
 class AbbaMachine:
     def __init__(self, instance: int, slot: int, crypto: PartyCrypto):
         self.instance = instance
@@ -80,10 +91,12 @@ class AbbaMachine:
         self.round = 0  # 0 until n-f pre-process messages arrive
 
         # Signing strings: pre-process per bit, built once; pre-vote per bit
-        # and main-vote per value (0, 1, ABSTAIN) only for rounds entered, so
-        # round numbers from the wire never add entries.
+        # and main-vote per value (0, 1, ABSTAIN) for round 1, whose votes are
+        # checked before it is entered, and for each later round entered, so
+        # round numbers from the wire never add entries.  Every vote counted
+        # is of round 1 or of a round entered.
         self._pp_msgs = (preprocess_bytes(instance, slot, 0), preprocess_bytes(instance, slot, 1))
-        self._round_msgs: Dict[int, Tuple[bytes, ...]] = {}
+        self._round_msgs: Dict[int, Tuple[bytes, ...]] = {1: round_strings(instance, slot, 1)}
 
         # Vote ledgers keep arrival order: the first quorum of a dict is the
         # quorum a threshold signature or a decision is built from.
@@ -137,45 +150,60 @@ class AbbaMachine:
         if msg.bit == 1 and not self.evidence_known:
             self._pp_pending_one.append((sender, msg))
             return
-        self._pp[sender] = msg
-        self._pump(out)
+        pp = self._pp
+        pp[sender] = msg
+        # Pre-process votes only move the machine out of round 0.
+        if self.round == 0 and len(pp) >= self.n - self.f:
+            self._pump(out)
+
+    # A justified vote is counted in its round's ledger.  Only the current
+    # stage's quorum can move the machine (pre-votes end stage 0, main-votes
+    # stage 1); every other vote waits in the ledger for the _pump that
+    # reaches its stage.  Votes for a round not entered yet are parked, except
+    # round 1's, which are verifiable before entry.
 
     def on_prevote(self, sender: int, msg: AbbaPrevote, out: List[Message]) -> None:
-        if msg.bit in (0, 1):
-            self._on_vote(sender, msg, self._prevotes, 0, out)
-
-    def on_mainvote(self, sender: int, msg: AbbaMainvote, out: List[Message]) -> None:
-        if msg.value in (0, 1, ABSTAIN):
-            self._on_vote(sender, msg, self._mainvotes, 1, out)
-
-    def _on_vote(self, sender: int, msg, ledger: Dict[int, Dict[int, Message]],
-                 stage: int, out: List[Message]) -> None:
-        """Count a justified vote; `stage` is the round stage its quorum ends
-        (0 for pre-votes, 1 for main-votes)."""
         r = msg.round
-        if self.decided or r < 1:
+        if msg.bit not in (0, 1) or self.decided or r < 1:
             return
-        if r > max(self.round, 1):  # round-1 votes are verifiable before entry
+        if r > self.round and r > 1:
             self._future.setdefault(r, []).append((sender, msg))
             return
-        votes = ledger.get(r)
+        votes = self._prevotes.get(r)
         if votes is not None and sender in votes:
             return
-        if stage:
-            ok = self._validate_mainvote(sender, msg)
-        else:
-            ok = self._validate_prevote(sender, msg)
+        ok = self._validate_prevote(sender, msg)
         if ok == "pending":
             self._ev_pending.append((sender, msg))
             return
         if not ok:
             return
         if votes is None:
-            votes = ledger[r] = {}
+            votes = self._prevotes[r] = {}
         votes[sender] = msg
-        # Only the current stage's quorum can move the machine; every other
-        # vote waits in the ledger for the _pump that reaches its stage.
-        if r == self.round and stage == self._stage and len(votes) >= self.quorum:
+        if r == self.round and self._stage == 0 and len(votes) >= self.quorum:
+            self._pump(out)
+
+    def on_mainvote(self, sender: int, msg: AbbaMainvote, out: List[Message]) -> None:
+        r = msg.round
+        if msg.value not in (0, 1, ABSTAIN) or self.decided or r < 1:
+            return
+        if r > self.round and r > 1:
+            self._future.setdefault(r, []).append((sender, msg))
+            return
+        votes = self._mainvotes.get(r)
+        if votes is not None and sender in votes:
+            return
+        ok = self._validate_mainvote(sender, msg)
+        if ok == "pending":
+            self._ev_pending.append((sender, msg))
+            return
+        if not ok:
+            return
+        if votes is None:
+            votes = self._mainvotes[r] = {}
+        votes[sender] = msg
+        if r == self.round and self._stage == 1 and len(votes) >= self.quorum:
             self._pump(out)
 
     def on_coin_share(self, sender: int, msg: AbbaCoinShare, out: List[Message]) -> None:
@@ -201,43 +229,48 @@ class AbbaMachine:
 
     # -- justification checks -----------------------------------------------
 
+    # Validators take votes of round 1 or of a round entered (see on_prevote),
+    # so each finds its signing strings in _round_msgs.
+
     def _validate_prevote(self, sender: int, msg: AbbaPrevote):
-        if msg.share.signer != sender or not self.crypto.verify_share(
-            self._pv_msg(msg.round, msg.bit), sender, msg.share
+        r, bit, crypto = msg.round, msg.bit, self.crypto
+        if msg.share.signer != sender or not crypto.verify_share(
+            self._round_msgs[r][bit], sender, msg.share
         ):
             return False
         j = msg.justification
-        if msg.round == 1:
-            if msg.bit == 1:
+        if r == 1:
+            if bit == 1:
                 if j.kind != JUST_PREPROCESS_ONE or j.share is None:
                     return False
-                if not self.crypto.verify_share(self._pp_msgs[1], j.signer, j.share):
+                if not crypto.verify_share(self._pp_msgs[1], j.signer, j.share):
                     return False
                 if not self.evidence_known:
                     return "pending"
                 return True
             if j.kind != JUST_PREPROCESS_ZERO or j.sig is None:
                 return False
-            return self.crypto.verify_signature(self._pp_msgs[0], j.sig)
+            return crypto.verify_signature(self._pp_msgs[0], j.sig)
         if j.kind == JUST_PREVOTE_THRESHOLD and j.sig is not None:
-            return self.crypto.verify_signature(self._pv_msg(msg.round - 1, msg.bit), j.sig)
+            return crypto.verify_signature(self._round_msgs[r - 1][bit], j.sig)
         if j.kind == JUST_ABSTAIN_THRESHOLD and j.sig is not None:
-            coin = self.coins.get(msg.round - 1)
-            if coin is None or msg.bit != coin:
+            coin = self.coins.get(r - 1)
+            if coin is None or bit != coin:
                 return False
-            return self.crypto.verify_signature(self._mv_msg(msg.round - 1, ABSTAIN), j.sig)
+            return crypto.verify_signature(self._round_msgs[r - 1][2 + ABSTAIN], j.sig)
         return False
 
     def _validate_mainvote(self, sender: int, msg: AbbaMainvote):
+        msgs, value = self._round_msgs[msg.round], msg.value
         if msg.share.signer != sender or not self.crypto.verify_share(
-            self._mv_msg(msg.round, msg.value), sender, msg.share
+            msgs[2 + value], sender, msg.share
         ):
             return False
         j = msg.justification
-        if msg.value in (0, 1):
+        if value in (0, 1):
             if j.kind != JUST_PREVOTE_THRESHOLD or j.sig is None:
                 return False
-            return self.crypto.verify_signature(self._pv_msg(msg.round, msg.value), j.sig)
+            return self.crypto.verify_signature(msgs[value], j.sig)
         # abstain: embed one justified pre-vote per bit for this round
         if j.kind != JUST_CONFLICT or j.prevote_zero is None or j.prevote_one is None:
             return False
@@ -279,29 +312,17 @@ class AbbaMachine:
                 )
                 self._advance(r + 1, out)
 
-    def _pv_msg(self, r: int, bit: int) -> bytes:
-        msgs = self._round_msgs.get(r)
-        if msgs is None:  # a round not entered yet: build, never cache
-            return prevote_bytes(self.instance, self.slot, r, bit)
-        return msgs[bit]
-
     def _mv_msg(self, r: int, value: int) -> bytes:
         msgs = self._round_msgs.get(r)
-        if msgs is None:
+        if msgs is None:  # a round not entered (a decision's): build, never cache
             return mainvote_bytes(self.instance, self.slot, r, value)
         return msgs[2 + value]
 
     def _enter(self, r: int) -> None:
         self.round = r
         self._stage = 0
-        i, s = self.instance, self.slot
-        self._round_msgs[r] = (
-            prevote_bytes(i, s, r, 0),
-            prevote_bytes(i, s, r, 1),
-            mainvote_bytes(i, s, r, 0),
-            mainvote_bytes(i, s, r, 1),
-            mainvote_bytes(i, s, r, ABSTAIN),
-        )
+        if r not in self._round_msgs:
+            self._round_msgs[r] = round_strings(self.instance, self.slot, r)
 
     def _enter_round_one(self, out: List[Message]) -> None:
         self._enter(1)
@@ -318,7 +339,7 @@ class AbbaMachine:
         self._replay(self._future.pop(1, []), out)
 
     def _emit_prevote(self, r: int, bit: int, just: Justification, out: List[Message]) -> None:
-        share = self.crypto.sig_share(self._pv_msg(r, bit))
+        share = self.crypto.sig_share(self._round_msgs[r][bit])
         out.append(AbbaPrevote(self.instance, self.slot, r, bit, just, share))
 
     def _emit_mainvote(self, r: int, out: List[Message]) -> None:
@@ -327,14 +348,15 @@ class AbbaMachine:
         bits = {pv.bit for pv in first}
         if len(bits) == 1:
             (bit,) = bits
-            sig = self.crypto.combine_shares(self._pv_msg(r, bit), [pv.share for pv in first])
+            sig = self.crypto.combine_shares(self._round_msgs[r][bit],
+                                             [pv.share for pv in first])
             value, just = bit, Justification(JUST_PREVOTE_THRESHOLD, sig=sig)
         else:
             pv0 = next(pv for pv in first if pv.bit == 0)
             pv1 = next(pv for pv in first if pv.bit == 1)
             value = ABSTAIN
             just = Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1)
-        share = self.crypto.sig_share(self._mv_msg(r, value))
+        share = self.crypto.sig_share(self._round_msgs[r][2 + value])
         out.append(AbbaMainvote(self.instance, self.slot, r, value, just, share))
 
     def _check_decision(self, r: int, out: List[Message]) -> None:
@@ -343,7 +365,8 @@ class AbbaMachine:
         values = {mv.value for mv in first}
         if len(values) == 1 and ABSTAIN not in values:
             (bit,) = values
-            sig = self.crypto.combine_shares(self._mv_msg(r, bit), [mv.share for mv in first])
+            sig = self.crypto.combine_shares(self._round_msgs[r][2 + bit],
+                                             [mv.share for mv in first])
             self.decided = (bit, r, sig)
             if not self._decision_forwarded:
                 self._decision_forwarded = True
@@ -369,7 +392,7 @@ class AbbaMachine:
             abstains = [
                 m.share for m in self._mainvotes[prev].values() if m.value == ABSTAIN
             ][: self.quorum]
-            sig = self.crypto.combine_shares(self._mv_msg(prev, ABSTAIN), abstains)
+            sig = self.crypto.combine_shares(self._round_msgs[prev][2 + ABSTAIN], abstains)
             self._emit_prevote(
                 r, self.coins[prev], Justification(JUST_ABSTAIN_THRESHOLD, sig=sig), out
             )

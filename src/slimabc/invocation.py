@@ -77,6 +77,8 @@ class SlotInvocation:
         self.crypto = crypto
         self.owner = owner
         self.abba = AbbaMachine(instance, slot, crypto)
+        self._claim_quorum = 2 * crypto.f + 1  # claims that fix the input
+        self._dec_quorum = crypto.f + 1  # decryption shares that recover the plaintext
         self.pair: Optional[Tuple[Ciphertext, ThresholdSignature]] = None
         self.u = 0
         self.started = False
@@ -129,7 +131,8 @@ class SlotInvocation:
             self.u = 1
         self.started = True
         self._v_out = VMsg(self.instance, self.slot, self.u)
-        self._maybe_input(out)
+        if len(self._v_senders) >= self._claim_quorum:
+            self._fix_input(out)
         return out
 
     def take_v(self) -> Optional[VMsg]:
@@ -137,27 +140,25 @@ class SlotInvocation:
         return v
 
     def on_v(self, sender: int, msg: VMsg, out: List[Message]) -> None:
-        if sender in self._v_senders:
+        claims = self._v_senders
+        if sender in claims:
             return
         effective = 0
         if msg.u == 1 and msg.ciphertext is not None and msg.proof is not None:
             if self.record_pair(msg.ciphertext, msg.proof, out):
                 effective = 1  # a claimed 1 without a verifiable pair demotes to 0
-        self._v_senders[sender] = effective
+        claims[sender] = effective
         if effective == 1 and self.u == 0:
             self.u = 1
-        self._maybe_input(out)
+        if self.input_bit is None and self.started and len(claims) >= self._claim_quorum:
+            self._fix_input(out)
 
-    def _maybe_input(self, out: List[Message]) -> None:
-        if (
-            self.input_bit is None
-            and self.started
-            and len(self._v_senders) >= 2 * self.crypto.f + 1
-        ):
-            self.input_bit = self.u
-            self.owner.slot_input(self)
-            out.extend(self.abba.input(self.u))
-            self._after_abba(out)
+    def _fix_input(self, out: List[Message]) -> None:
+        """Feed the local claim to the agreement machine, once 2f+1 claims are in."""
+        self.input_bit = self.u
+        self.owner.slot_input(self)
+        out.extend(self.abba.input(self.u))
+        self._after_abba(out)
 
     # -- agreement traffic ----------------------------------------------------
     # Each forwarder runs _after_abba only when the machine's decision is new.
@@ -227,7 +228,8 @@ class SlotInvocation:
         if not self.crypto.tpke_dec_share_verify(self.pair[0], sender, msg.share):
             return
         self._dec_shares[sender] = msg.share
-        self._try_decrypt()
+        if len(self._dec_shares) >= self._dec_quorum:
+            self._try_decrypt()
 
     def _try_decrypt(self) -> None:
         if (
@@ -235,9 +237,9 @@ class SlotInvocation:
             and self.decided is not None
             and self.decided[0] == 1
             and self.pair is not None
-            and len(self._dec_shares) >= self.crypto.f + 1
+            and len(self._dec_shares) >= self._dec_quorum
         ):
-            shares = list(self._dec_shares.values())[: self.crypto.f + 1]
+            shares = list(self._dec_shares.values())[: self._dec_quorum]
             self.plaintext = self.crypto.tpke_dec(self.pair[0], shares)
             self.owner.slot_ready(self)
 

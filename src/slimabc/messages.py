@@ -307,7 +307,7 @@ Message = Union[
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One delivery unit: all messages one party sent one peer in one step."""
 

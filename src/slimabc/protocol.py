@@ -194,6 +194,7 @@ class Party(SlotOwner):
         self._wire: List[WireItem] = []
         self._selfq: List[Message] = []
         self._out: List[Message] = []  # a slot handler's emissions, emptied after each
+        self._due = False  # a slot reported ready since the last finalize check
         # Slots report to a weak proxy: an unfinished party's live slots would
         # otherwise hold it in a reference cycle.
         self._owner = weakref.proxy(self)
@@ -202,17 +203,30 @@ class Party(SlotOwner):
 
     def begin(self) -> List[Envelope]:
         self._start_instance(1)
-        self._drain_selfq()
-        while self._maybe_finalize():
-            self._drain_selfq()
-        return self._flush()
+        return self._settle()
 
     def handle(self, env: Envelope) -> List[Envelope]:
         self._deliver(env.sender, env.entries)
-        self._drain_selfq()
-        while self._maybe_finalize():
-            self._drain_selfq()
-        return self._flush()
+        return self._settle()
+
+    def _settle(self) -> List[Envelope]:
+        """End a step: deliver own copies, finalize while a slot has reported
+        ready (starting the next instance replays its buffered traffic, which
+        can finish that one too), and flush the wire.  Most handled entries
+        emit nothing, so each part runs only when it has something to do."""
+        selfq = self._selfq
+        while True:
+            if selfq:
+                # _deliver walks the live queue, so own copies queued meanwhile
+                # are delivered too; the instance cannot end before it is empty.
+                self._deliver(self.pid, selfq)
+                selfq.clear()
+            if not self._due:
+                break
+            self._due = False
+            if not self._maybe_finalize():
+                break
+        return self._flush() if self._wire else []
 
     def _start_instance(self, number: int) -> None:
         self.instance = number
@@ -240,13 +254,6 @@ class Party(SlotOwner):
             self._selfq += out
             out.clear()
 
-    def _drain_selfq(self) -> None:
-        # _deliver walks the live queue, so own copies queued meanwhile are
-        # delivered too; the instance cannot end before the queue is empty.
-        if self._selfq:  # most handled entries emit nothing
-            self._deliver(self.pid, self._selfq)
-            self._selfq.clear()
-
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
         return wire_envelopes(self.pid, self.n, wire, sized=True)
@@ -257,18 +264,21 @@ class Party(SlotOwner):
         """Handle entries from one sender in order: slot-level entries of the
         current instance go straight to their slot's handler, which appends
         its emissions to one reused list; everything else is dispatched or
-        routed."""
-        inst = self.inst
-        if inst is None:
+        routed.  A finished instance's traffic other than `Recover` is dropped
+        here, without a `_route` call."""
+        inst, current = self.inst, self.instance
+        if inst is None:  # not begun yet, or finished
             for msg in msgs:
-                self._route(sender, msg)
+                if msg.instance > current or type(msg) is Recover:
+                    self._route(sender, msg)
             return
-        current = self.instance
         slots = inst.slots
         out, wire, selfq = self._out, self._wire, self._selfq
         for msg in msgs:
-            if msg.instance != current:
-                self._route(sender, msg)
+            instance = msg.instance
+            if instance != current:
+                if instance > current or type(msg) is Recover:
+                    self._route(sender, msg)
                 continue
             name = SLOT_HANDLERS.get(type(msg))
             if name is None:
@@ -346,6 +356,7 @@ class Party(SlotOwner):
 
     def slot_ready(self, inv: SlotInvocation) -> None:
         self.inst.ready.add(inv.slot)
+        self._due = True
 
     # -- phase transitions ---------------------------------------------------------
 

@@ -47,6 +47,10 @@ TRACE_FORMAT = "slimabc-trace-1"
 
 POLICY_PARAMS = {"fairness_bound": 1, "budget": 0}  # key -> least allowed value
 
+# JSON type of each config field other than `byzantine`; any field not named
+# here is an integer.  bool is never accepted where a number is meant.
+FIELD_TYPES = {"policy": str, "policy_params": dict, "overlap": (int, float), "kind": str}
+
 
 class ConfigError(Exception):
     pass
@@ -76,8 +80,16 @@ class SimConfig:
     security_param: int = 128
 
     def validate(self) -> None:
-        """Raise ConfigError unless this config can run; `_check_field_types`
-        checks the field types."""
+        """Raise ConfigError unless this config can run: every field, and each
+        behavior spec's, has its JSON type, and every value is in range."""
+        for obj in (self, *self.byzantine):
+            for fld in dataclasses.fields(obj):
+                if fld.name == "byzantine":
+                    continue
+                value = getattr(obj, fld.name)
+                want = FIELD_TYPES.get(fld.name, int)
+                if type(value) is bool or not isinstance(value, want):
+                    raise ConfigError(f"config field {fld.name} has the wrong type: {value!r}")
         n, f = self.n, self.f
         if f < 1 or n != 3 * f + 1:
             raise ConfigError(f"need n = 3f+1 with f >= 1, got n={n} f={f}")
@@ -125,22 +137,6 @@ def scenario_dict(cfg: SimConfig) -> dict:
     return d
 
 
-# JSON type of each scenario field other than `byzantine`; any field not
-# named here is an integer.  bool is never accepted where a number is meant.
-FIELD_TYPES = {"policy": str, "policy_params": dict, "overlap": (int, float), "kind": str}
-
-
-def _check_field_types(cfg: SimConfig) -> None:
-    for obj in (cfg, *cfg.byzantine):
-        for fld in dataclasses.fields(obj):
-            if fld.name == "byzantine":
-                continue
-            value = getattr(obj, fld.name)
-            want = FIELD_TYPES.get(fld.name, int)
-            if type(value) is bool or not isinstance(value, want):
-                raise ConfigError(f"scenario field {fld.name} has the wrong type: {value!r}")
-
-
 def config_from_dict(d: dict) -> SimConfig:
     d = dict(d)
     fmt = d.pop("format", SCENARIO_FORMAT)
@@ -154,7 +150,6 @@ def config_from_dict(d: dict) -> SimConfig:
         cfg = SimConfig(byzantine=byz, **d)
     except TypeError as e:
         raise ConfigError(f"bad scenario fields: {e}") from e
-    _check_field_types(cfg)
     cfg.validate()
     return cfg
 
@@ -173,11 +168,14 @@ def load_scenario(path: str) -> SimConfig:
 # -- delivery policies ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueItem:
     enqueued: int
     env: Envelope
     deferrals: int = 0
+    # Whether the envelope touches the targeting policy's target, set the
+    # first time the policy looks at the item once its target is known.
+    targeted: Optional[bool] = None
 
 
 def _pair_entries(env: Envelope, instance: int, slot: int) -> bool:
@@ -213,7 +211,10 @@ class RandomPolicy(Policy):
 
 
 class TargetingPolicy(Policy):
-    """Targets the (instance, slot) of the first proposal enqueued."""
+    """Targets the (instance, slot) of the first proposal enqueued.  The
+    target never changes once set, so each queued item is classified against
+    it once, by `touches`, the first time `choose` looks at the item: an item
+    queued before the first proposal can touch the target too."""
 
     target: Optional[Tuple[int, int]] = None
 
@@ -232,15 +233,20 @@ class AdversarialDelayPolicy(TargetingPolicy):
         super().__init__(params, rng)
         self.budget = params.get("budget", 12)
 
-    def _targeted(self, item: QueueItem) -> bool:
-        return self.target is not None and any(
-            getattr(m, "slot", None) == self.target[1] and m.instance == self.target[0]
-            for m in item.env.entries
-        )
+    def touches(self, env: Envelope) -> bool:
+        inst, slot = self.target
+        return any(getattr(m, "slot", None) == slot and m.instance == inst
+                   for m in env.entries)
 
     def choose(self, pending: List[QueueItem]) -> int:
+        if self.target is None:
+            return 0
+        budget = self.budget
         for i, item in enumerate(pending):
-            if self._targeted(item) and item.deferrals < self.budget:
+            targeted = item.targeted
+            if targeted is None:
+                targeted = item.targeted = self.touches(item.env)
+            if targeted and item.deferrals < budget:
                 item.deferrals += 1
                 continue
             return i
@@ -251,11 +257,16 @@ class TargetedStarvePolicy(TargetingPolicy):
     """Holds the target slot's pair dissemination back while anything else
     is deliverable, so that slot's agreement must run without it."""
 
+    def touches(self, env: Envelope) -> bool:
+        return _pair_entries(env, *self.target)
+
     def choose(self, pending: List[QueueItem]) -> int:
         if self.target is not None:
-            inst, slot = self.target
             for i, item in enumerate(pending):
-                if not _pair_entries(item.env, inst, slot):
+                targeted = item.targeted
+                if targeted is None:
+                    targeted = item.targeted = self.touches(item.env)
+                if not targeted:
                     return i
         return 0
 
@@ -287,13 +298,24 @@ class Behavior:
         return False
 
     def filter(self, step: int, envs: List[Envelope]) -> List[Envelope]:
+        """Pass each envelope through `mutate`, entry by entry: an envelope
+        whose entries all come back as they were is passed on as is; one left
+        with no entries is dropped."""
         out = []
+        mutate = self.mutate
         for env in envs:
-            entries = tuple(
-                e for e in (self.mutate(step, env.dst, m) for m in env.entries) if e is not None
-            )
-            if entries:
-                out.append(Envelope(env.sender, env.instance, entries, dst=env.dst))
+            dst, entries, changed = env.dst, [], False
+            for m in env.entries:
+                e = mutate(step, dst, m)
+                if e is not m:
+                    changed = True
+                    if e is None:
+                        continue
+                entries.append(e)
+            if not changed:
+                out.append(env)
+            elif entries:
+                out.append(Envelope(env.sender, env.instance, tuple(entries), dst=dst))
         return out
 
     def mutate(self, step: int, dst: int, msg):
@@ -339,12 +361,16 @@ class WithholdSuggestionsBehavior(Behavior):
 
 class RandomVotesBehavior(Behavior):
     def mutate(self, step: int, dst: int, msg):
-        if isinstance(msg, AbbaPrevote):
-            return dataclasses.replace(msg, bit=self.rng.randrange(2))
-        if isinstance(msg, AbbaMainvote):
-            return dataclasses.replace(msg, value=self.rng.choice((0, 1, 2)))
-        if isinstance(msg, VMsg) and msg.u == 0 and self.rng.random() < 0.3:
-            return dataclasses.replace(msg, u=1)  # claim 1 without shipping a pair
+        kind = type(msg)
+        if kind is AbbaPrevote:
+            return AbbaPrevote(msg.instance, msg.slot, msg.round, self.rng.randrange(2),
+                               msg.justification, msg.share)
+        if kind is AbbaMainvote:
+            return AbbaMainvote(msg.instance, msg.slot, msg.round, self.rng.choice((0, 1, 2)),
+                                msg.justification, msg.share)
+        if kind is VMsg and msg.u == 0 and self.rng.random() < 0.3:
+            # claim 1 without shipping a pair
+            return VMsg(msg.instance, msg.slot, 1, msg.ciphertext, msg.proof)
         return msg
 
 
@@ -687,7 +713,8 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
             outs = party.handle(env)
             if party.finished:
                 unfinished.discard(dst)
-            outbound(dst, step, outs)
+            if outs or b is not None:  # a byzantine receiver's filter runs every step
+                outbound(dst, step, outs)
         if on_step is not None:
             on_step(step, env)
     return step, messages, nbytes, fairness_overrides, bool(unfinished)
@@ -803,20 +830,16 @@ class HarnessParty(Party):
         else:
             self._multicast(inv.inv_start(0, None, None, out))
         self._emit(BROADCAST, inv.take_v())
-        self._drain_selfq()
-        return self._flush()
+        return self._settle()
 
     def handle(self, env: Envelope) -> List[Envelope]:
         self._deliver(env.sender, env.entries)
-        self._drain_selfq()
-        return self._flush()
+        return self._settle()
 
     def slot_ready(self, inv: SlotInvocation) -> None:
         self.finished = True
 
     def _flush(self) -> List[Envelope]:
-        if not self._wire:
-            return []
         wire, self._wire = self._wire, []
         return wire_envelopes(self.pid, self.n, wire)
 
@@ -828,7 +851,6 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
     """Run one biased-agreement instance in isolation; 1-inputters hold a proven pair."""
     cfg = SimConfig(n, f, seed, policy=policy, policy_params=policy_params or {},
                     byzantine=byzantine, max_steps=max_steps)
-    _check_field_types(cfg)
     cfg.validate()
     if len(inputs) != n:
         raise ConfigError("need one input bit per party")

@@ -1,4 +1,5 @@
 """Simulator: config validation, determinism, policies, behaviors, traces."""
+import dataclasses
 import gc
 import hashlib
 import json
@@ -8,10 +9,26 @@ import pytest
 
 from slimabc import BehaviorSpec, ConfigError, SimConfig, sim_run
 from slimabc.crypto import key_setup
-from slimabc.messages import Envelope, Recover, RecoverResp
+from slimabc.messages import (
+    ABSTAIN,
+    JUST_NONE,
+    AbbaMainvote,
+    AbbaPrevote,
+    Envelope,
+    Justification,
+    PpbPayload,
+    Proposal,
+    Recover,
+    RecoverResp,
+    Suggestion,
+    VMsg,
+)
 from slimabc.simnet import (
+    BEHAVIORS,
     POLICIES,
+    AdversarialDelayPolicy,
     HarnessParty,
+    QueueItem,
     abba_harness_run,
     config_from_dict,
     load_scenario,
@@ -70,6 +87,14 @@ def test_config_checks_policy_params():
         base_cfg(policy="adversarial-delay", policy_params=params).validate()
 
 
+@pytest.mark.parametrize("change", [{"seed": True}, {"seed": 1.5}, {"overlap": "x"},
+                                    {"max_steps": 2.5}])
+def test_sim_run_checks_field_types(change):
+    """A config built in code gets the type checks a scenario file gets."""
+    with pytest.raises(ConfigError):
+        sim_run(base_cfg(**change))
+
+
 def test_scenario_dict_roundtrip(tmp_path):
     cfg = base_cfg(n=7, f=2, seed=42, policy="adversarial-delay",
                    byzantine=(BehaviorSpec(1, "crash", at_step=30),), overlap=0.25)
@@ -121,6 +146,100 @@ def test_every_behavior_tolerated():
         rep = sim_run(base_cfg(n=7, f=2, seed=8, instances=2, policy="random",
                                byzantine=byz))
         assert rep.ok, (kind, rep.failures)
+
+
+def test_delay_policy_defers_an_envelope_queued_before_its_target_is_known():
+    """The target member's own payload is queued before its proposal names
+    the target; it is still deferred `budget` times, then chosen."""
+    provider = key_setup(128, 4, 3, 0)
+    ct, proof = make_proven_pair(provider, 1, 2, b"batch")
+    budget = 3
+    pol = AdversarialDelayPolicy({"budget": budget}, random.Random(0))
+    early = QueueItem(0, Envelope(2, 1, (PpbPayload(1, 2, ct),), dst=0))
+    pol.note_enqueue(early)
+    assert pol.target is None
+    proposal = QueueItem(1, Envelope(2, 1, (Proposal(1, 2, ct, proof),), dst=1))
+    other = QueueItem(1, Envelope(0, 1, (VMsg(1, 0, 0),), dst=1))
+    for item in (proposal, other):
+        pol.note_enqueue(item)
+    assert pol.target == (1, 2)
+    pending = [early, proposal, other]
+    for _ in range(budget):
+        assert pol.choose(pending) == 2
+    assert pol.choose(pending) == 0
+    assert early.deferrals == budget
+
+
+def filter_envelopes(provider):
+    """Envelopes from party 3 mixing votes, claims, pairs and a recovery."""
+    ct, proof = make_proven_pair(provider, 1, 3, b"batch")
+    share = provider.sig_share(3, b"vote")
+    just = Justification(JUST_NONE)
+    entries = (
+        AbbaPrevote(1, 0, 1, 1, just, share),
+        AbbaMainvote(1, 0, 2, ABSTAIN, just, share),
+        VMsg(1, 0, 0),
+        VMsg(1, 1, 1),
+        PpbPayload(1, 3, ct),
+        Suggestion(1, 3, ct, proof, 3),
+        Recover(1, 2),
+    )
+    envs = [Envelope(3, 1, entries[i % 7:] + entries[:i % 7], dst=i % 3) for i in range(30)]
+    return envs + [Envelope(3, 1, (Recover(1, 2),), dst=0),
+                   Envelope(3, 1, (Suggestion(1, 3, ct, proof, 3),), dst=1)]
+
+
+def construct_filter(behavior, step, envs):
+    """Behavior.filter building a new envelope for every envelope it keeps.
+    Returns (envelope, source envelope, every entry came back as is) each."""
+    out = []
+    for env in envs:
+        mutated = [behavior.mutate(step, env.dst, m) for m in env.entries]
+        entries = tuple(e for e in mutated if e is not None)
+        if entries:
+            same = all(e is m for e, m in zip(mutated, env.entries))
+            out.append((Envelope(env.sender, env.instance, entries, dst=env.dst), env, same))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["equivocate-ppb", "corrupt-shares", "withhold-suggestions",
+                                  "random-votes"])
+def test_behavior_filter_matches_construction_and_passes_unchanged_envelopes(kind):
+    provider = key_setup(128, 4, 3, 0)
+    envs = filter_envelopes(provider)
+
+    def behavior():
+        return BEHAVIORS[kind](BehaviorSpec(3, kind), provider.party_handle(3),
+                               random.Random("byz"))
+
+    got = behavior().filter(5, envs)
+    want = construct_filter(behavior(), 5, envs)
+    assert got == [env for env, _, _ in want]
+    assert [g is src for g, (_, src, _) in zip(got, want)] == [same for _, _, same in want]
+    assert {same for _, _, same in want} == {True, False}
+
+
+def test_random_votes_change_votes_as_dataclass_replace_did():
+    provider = key_setup(128, 4, 3, 0)
+    envs = filter_envelopes(provider)
+    spec = BehaviorSpec(3, "random-votes")
+    got = BEHAVIORS["random-votes"](spec, provider.party_handle(3), random.Random(9)).filter(
+        1, envs)
+    rng = random.Random(9)
+
+    def mutate(msg):
+        if isinstance(msg, AbbaPrevote):
+            return dataclasses.replace(msg, bit=rng.randrange(2))
+        if isinstance(msg, AbbaMainvote):
+            return dataclasses.replace(msg, value=rng.choice((0, 1, 2)))
+        if isinstance(msg, VMsg) and msg.u == 0 and rng.random() < 0.3:
+            return dataclasses.replace(msg, u=1)
+        return msg
+
+    want = [Envelope(e.sender, e.instance, tuple(mutate(m) for m in e.entries), dst=e.dst)
+            for e in envs]
+    assert got == want
+    assert got[-1] is envs[-1] and got[-2] is envs[-2]  # no vote or claim: passed as is
 
 
 def test_lemma_checks_recorded_under_starvation():
