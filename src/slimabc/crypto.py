@@ -11,8 +11,13 @@ valid shares are presented.
 
 Every keyed digest is HMAC-SHA256 (RFC 2104), computed from sha256 inner
 and outer pad states that the provider hashes once per key when it is
-built.  The memos, all private to the provider and bounded by module
-constants, spare repeated work without changing any result:
+built.  A keystream is HMAC(key, label || be32(i)) for blocks i = 0, 1, ...;
+for i >= 1 that is PBKDF2-HMAC-SHA256 with one iteration (RFC 8018 5.2:
+T_i = PRF(P, S || INT(i)), i counting from 1), so block 0 is one MAC and
+every later block comes from a single `hashlib.pbkdf2_hmac` call.
+
+The memos, all private to the provider and bounded by module constants,
+spare repeated work without changing any result:
 
 * the ciphertext of each plaintext, keyed by the plaintext's digest, and
   the plaintext of each ciphertext, keyed by `ct_digest()`, so a batch is
@@ -83,13 +88,15 @@ def digest(data: bytes) -> bytes:
 
 
 class _MacKey:
-    """HMAC-SHA256 under one key, with the pad states hashed once (RFC 2104)."""
+    """HMAC-SHA256 under one key, with the pad states hashed once (RFC 2104).
+    The key itself (hashed first if longer than a block) is kept for PBKDF2."""
 
-    __slots__ = ("_inner", "_outer")
+    __slots__ = ("_inner", "_outer", "_key")
 
     def __init__(self, key: bytes):
         if len(key) > _HMAC_BLOCK:
             key = digest(key)
+        self._key = key
         key = key.ljust(_HMAC_BLOCK, b"\x00")
         self._inner = hashlib.sha256(key.translate(_IPAD))
         self._outer = hashlib.sha256(key.translate(_OPAD))
@@ -201,22 +208,12 @@ class ThresholdProvider:
         return key.mac(b"\x00".join(parts))[:TAG_LEN]
 
     def _stream(self, key: _MacKey, label: bytes, nbytes: int) -> bytes:
-        """HMAC(key, label || be32(i)) for i = 0, 1, ..., cut to nbytes.
-
-        The label is absorbed into the inner pad state once; each block
-        then hashes only its counter.
-        """
-        labelled = key._inner.copy()
-        labelled.update(label)
-        outer = key._outer
-        blocks = []
-        for i in range((nbytes + DIGEST_LEN - 1) // DIGEST_LEN):
-            inner = labelled.copy()
-            inner.update(i.to_bytes(4, "big"))
-            h = outer.copy()
-            h.update(inner.digest())
-            blocks.append(h.digest())
-        return b"".join(blocks)[:nbytes]
+        """HMAC(key, label || be32(i)) for i = 0, 1, ..., cut to nbytes: block 0
+        is one MAC, the rest one-iteration PBKDF2 (see the module docstring)."""
+        first = key.mac(label + b"\x00\x00\x00\x00")
+        if nbytes <= DIGEST_LEN:
+            return first[:nbytes]
+        return first + hashlib.pbkdf2_hmac("sha256", key._key, label, 1, nbytes - DIGEST_LEN)
 
     def _mask(self, header: bytes, nbytes: int) -> bytes:
         return self._stream(self._master, b"tpke-mask" + header, nbytes)

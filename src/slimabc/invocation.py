@@ -37,8 +37,9 @@ from .messages import (
 from .ppb import verify_proof
 
 # Slot-level message type -> name of the SlotInvocation method that handles it,
-# called as handler(sender, msg, out).  Owners look the name up on the
-# invocation at call time, so a method replaced on the class is the one called.
+# called as handler(sender, msg, out).  A party resolves the names on the class
+# when it is built, not per call, so a method replaced on the class before
+# then is the one its dispatch calls.
 SLOT_HANDLERS = {
     VMsg: "on_v",
     AbbaPreprocess: "on_preprocess",

@@ -195,6 +195,9 @@ class Party(SlotOwner):
         self._selfq: List[Message] = []
         self._out: List[Message] = []  # a slot handler's emissions, emptied after each
         self._due = False  # a slot reported ready since the last finalize check
+        # Slot-level message type -> SlotInvocation function, resolved once here.
+        self._handlers = {kind: getattr(SlotInvocation, name)
+                          for kind, name in SLOT_HANDLERS.items()}
         # Slots report to a weak proxy: an unfinished party's live slots would
         # otherwise hold it in a reference cycle.
         self._owner = weakref.proxy(self)
@@ -272,7 +275,7 @@ class Party(SlotOwner):
                 if msg.instance > current or type(msg) is Recover:
                     self._route(sender, msg)
             return
-        slots = inst.slots
+        slots, handlers = inst.slots, self._handlers
         out, wire, selfq = self._out, self._wire, self._selfq
         for msg in msgs:
             instance = msg.instance
@@ -280,13 +283,13 @@ class Party(SlotOwner):
                 if instance > current or type(msg) is Recover:
                     self._route(sender, msg)
                 continue
-            name = SLOT_HANDLERS.get(type(msg))
-            if name is None:
+            handler = handlers.get(type(msg))
+            if handler is None:
                 self._dispatch(sender, msg)
                 continue
             inv = slots.get(msg.slot)
             if inv is not None:
-                getattr(inv, name)(sender, msg, out)
+                handler(inv, sender, msg, out)
                 if out:  # _multicast, inlined: this runs once per entry
                     wire += out
                     selfq += out

@@ -25,14 +25,26 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .committee import Committee
-from .crypto import Ciphertext, ThresholdSignature, key_setup
+from .crypto import (
+    Ciphertext,
+    CoinShare,
+    DecryptionShare,
+    SignatureShare,
+    ThresholdSignature,
+    key_setup,
+)
 from .invocation import SlotInvocation
 from .messages import (
     BROADCAST,
+    AbbaCoinShare,
     AbbaMainvote,
+    AbbaPreprocess,
     AbbaPrevote,
+    CsShare,
+    DecShare,
     Envelope,
     PpbPayload,
+    PpbShare,
     Proposal,
     RecoverResp,
     Suggestion,
@@ -178,15 +190,15 @@ class QueueItem:
     targeted: Optional[bool] = None
 
 
+def _carries_pair(m) -> bool:
+    """Whether entry `m` carries a slot's (ciphertext, proof) pair."""
+    return isinstance(m, (Proposal, Suggestion, RecoverResp)) \
+        or (isinstance(m, VMsg) and m.ciphertext is not None)
+
+
 def _pair_entries(env: Envelope, instance: int, slot: int) -> bool:
-    for m in env.entries:
-        if isinstance(m, (Proposal, Suggestion, RecoverResp)) and m.instance == instance \
-                and m.slot == slot:
-            return True
-        if isinstance(m, VMsg) and m.ciphertext is not None and m.instance == instance \
-                and m.slot == slot:
-            return True
-    return False
+    return any(m.instance == instance and m.slot == slot and _carries_pair(m)
+               for m in env.entries)
 
 
 class Policy:
@@ -196,9 +208,6 @@ class Policy:
     def __init__(self, params: dict, rng: random.Random):
         self.rng = rng
 
-    def note_enqueue(self, item: QueueItem) -> None:
-        pass
-
 
 class FifoPolicy(Policy):
     def choose(self, pending: List[QueueItem]) -> int:
@@ -206,14 +215,29 @@ class FifoPolicy(Policy):
 
 
 class RandomPolicy(Policy):
+    """Draws each index as `rng.randrange(len(pending))` does, without its
+    call frames: `len(pending).bit_length()` random bits, drawn again while
+    the result is out of range, so the sequence of choices is the same."""
+
+    def __init__(self, params: dict, rng: random.Random):
+        super().__init__(params, rng)
+        self._getrandbits = rng.getrandbits
+
     def choose(self, pending: List[QueueItem]) -> int:
-        return self.rng.randrange(len(pending))
+        n = len(pending)
+        k = n.bit_length()
+        getrandbits = self._getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
 
 class TargetingPolicy(Policy):
-    """Targets the (instance, slot) of the first proposal enqueued.  The
-    target never changes once set, so each queued item is classified against
-    it once, by `touches`, the first time `choose` looks at the item: an item
+    """Targets the (instance, slot) of the first proposal enqueued; the event
+    loop shows it each queued item until the target is set.  The target
+    never changes once set, so each queued item is classified against it
+    once, by `touches`, the first time `choose` looks at the item: an item
     queued before the first proposal can touch the target too."""
 
     target: Optional[Tuple[int, int]] = None
@@ -282,10 +306,25 @@ POLICIES = {
 # -- byzantine behaviors -------------------------------------------------------------
 
 
+# Every share-carrying message kind keeps its share in its last field, and
+# every share type its share bytes: the names of the fields before it.
+_LEADING_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))[:-1]
+    for cls in (CsShare, PpbShare, AbbaPreprocess, AbbaPrevote, AbbaMainvote, AbbaCoinShare,
+                DecShare, SignatureShare, CoinShare, DecryptionShare)
+}
+
+
+def _with_last(obj, value):
+    """A copy of `obj` with its last field set to `value`, by one constructor
+    call rather than `dataclasses.replace`."""
+    return type(obj)(*[getattr(obj, name) for name in _LEADING_FIELDS[type(obj)]], value)
+
+
 def _flip_share(msg):
     share = msg.share
-    mutated = bytes([share.share_bytes[0] ^ 0xFF]) + share.share_bytes[1:]
-    return dataclasses.replace(msg, share=dataclasses.replace(share, share_bytes=mutated))
+    raw = share.share_bytes
+    return _with_last(msg, _with_last(share, bytes([raw[0] ^ 0xFF]) + raw[1:]))
 
 
 class Behavior:
@@ -341,7 +380,7 @@ class EquivocatePpbBehavior(Behavior):
     def mutate(self, step: int, dst: int, msg):
         if isinstance(msg, PpbPayload) and dst % 2 == 1:
             alt = self.crypto.tpke_enc(b"EQV" + msg.instance.to_bytes(8, "big"))
-            return dataclasses.replace(msg, ciphertext=alt)
+            return PpbPayload(msg.instance, msg.slot, alt)
         return msg
 
 
@@ -435,18 +474,22 @@ class RunRecorder(Observer):
 
     def _lemma_snapshot(self, instance: int) -> None:
         committee = next(iter(self.committees.get(instance, {}).values()), ())
+        held_by = [party.held_pairs(instance) for party in self.parties]
+        # One pass over the queue and the envelope being handled: the parties
+        # each slot's pair is on its way to from an honest sender.
+        envs: List[Envelope] = [i.env for i in self.pending]
+        if self.current_env is not None:
+            envs.append(self.current_env)
+        inflight: Dict[int, Set[int]] = {}
+        for env in envs:
+            if env.sender in self.honest:
+                for m in env.entries:
+                    if m.instance == instance and _carries_pair(m):
+                        inflight.setdefault(m.slot, set()).add(env.dst)
         per_slot = {}
         for slot in committee:
-            held = {p for p in range(self.cfg.n) if slot in self.parties[p].held_pairs(instance)}
-            effective = set(held)
-            envs: List[Envelope] = [i.env for i in self.pending]
-            if self.current_env is not None:
-                envs.append(self.current_env)
-            for env in envs:
-                if env.sender in self.honest and env.dst not in effective:
-                    if _pair_entries(env, instance, slot):
-                        effective.add(env.dst)
-            per_slot[slot] = (len(held), len(effective))
+            held = {p for p, slots in enumerate(held_by) if slot in slots}
+            per_slot[slot] = (len(held), len(held | inflight.get(slot, set())))
         best_held = max((h for h, _ in per_slot.values()), default=0)
         best_eff = max((e for _, e in per_slot.values()), default=0)
         self.lemma.append(
@@ -666,6 +709,7 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
         for spec in cfg.byzantine
     }
     pol = POLICIES[cfg.policy](params, random.Random(f"{seed}|policy"))
+    targeting = isinstance(pol, TargetingPolicy)
     fairness_bound = params.get("fairness_bound", 64 * len(parties))
     max_steps = cfg.max_steps
     honest = {p for p in range(len(parties)) if p not in behaviors}
@@ -681,7 +725,8 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
             if env.sender != pid:  # behaviors cannot spoof the sender
                 env = Envelope(pid, env.instance, env.entries, dst=env.dst)
             item = QueueItem(step, env)
-            pol.note_enqueue(item)
+            if targeting and pol.target is None:
+                pol.note_enqueue(item)
             pending.append(item)
 
     for p in parties:

@@ -416,7 +416,7 @@ def test_pad_state_mac_equals_hmac(key, msg):
 
 @settings(max_examples=60, deadline=None)
 @given(key=st.binary(max_size=80), label=st.binary(max_size=80),
-       nbytes=st.sampled_from((0, 31, 32, 33, 25_600)))
+       nbytes=st.sampled_from((0, 1, 31, 32, 33, 64, 65, 25_600)))
 def test_stream_equals_per_block_mac(key, label, nbytes):
     mac = _MacKey(key)
     blocks = (nbytes + DIGEST_LEN - 1) // DIGEST_LEN

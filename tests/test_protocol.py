@@ -137,6 +137,22 @@ def test_dispatch_table_covers_every_message_kind():
         assert callable(SlotInvocation.__dict__[name])
 
 
+def test_dispatch_calls_handlers_wrapped_before_the_run(monkeypatch):
+    """Parties resolve their handlers when built, so a wrapper put on the
+    class before `sim_run` is what every slot-level entry goes through."""
+    run = cfg(seed=4, instances=2, policy="random")
+    plain = sim_run(run).to_json()
+    called = []
+    for name in SLOT_HANDLERS.values():
+        def wrapper(inv, sender, msg, out, _orig=SlotInvocation.__dict__[name], _name=name):
+            called.append(_name)
+            return _orig(inv, sender, msg, out)
+        monkeypatch.setattr(SlotInvocation, name, wrapper)
+    assert sim_run(run).to_json() == plain
+    assert {"on_v", "on_preprocess", "on_prevote", "on_mainvote", "on_decision",
+            "on_dec_share"} <= set(called)
+
+
 def reference_flush(party: Party, wire) -> List[Envelope]:
     """Per-peer grouping of one step's wire items (a bare message for every
     peer, `(dst, msg)` for one), as every step was flushed before

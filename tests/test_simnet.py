@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import typing
 
 import pytest
 
@@ -12,11 +13,17 @@ from slimabc.crypto import key_setup
 from slimabc.messages import (
     ABSTAIN,
     JUST_NONE,
+    AbbaCoinShare,
     AbbaMainvote,
+    AbbaPreprocess,
     AbbaPrevote,
+    CsShare,
+    DecShare,
     Envelope,
     Justification,
+    Message,
     PpbPayload,
+    PpbShare,
     Proposal,
     Recover,
     RecoverResp,
@@ -240,6 +247,51 @@ def test_random_votes_change_votes_as_dataclass_replace_did():
             for e in envs]
     assert got == want
     assert got[-1] is envs[-1] and got[-2] is envs[-2]  # no vote or claim: passed as is
+
+
+def test_flipped_shares_equal_dataclass_replace():
+    """corrupt-shares builds each changed message directly; it must equal the
+    `dataclasses.replace` reference for every share-carrying kind."""
+    provider = key_setup(128, 4, 3, 0)
+    sig = provider.sig_share(3, b"vote")
+    coin = provider.coin_share(3, b"coin")
+    dec = provider.tpke_dec_share(3, provider.tpke_enc(b"batch"))
+    just = Justification(JUST_NONE)
+    msgs = [CsShare(1, coin), PpbShare(1, 3, sig), AbbaPreprocess(1, 0, 1, sig),
+            AbbaPrevote(1, 0, 1, 1, just, sig), AbbaMainvote(1, 0, 2, ABSTAIN, just, sig),
+            AbbaCoinShare(1, 0, 1, coin), DecShare(1, 3, dec)]
+    assert {type(m) for m in msgs} == {
+        kind for kind in typing.get_args(Message)
+        if "share" in {fld.name for fld in dataclasses.fields(kind)}}
+    behavior = BEHAVIORS["corrupt-shares"](BehaviorSpec(3, "corrupt-shares"),
+                                           provider.party_handle(3), random.Random(0))
+    for msg in msgs:
+        raw = msg.share.share_bytes
+        flipped = dataclasses.replace(msg.share, share_bytes=bytes([raw[0] ^ 0xFF]) + raw[1:])
+        got = behavior.mutate(0, 1, msg)
+        assert got == dataclasses.replace(msg, share=flipped)
+        assert type(got) is type(msg) and type(got.share) is type(msg.share)
+
+
+def test_equivocated_payload_equals_dataclass_replace():
+    provider = key_setup(128, 4, 3, 0)
+    payload = PpbPayload(2, 3, provider.tpke_enc(b"batch"))
+    behavior = BEHAVIORS["equivocate-ppb"](BehaviorSpec(3, "equivocate-ppb"),
+                                           provider.party_handle(3), random.Random(0))
+    alt = provider.tpke_enc(b"EQV" + (2).to_bytes(8, "big"))
+    assert behavior.mutate(0, 1, payload) == dataclasses.replace(payload, ciphertext=alt)
+    assert behavior.mutate(0, 2, payload) is payload
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_random_policy_draws_as_randrange(seed):
+    """Lengths 1, 2, every power of two and one past it, where the rejection
+    loop of `randrange` redraws least and most often."""
+    lengths = sorted({m for k in range(12) for m in (2**k, 2**k + 1)})
+    pol = POLICIES["random"]({}, random.Random(seed))
+    ref = random.Random(seed)
+    for length in lengths * 25:
+        assert pol.choose([None] * length) == ref.randrange(length)
 
 
 def test_lemma_checks_recorded_under_starvation():
