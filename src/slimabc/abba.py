@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from .crypto import CoinShare, PartyCrypto, SignatureShare, ThresholdSignature
+from .crypto import CoinShare, PartyCrypto, ThresholdSignature
 from .messages import (
     ABSTAIN,
     AbbaCoinShare,

@@ -43,11 +43,10 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 DIGEST_LEN = 32
 TAG_LEN = 8  # length of share / combined-signature evidence tags
-KM_MAGIC = b"SABC-KM1"
 
 # Entry bounds of the provider-private memos; the oldest entry goes first.
 TPKE_MEMO_MAX = 64
@@ -185,11 +184,9 @@ class ThresholdProvider:
             raise ValueError(f"t_sig must satisfy f < t_sig <= n-f, got {t_sig}")
         if not 1 <= security_param < 2**32:
             raise ValueError(f"security_param must be in 1..2**32-1, got {security_param}")
-        self.security_param = security_param
         self.n = n
         self.f = f
         self.t_sig = t_sig
-        self.seed = seed
         master = digest(
             b"SABC-DEALER" + struct.pack(">QHHI", seed & (2**64 - 1), n, t_sig, security_param)
         )
@@ -384,27 +381,11 @@ class ThresholdProvider:
             _remember(self._plaintexts, d, plaintext, TPKE_MEMO_MAX)
         return plaintext
 
-    # -- capabilities and serialization -------------------------------------
+    # -- capabilities ---------------------------------------------------------
 
     def party_handle(self, party: int) -> "PartyCrypto":
         self._check_party(party)
         return PartyCrypto(self, party)
-
-    def serialize(self) -> bytes:
-        blob = KM_MAGIC + struct.pack(
-            ">IHHQ", self.security_param, self.n, self.t_sig, self.seed & (2**64 - 1)
-        )
-        return blob + digest(blob)[:4]
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "ThresholdProvider":
-        if len(blob) != len(KM_MAGIC) + 16 + 4 or not blob.startswith(KM_MAGIC):
-            raise ValueError("bad key-material blob")
-        body, check = blob[:-4], blob[-4:]
-        if digest(body)[:4] != check:
-            raise ValueError("key-material checksum mismatch")
-        sec, n, t_sig, seed = struct.unpack(">IHHQ", body[len(KM_MAGIC):])
-        return cls(sec, n, t_sig, seed)
 
 
 class PartyCrypto:

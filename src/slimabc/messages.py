@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .crypto import (
-    TAG_LEN,
     Ciphertext,
     CoinShare,
     DecryptionShare,

@@ -22,7 +22,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .committee import Committee
 from .crypto import (
@@ -196,11 +196,6 @@ def _carries_pair(m) -> bool:
         or (isinstance(m, VMsg) and m.ciphertext is not None)
 
 
-def _pair_entries(env: Envelope, instance: int, slot: int) -> bool:
-    return any(m.instance == instance and m.slot == slot and _carries_pair(m)
-               for m in env.entries)
-
-
 class Policy:
     """Picks which pending envelope is delivered next (`choose` returns its
     index).  Every policy is built as cls(policy_params, rng)."""
@@ -259,8 +254,7 @@ class AdversarialDelayPolicy(TargetingPolicy):
 
     def touches(self, env: Envelope) -> bool:
         inst, slot = self.target
-        return any(getattr(m, "slot", None) == slot and m.instance == inst
-                   for m in env.entries)
+        return any(m.slot == slot and m.instance == inst for m in env.entries)
 
     def choose(self, pending: List[QueueItem]) -> int:
         if self.target is None:
@@ -282,7 +276,9 @@ class TargetedStarvePolicy(TargetingPolicy):
     is deliverable, so that slot's agreement must run without it."""
 
     def touches(self, env: Envelope) -> bool:
-        return _pair_entries(env, *self.target)
+        inst, slot = self.target
+        return any(m.slot == slot and m.instance == inst and _carries_pair(m)
+                   for m in env.entries)
 
     def choose(self, pending: List[QueueItem]) -> int:
         if self.target is not None:
@@ -426,6 +422,15 @@ BEHAVIORS = {
 # -- run recording and property checking ------------------------------------------------
 
 
+class RunContext(NamedTuple):
+    """What the property checks read of a finished run."""
+    stalled: bool
+    honest: List[int]  # sorted
+    logs: List[list]  # the honest parties' delivery logs, in `honest` order
+    ref: Party  # the first honest party; the report shows its outputs
+    finalized: int  # instances every honest party finalized
+
+
 class RunRecorder(Observer):
     def __init__(self, cfg: SimConfig, provider):
         self.cfg = cfg
@@ -503,159 +508,134 @@ class RunRecorder(Observer):
             }
         )
 
-    # Final assertions --------------------------------------------------------------
+    # Property checks ---------------------------------------------------------------
+    # Each yields (property, detail) per violation, in report order; a violation
+    # breaks the key named after its property, or the keys listed after detail.
 
-    def _fail(self, name: str, detail: str) -> None:
-        self.failures.append(f"{name}: {detail}")
-
-    def finish(self, steps: int, messages: int, nbytes: int, stalled: bool,
-               fairness_overrides: int) -> RunReport:
+    def context(self, stalled: bool) -> RunContext:
         honest = sorted(self.honest)
         parties = self.parties
-        asserts: Dict[str, bool] = {}
+        return RunContext(stalled, honest, [parties[p].log for p in honest], parties[honest[0]],
+                          min((len(parties[p].outputs_by_instance) for p in honest), default=0))
 
-        committees_ok = all(
-            len({members for members in per.values()}) == 1 for per in self.committees.values()
-        )
-        asserts["committee_agreement"] = committees_ok
-        if not committees_ok:
-            self._fail("committee_agreement", "honest parties derived different committees")
+    def check_committees(self, run: RunContext):
+        if any(len(set(per.values())) != 1 for per in self.committees.values()):
+            yield "committee_agreement", "honest parties derived different committees"
 
-        logs = [parties[p].log for p in honest]
-        if stalled:
-            shortest = min(len(lg) for lg in logs)
-            agree = all(lg[:shortest] == logs[0][:shortest] for lg in logs)
-        else:
-            agree = all(lg == logs[0] for lg in logs)
-        asserts["agreement"] = agree
-        if not agree:
-            self._fail("agreement", "honest delivery logs diverge")
+    def check_agreement(self, run: RunContext):
+        logs = run.logs
+        k = min(len(lg) for lg in logs) if run.stalled else None  # a stalled run: shared prefix
+        if any(lg[:k] != logs[0][:k] for lg in logs):
+            yield "agreement", "honest delivery logs diverge"
 
-        prefix_ok = True
-        for lg in logs:
-            k = min(len(lg), len(logs[0]))
-            if lg[:k] != logs[0][:k]:
-                prefix_ok = False
-        asserts["total_order"] = prefix_ok
-        if not prefix_ok:
-            self._fail("total_order", "logs are not prefix-consistent")
+    def check_total_order(self, run: RunContext):
+        first = run.logs[0]
+        # of two logs, the shorter is a prefix of the longer
+        if any(lg[:len(first)] != first[:len(lg)] for lg in run.logs):
+            yield "total_order", "logs are not prefix-consistent"
 
-        asserts["totality"] = not stalled
-        if stalled:
-            self._fail("totality", "some honest party did not finish all instances")
+    def check_totality(self, run: RunContext):
+        if run.stalled:
+            yield "totality", "some honest party did not finish all instances"
 
-        dedup_ok = all(len({r for (_, _, r) in lg}) == len(lg) for lg in logs)
-        asserts["delivery_dedup"] = dedup_ok
-        if not dedup_ok:
-            self._fail("delivery_dedup", "a request was delivered twice")
+    def check_dedup(self, run: RunContext):
+        if any(len({r for (_, _, r) in lg}) != len(lg) for lg in run.logs):
+            yield "delivery_dedup", "a request was delivered twice"
 
-        content_ok = True
-        decided_one_ok = True
-        finalized = min((len(parties[p].outputs_by_instance) for p in honest), default=0)
-        for inst in range(1, finalized + 1):
-            ref = parties[honest[0]]
-            outputs = ref.outputs_by_instance[inst]
-            if not any(
-                bit == 1
-                for (i, s), per in self.decisions.items()
-                if i == inst
-                for bit, _ in per.values()
-            ):
-                decided_one_ok = False
-                self._fail("validity_decided_one", f"instance {inst}: no slot decided 1")
+    def check_validity(self, run: RunContext):  # both validity keys, instance by instance
+        ref = run.ref
+        for inst in range(1, run.finalized + 1):
+            if not any(bit == 1 for (i, _), per in self.decisions.items() if i == inst
+                       for bit, _ in per.values()):
+                yield "validity_decided_one", f"instance {inst}: no slot decided 1"
             committee = next(iter(self.committees.get(inst, {}).values()), ())
-            for slot, batch in outputs.items():
+            for slot, batch in ref.outputs_by_instance[inst].items():
                 pair = ref.archive.get(inst, {}).get(slot)
+                where = f"instance {inst} slot {slot}"
                 if slot not in committee:
-                    content_ok = False
-                    self._fail("validity_content", f"instance {inst} slot {slot} not in committee")
+                    yield "validity_content", f"{where} not in committee"
                 elif pair is None:
-                    content_ok = False
-                    self._fail("validity_content", f"instance {inst} slot {slot} missing pair")
+                    yield "validity_content", f"{where} missing pair"
                 elif self.provider.tpke_enc(batch.encode()).ct_digest() != pair[0].ct_digest():
-                    content_ok = False
-                    self._fail(
-                        "validity_content",
-                        f"instance {inst} slot {slot} batch does not re-encrypt to the "
-                        f"broadcast ciphertext",
-                    )
+                    yield ("validity_content",
+                           f"{where} batch does not re-encrypt to the broadcast ciphertext")
                 if batch.proposer != slot or batch.instance != inst:
-                    content_ok = False
-                    self._fail("validity_content", f"instance {inst} slot {slot} binding broken")
-        asserts["validity_content"] = content_ok
-        asserts["validity_decided_one"] = decided_one_ok
+                    yield "validity_content", f"{where} binding broken"
 
-        if not self.cfg.byzantine:
-            nonempty = all(
-                parties[honest[0]].outputs_by_instance.get(i) for i in range(1, finalized + 1)
-            )
-            asserts["validity_nonempty"] = bool(nonempty) if finalized else not stalled
-            if not asserts["validity_nonempty"]:
-                self._fail("validity_nonempty", "fault-free instance delivered nothing")
+    def check_nonempty(self, run: RunContext):
+        outputs = run.ref.outputs_by_instance
+        if (run.stalled and not run.finalized) \
+                or not all(outputs.get(i) for i in range(1, run.finalized + 1)):
+            yield "validity_nonempty", "fault-free instance delivered nothing"
 
-        abba_agree = True
+    def check_abba_agreement(self, run: RunContext):
         for (inst, slot), per in self.decisions.items():
             bits = {bit for bit, _ in per.values()}
             if len(bits) > 1:
-                abba_agree = False
-                self._fail("abba_agreement", f"instance {inst} slot {slot} decided {bits}")
-        asserts["abba_agreement"] = abba_agree
+                yield "abba_agreement", f"instance {inst} slot {slot} decided {bits}"
 
-        abba_valid = True
+    def check_abba_validity(self, run: RunContext):
         for (inst, slot), per in self.decisions.items():
             bits = {bit for bit, _ in per.values()}
-            if bits == {0}:
-                if not any(b == 0 for b in self.inputs.get((inst, slot), {}).values()):
-                    abba_valid = False
-                    self._fail(
-                        "abba_validity", f"instance {inst} slot {slot}: 0 without honest 0-input"
-                    )
-            if bits == {1}:
-                held = any(slot in parties[p].held_pairs(inst) for p in honest)
-                if not held and not any(
-                    b == 1 for b in self.inputs.get((inst, slot), {}).values()
-                ):
-                    abba_valid = False
-                    self._fail(
-                        "abba_validity",
-                        f"instance {inst} slot {slot}: 1 without honest 1-input or proven pair",
-                    )
-        asserts["abba_validity"] = abba_valid
+            inputs = self.inputs.get((inst, slot), {}).values()
+            if bits == {0} and 0 not in inputs:
+                yield "abba_validity", f"instance {inst} slot {slot}: 0 without honest 0-input"
+            if bits == {1} and 1 not in inputs \
+                    and not any(slot in self.parties[p].held_pairs(inst) for p in run.honest):
+                yield ("abba_validity",
+                       f"instance {inst} slot {slot}: 1 without honest 1-input or proven pair")
 
-        biased_ok = True
+    def check_biased_validity(self, run: RunContext):
         for (inst, slot), per in self.inputs.items():
-            ones = sum(1 for b in per.values() if b == 1)
-            if ones >= self.cfg.f + 1:
-                decided = self.decisions.get((inst, slot), {})
-                if decided and any(bit != 1 for bit, _ in decided.values()):
-                    biased_ok = False
-                    self._fail(
-                        "biased_validity",
-                        f"instance {inst} slot {slot}: {ones} honest 1-inputs but decided 0",
-                    )
-        asserts["biased_validity"] = biased_ok
+            ones = list(per.values()).count(1)
+            decided = self.decisions.get((inst, slot), {}).values()
+            if ones >= self.cfg.f + 1 and any(bit != 1 for bit, _ in decided):
+                yield ("biased_validity",
+                       f"instance {inst} slot {slot}: {ones} honest 1-inputs but decided 0")
 
-        asserts["lemma1"] = all(entry["lemma1"] for entry in self.lemma)
-        asserts["lemma2"] = all(entry["lemma2"] for entry in self.lemma)
+    def check_lemmas(self, run: RunContext):
         for entry in self.lemma:
-            if not entry["lemma1"] or not entry["lemma2"]:
-                self._fail("lemma", f"instance {entry['instance']}: {entry}")
+            broken = [key for key in ("lemma1", "lemma2") if not entry[key]]
+            if broken:
+                yield ("lemma", f"instance {entry['instance']}: {entry}", *broken)
 
-        ratios = {}
-        ref = parties[honest[0]]
-        for inst, outputs in ref.outputs_by_instance.items():
-            ratios[inst] = duplicate_ratio([b.requests for b in outputs.values()])
+    # (check, the assertion keys it owns), in the order the failures are reported
+    CHECKS = (
+        (check_committees, ("committee_agreement",)),
+        (check_agreement, ("agreement",)),
+        (check_total_order, ("total_order",)),
+        (check_totality, ("totality",)),
+        (check_dedup, ("delivery_dedup",)),
+        (check_validity, ("validity_content", "validity_decided_one")),
+        (check_nonempty, ("validity_nonempty",)),
+        (check_abba_agreement, ("abba_agreement",)),
+        (check_abba_validity, ("abba_validity",)),
+        (check_biased_validity, ("biased_validity",)),
+        (check_lemmas, ("lemma1", "lemma2")),
+    )
 
+    def finish(self, steps: int, messages: int, nbytes: int, stalled: bool,
+               fairness_overrides: int) -> RunReport:
+        run = self.context(stalled)
+        asserts: Dict[str, bool] = {}
+        for check, keys in self.CHECKS:
+            if check is RunRecorder.check_nonempty and self.cfg.byzantine:
+                continue  # a faulty run may rightly deliver nothing
+            asserts.update(dict.fromkeys(keys, True))
+            for prop, detail, *broken in check(self, run):
+                asserts.update(dict.fromkeys(broken or (prop,), False))
+                self.failures.append(f"{prop}: {detail}")
+
+        ratios = {inst: duplicate_ratio([b.requests for b in outputs.values()])
+                  for inst, outputs in run.ref.outputs_by_instance.items()}
         censorship = None
         if self.cfg.overlap > 0 and round(self.cfg.overlap * self.cfg.pool_size) >= 1:
             marked = instance_pool(self.cfg, 1, 0)[0]
-            delivered_at = next(
-                (inst for inst, slot, r in ref.log if r == marked), None
-            )
+            delivered_at = next((inst for inst, _, r in run.ref.log if r == marked), None)
             censorship = {"marked_delivered_instance": delivered_at}
 
         h = hashlib.sha256()
-        for inst, slot, req in ref.log:
+        for inst, slot, req in run.ref.log:
             h.update(inst.to_bytes(8, "big") + slot.to_bytes(2, "big") + req)
 
         # Each party holds this recorder as its observer; letting go of the
@@ -667,7 +647,7 @@ class RunRecorder(Observer):
             steps=steps,
             messages=messages,
             bytes=nbytes,
-            finalized_instances=finalized,
+            finalized_instances=run.finalized,
             phases=dict(self.phases),
             rounds={
                 f"{i}:{s}": max(round_ for _, round_ in per.values())
@@ -677,7 +657,7 @@ class RunRecorder(Observer):
                 f"{i}:{s}": next(iter(per.values()))[0] for (i, s), per in self.decisions.items()
             },
             duplicate_ratios=ratios,
-            delivered_total=len(ref.log),
+            delivered_total=len(run.ref.log),
             log_digest=h.hexdigest(),
             lemma=self.lemma,
             censorship=censorship,

@@ -338,23 +338,6 @@ def test_party_handle_delegates():
     assert h.dec_share(c).holder == 3
 
 
-def test_key_material_serialize_roundtrip():
-    p = provider(7, seed=123)
-    blob = p.serialize()
-    q = ThresholdProvider.deserialize(blob)
-    assert (q.n, q.t_sig, q.seed) == (p.n, p.t_sig, p.seed)
-    assert q.sig_share(0, b"m").share_bytes == p.sig_share(0, b"m").share_bytes
-
-
-def test_key_material_blob_checked():
-    blob = provider().serialize()
-    with pytest.raises(ValueError):
-        ThresholdProvider.deserialize(blob[:-1])
-    tampered = blob[:-5] + bytes([blob[-5] ^ 1]) + blob[-4:]
-    with pytest.raises(ValueError):
-        ThresholdProvider.deserialize(tampered)
-
-
 # -- known-answer vectors ------------------------------------------------------
 # Fixed outputs of a fixed-seed provider.  Any change to the derivation or
 # to how it is computed must leave every byte here unchanged.

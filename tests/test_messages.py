@@ -1,5 +1,6 @@
 """Wire encoding: the computed envelope size matches the encoded bytes."""
 import dataclasses
+import typing
 
 from slimabc import BehaviorSpec, SimConfig, sim_run
 from slimabc.crypto import key_setup
@@ -20,6 +21,7 @@ from slimabc.messages import (
     DecShare,
     Envelope,
     Justification,
+    Message,
     PpbPayload,
     PpbShare,
     Proposal,
@@ -88,6 +90,18 @@ def test_size_equals_encoded_length_for_every_kind():
     again = Envelope(3, 7, tuple(reversed(msgs)))
     assert again.size() == len(again.encode())
     assert Envelope(0, 1, ()).size() == len(Envelope(0, 1, ()).encode())
+
+
+def test_every_kind_has_a_slot():
+    """Policies and the recorder read `m.slot` of any entry: an int, except
+    the committee coin share, which belongs to no slot."""
+    msgs = one_of_each()
+    assert {type(m) for m in msgs} == set(typing.get_args(Message))
+    for m in msgs:
+        if type(m) is CsShare:
+            assert m.slot is None
+        else:
+            assert type(m.slot) is int, type(m).__name__
 
 
 def test_size_equals_encoded_length_in_faulty_runs(monkeypatch):

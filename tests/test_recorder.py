@@ -243,6 +243,17 @@ def test_every_assertion_key_is_made_to_fail():
     assert fired == set(planted_report(None, False).assertions)
 
 
+def test_each_check_runs_on_its_own():
+    """Calling the checks one by one, before `finish`, yields its failures."""
+    rec, parties, _ = honest_run()
+    _many(rec, parties)
+    run = rec.context(False)
+    found = [f"{prop}: {detail}" for check, _ in RunRecorder.CHECKS
+             for prop, detail, *_ in check(rec, run)]
+    assert found == planted_report("many", False).failures
+    assert [v[2:] for v in rec.check_lemmas(run)] == [("lemma2",), ("lemma1", "lemma2")]
+
+
 def test_planted_reports_pinned():
     h = hashlib.sha256()
     for name in CASES:
