@@ -1,5 +1,8 @@
-"""Wire encoding: the computed envelope size matches the encoded bytes."""
+"""Wire encoding: the computed envelope size matches the encoded bytes,
+and the bytes themselves are pinned."""
 import dataclasses
+import hashlib
+import itertools
 import typing
 
 from slimabc import BehaviorSpec, SimConfig, sim_run
@@ -31,6 +34,7 @@ from slimabc.messages import (
     VMsg,
 )
 from slimabc.protocol import Party
+from slimabc.simnet import BEHAVIORS, POLICIES
 
 
 def one_of_each():
@@ -118,3 +122,34 @@ def test_size_equals_encoded_length_in_faulty_runs(monkeypatch):
                         byzantine=tuple(BehaviorSpec(p, kind) for p in range(2)))
         assert sim_run(cfg).ok
     assert seen and all(seen)
+
+
+# sha256 over the encoded envelope of each `one_of_each()` message, then over
+# every envelope an honest party sent in the runs of `test_wire_bytes_pinned`,
+# in delivery order.  The size checks above see lengths only; this sees content.
+WIRE_DIGEST = "32629a32b33dbdd2273fbe8589b7c595bcab7df5fa3ca8d562225b65d0632ca1"
+
+
+def test_wire_bytes_pinned(monkeypatch):
+    h = hashlib.sha256()
+    for m in one_of_each():
+        h.update(Envelope(1, 1, (m,)).encode())
+    handle = Party.handle
+    honest = set()
+
+    def recorded(self, env):
+        if env.sender in honest:
+            h.update(env.encode())
+        return handle(self, env)
+
+    monkeypatch.setattr(Party, "handle", recorded)
+    runs = 0
+    for (n, f), fault, policy in itertools.product(((4, 1), (7, 2)), BEHAVIORS, POLICIES):
+        cfg = SimConfig(n=n, f=f, seed=runs, instances=1, policy=policy,
+                        byzantine=tuple(BehaviorSpec(p, fault, at_step=9) for p in range(f)))
+        honest.clear()
+        honest.update(cfg.honest())
+        sim_run(cfg)
+        runs += 1
+    assert runs == 48
+    assert h.hexdigest() == WIRE_DIGEST

@@ -332,6 +332,25 @@ def test_trace_replay_catches_tampering(tmp_path):
     assert step is not None
 
 
+def test_trace_replay_names_a_truncated_trace(tmp_path):
+    trace = tmp_path / "run.trace"
+    sim_run(base_cfg(seed=7), trace_path=str(trace))
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 89  # the header and steps 1..88
+    trace.write_text("\n".join(lines[:-3]) + "\n")
+    assert replay_trace(str(trace)) == (False, 86, "trace ended early")
+
+
+def test_trace_replay_names_an_over_long_trace(tmp_path):
+    trace = tmp_path / "run.trace"
+    sim_run(base_cfg(seed=7), trace_path=str(trace))
+    lines = trace.read_text().splitlines()
+    extra = json.loads(lines[-1])
+    extra["step"] += 1
+    trace.write_text("\n".join(lines + [json.dumps(extra)]) + "\n")
+    assert replay_trace(str(trace)) == (False, 89, "replay ended early")
+
+
 # -- agreement harness ----------------------------------------------------------------
 
 def test_harness_deterministic_and_validated():
