@@ -543,24 +543,36 @@ class RunRecorder(Observer):
             yield "delivery_dedup", "a request was delivered twice"
 
     def check_validity(self, run: RunContext):  # both validity keys, instance by instance
-        ref = run.ref
         for inst in range(1, run.finalized + 1):
             if not any(bit == 1 for (i, _), per in self.decisions.items() if i == inst
                        for bit, _ in per.values()):
                 yield "validity_decided_one", f"instance {inst}: no slot decided 1"
             committee = next(iter(self.committees.get(inst, {}).values()), ())
-            for slot, batch in ref.outputs_by_instance[inst].items():
-                pair = ref.archive.get(inst, {}).get(slot)
-                where = f"instance {inst} slot {slot}"
-                if slot not in committee:
-                    yield "validity_content", f"{where} not in committee"
-                elif pair is None:
-                    yield "validity_content", f"{where} missing pair"
-                elif self.provider.tpke_enc(batch.encode()).ct_digest() != pair[0].ct_digest():
-                    yield ("validity_content",
-                           f"{where} batch does not re-encrypt to the broadcast ciphertext")
-                if batch.proposer != slot or batch.instance != inst:
-                    yield "validity_content", f"{where} binding broken"
+            # The first honest party's batches are re-encrypted; every other party's
+            # outputs are compared with the ones that passed there.
+            passed = None  # slot -> (batch, pair) of the first party's sound outputs
+            for p in run.honest:
+                party, sound = self.parties[p], {}
+                at = "" if passed is None else f" at party {p}"
+                for slot, batch in party.outputs_by_instance[inst].items():
+                    pair, faults = party.archive.get(inst, {}).get(slot), []
+                    if slot not in committee:
+                        faults.append("not in committee")
+                    elif pair is None:
+                        faults.append("missing pair")
+                    elif passed is not None:
+                        if passed.get(slot, (batch, pair)) != (batch, pair):
+                            faults.append(f"differs from party {run.honest[0]}")
+                    elif self.provider.tpke_enc(batch.encode()).ct_digest() != pair[0].ct_digest():
+                        faults.append("batch does not re-encrypt to the broadcast ciphertext")
+                    if batch.proposer != slot or batch.instance != inst:
+                        faults.append("binding broken")
+                    for fault in faults:
+                        yield "validity_content", f"instance {inst} slot {slot}{at} {fault}"
+                    if not faults:
+                        sound[slot] = (batch, pair)
+                if passed is None:
+                    passed = sound
 
     def check_nonempty(self, run: RunContext):
         outputs = run.ref.outputs_by_instance

@@ -56,6 +56,19 @@ def _binding_broken(rec, parties):
     ref.archive[1][0] = (rec.provider.tpke_enc(batch.encode()), ref.archive[1][0][1])
 
 
+def _other_party_output(rec, parties):
+    """The binding-broken and missing-pair faults, at a party other than the first."""
+    other = parties[1]
+    other.outputs_by_instance[1][0] = RequestBatch(1, 1, other.outputs_by_instance[1][0].requests)
+    del other.archive[1][0]
+
+
+def _other_party_content(rec, parties):
+    """A batch the first party's re-encryption check would catch, at party 1."""
+    other = parties[1]
+    other.outputs_by_instance[1][0] = RequestBatch(0, 1, other.outputs_by_instance[1][0].requests[1:])
+
+
 def _decide_zero(rec, inst, slot):
     rec.decisions[(inst, slot)] = {p: (0, r) for p, (_, r) in rec.decisions[(inst, slot)].items()}
 
@@ -140,6 +153,11 @@ CASES = {
         "ciphertext"]),
     "binding-broken": (_binding_broken, [
         "validity_content: instance 1 slot 0 binding broken"]),
+    "other-party-output": (_other_party_output, [
+        "validity_content: instance 1 slot 0 at party 1 missing pair",
+        "validity_content: instance 1 slot 0 at party 1 binding broken"]),
+    "other-party-content": (_other_party_content, [
+        "validity_content: instance 1 slot 0 at party 1 differs from party 0"]),
     "no-slot-decided-one": (_no_slot_decided_one, [
         "validity_decided_one: instance 2: no slot decided 1"]),
     "empty-instance": (_empty_instance, [
@@ -150,6 +168,9 @@ CASES = {
     "zero-without-zero-input": (_zero_without_zero_input, [
         "abba_validity: instance 1 slot 1: 0 without honest 0-input"]),
     "one-without-input-or-pair": (_one_without_input_or_pair, [
+        "validity_content: instance 1 slot 0 at party 1 missing pair",
+        "validity_content: instance 1 slot 0 at party 2 missing pair",
+        "validity_content: instance 1 slot 0 at party 3 missing pair",
         "abba_validity: instance 1 slot 0: 1 without honest 1-input or proven pair"]),
     "biased-zero": (_biased_zero, [
         "biased_validity: instance 2 slot 3: 3 honest 1-inputs but decided 0"]),
@@ -174,7 +195,7 @@ CASES = {
 }
 
 # sha256 over every case's report JSON, finished then stalled, in CASES order.
-PLANTED_DIGEST = "003a973ff56cc11674413a2c0bfd117e57659c48305b75ae72979e5be15affa2"
+PLANTED_DIGEST = "c20d0e2716dbd27f0b4dfa56626b0f8df8f78c1c8236483145f95832aea2aefb"
 
 
 def honest_run():
