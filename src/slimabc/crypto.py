@@ -119,23 +119,24 @@ def _remember(memo: dict, key, value, bound: int) -> None:
     memo[key] = value
 
 
+# A share holds its party and its tag, a signature its tag: each tag is a MAC over
+# the digest of what was signed, which the verifier recomputes from its inputs.
+
+
 @dataclass(frozen=True)
 class SignatureShare:
     signer: int
-    message_digest: bytes
     share_bytes: bytes
 
 
 @dataclass(frozen=True)
 class ThresholdSignature:
-    message_digest: bytes
     sig_bytes: bytes
 
 
 @dataclass(frozen=True)
 class CoinShare:
     holder: int
-    coin_name: bytes
     share_bytes: bytes
 
 
@@ -156,7 +157,6 @@ class Ciphertext:
 @dataclass(frozen=True)
 class DecryptionShare:
     holder: int
-    ciphertext_digest: bytes
     share_bytes: bytes
 
 
@@ -223,19 +223,16 @@ class ThresholdProvider:
 
     def sig_share(self, party: int, message: bytes) -> SignatureShare:
         self._check_party(party)
-        d = digest(message)
-        return SignatureShare(party, d, self._tag(self._party_keys[party], b"sig", d))
+        return SignatureShare(party, self._tag(self._party_keys[party], b"sig", digest(message)))
 
     def verify_share(self, message: bytes, signer: int, share: SignatureShare) -> bool:
-        key = (message, signer, share.signer, share.message_digest, share.share_bytes)
+        key = (message, signer, share.signer, share.share_bytes)
         if key in self._accepted:
             return True
         if not 0 <= signer < self.n or share.signer != signer:
             return False
-        d = digest(message)
-        if share.message_digest != d:
-            return False
-        ok = hmac.compare_digest(share.share_bytes, self._tag(self._party_keys[signer], b"sig", d))
+        tag = self._tag(self._party_keys[signer], b"sig", digest(message))
+        ok = hmac.compare_digest(share.share_bytes, tag)
         if ok:
             _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
         return ok
@@ -254,17 +251,13 @@ class ThresholdProvider:
         signers = {s.signer for s in shares}
         if len(signers) < self.t_sig:
             raise InsufficientSharesError(self.t_sig, len(signers))
-        d = digest(message)
-        return ThresholdSignature(d, self._tag(self._master, b"tsig", d))
+        return ThresholdSignature(self._tag(self._master, b"tsig", digest(message)))
 
     def verify_signature(self, message: bytes, sig: ThresholdSignature) -> bool:
-        key = (message, sig.message_digest, sig.sig_bytes)
+        key = (message, sig.sig_bytes)  # never equal to a verify_share key, which has four
         if key in self._accepted:
             return True
-        d = digest(message)
-        if sig.message_digest != d:
-            return False
-        ok = hmac.compare_digest(sig.sig_bytes, self._tag(self._master, b"tsig", d))
+        ok = hmac.compare_digest(sig.sig_bytes, self._tag(self._master, b"tsig", digest(message)))
         if ok:
             _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
         return ok
@@ -273,10 +266,10 @@ class ThresholdProvider:
 
     def coin_share(self, party: int, coin_name: bytes) -> CoinShare:
         self._check_party(party)
-        return CoinShare(party, coin_name, self._tag(self._party_keys[party], b"coin", coin_name))
+        return CoinShare(party, self._tag(self._party_keys[party], b"coin", coin_name))
 
     def coin_share_verify(self, coin_name: bytes, holder: int, share: CoinShare) -> bool:
-        if not 0 <= holder < self.n or share.holder != holder or share.coin_name != coin_name:
+        if not 0 <= holder < self.n or share.holder != holder:
             return False
         return hmac.compare_digest(
             share.share_bytes, self._tag(self._party_keys[holder], b"coin", coin_name)
@@ -345,17 +338,15 @@ class ThresholdProvider:
     def tpke_dec_share(self, party: int, c: Ciphertext) -> DecryptionShare:
         self._check_party(party)
         self._check_ciphertext(c)
-        d = c.ct_digest()
-        return DecryptionShare(party, d, self._tag(self._party_keys[party], b"tpke-dec", d))
+        tag = self._tag(self._party_keys[party], b"tpke-dec", c.ct_digest())
+        return DecryptionShare(party, tag)
 
     def tpke_dec_share_verify(self, c: Ciphertext, holder: int, share: DecryptionShare) -> bool:
         d = c.ct_digest()
-        key = (d, holder, share.holder, share.ciphertext_digest, share.share_bytes)
+        key = (d, holder, share.holder, share.share_bytes)
         if key in self._dec_accepted:
             return True
         if not 0 <= holder < self.n or share.holder != holder:
-            return False
-        if share.ciphertext_digest != d:
             return False
         ok = hmac.compare_digest(
             share.share_bytes, self._tag(self._party_keys[holder], b"tpke-dec", d)

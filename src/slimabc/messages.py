@@ -1,12 +1,18 @@
-"""Wire messages and their canonical binary encoding.
+"""Wire messages and their binary encoding.
 
-Every protocol message has exactly one byte representation, so traffic
-accounting is bit-exact and platform independent.  Messages emitted by
-one party to one destination during a single handling step travel in a
-single envelope; metrics count envelopes.
+`WIRE` lists each message kind's wire fields in order, with their wire types,
+and `JUSTIFICATION_WIRE` each justification kind's; the one `encode_body`
+walks them, so every message has exactly one byte representation.  The bytes
+hold every field but the instance (the envelope header carries it), a share's
+signer or holder (the envelope sender) and the share signer of each pre-vote
+a conflict main-vote embeds (ROADMAP item 1); `test_off_wire_fields_pinned`
+in `tests/test_messages.py` pins that list.  Messages one party emits to one
+destination during a single handling step travel in a single envelope;
+metrics count envelopes.
 """
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -35,14 +41,15 @@ JUST_CONFLICT = 5  # two embedded justified pre-votes (bits 0 and 1)
 @dataclass(frozen=True)
 class Justification:
     kind: int
-    signer: int = 0
+    signer: Optional[int] = None  # the pre-process signer, of JUST_PREPROCESS_ONE
     share: Optional[SignatureShare] = None
     sig: Optional[ThresholdSignature] = None
     prevote_zero: Optional["AbbaPrevote"] = None
     prevote_one: Optional["AbbaPrevote"] = None
 
 
-ENVELOPE_HEADER = 12  # sender (2), instance (8), entry count (2)
+HEADER = struct.Struct(">HQH")  # envelope: sender, instance, entry count
+ENVELOPE_HEADER = HEADER.size
 ENTRY_HEADER = 5  # tag (1), body length (4)
 
 
@@ -58,37 +65,52 @@ def _body_len(msg) -> int:
     return n
 
 
-def _u16(v: int) -> bytes:
-    return struct.pack(">H", v)
+def _fields(obj, wire) -> bytes:
+    return b"".join([pack(getattr(obj, name)) for name, pack in wire])
 
 
-def _u64(v: int) -> bytes:
-    return struct.pack(">Q", v)
+# Wire types: each packs the value of one field.
+U8, U16, _U32 = (struct.Struct(">" + c).pack for c in "BHI")
+SHARE = operator.attrgetter("share_bytes")  # the tag alone; the signer is not on the wire
+SIG = operator.attrgetter("sig_bytes")
 
 
 def _blob(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
+    return _U32(len(b)) + b
 
 
-def _enc_ciphertext(c: Ciphertext) -> bytes:
-    return _blob(c.payload) + struct.pack(">I", c.length_plain)
+def LEN_SHARE(share) -> bytes:
+    return _blob(share.share_bytes)
 
 
-def _enc_just(j: Justification) -> bytes:
-    out = [struct.pack(">B", j.kind)]
-    if j.kind == JUST_PREPROCESS_ONE:
-        out.append(_u16(j.signer))
-        out.append(j.share.share_bytes)
-    elif j.kind in (JUST_PREPROCESS_ZERO, JUST_PREVOTE_THRESHOLD, JUST_ABSTAIN_THRESHOLD):
-        out.append(j.sig.sig_bytes)
-    elif j.kind == JUST_CONFLICT:
-        out.append(_blob(j.prevote_zero.encode_body()))
-        out.append(_blob(j.prevote_one.encode_body()))
-    return b"".join(out)
+def CIPHERTEXT(c: Ciphertext) -> bytes:
+    return _blob(c.payload) + _U32(c.length_plain)
+
+
+def JUSTIFICATION(j: Justification) -> bytes:
+    return U8(j.kind) + _fields(j, JUSTIFICATION_WIRE.get(j.kind, ()))  # unknown: the kind
+
+
+def PREVOTE(pv: "AbbaPrevote") -> bytes:  # embedded, so its share signer is off the wire
+    return _blob(pv.encode_body())
+
+
+def OPTIONAL_PAIR(pair) -> bytes:
+    """A flag byte, then the (ciphertext, proof) pair if there is one."""
+    return b"\x01" + CIPHERTEXT(pair[0]) + SIG(pair[1]) if pair else b"\x00"
+
+
+class _Message:
+    """A message kind: its body is the fields `WIRE` lists for it."""
+
+    __slots__ = ()
+
+    def encode_body(self) -> bytes:
+        return _fields(self, WIRE[type(self)])
 
 
 @dataclass(frozen=True)
-class CsShare:
+class CsShare(_Message):
     """Committee-selection coin share."""
 
     instance: int
@@ -96,12 +118,9 @@ class CsShare:
     TAG = 1
     slot = None
 
-    def encode_body(self) -> bytes:
-        return _blob(self.share.share_bytes)
-
 
 @dataclass(frozen=True)
-class PpbPayload:
+class PpbPayload(_Message):
     """Committee member's ciphertext broadcast; slot doubles as sender."""
 
     instance: int
@@ -109,12 +128,9 @@ class PpbPayload:
     ciphertext: Ciphertext
     TAG = 2
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + _enc_ciphertext(self.ciphertext)
-
 
 @dataclass(frozen=True)
-class PpbShare:
+class PpbShare(_Message):
     """Countersignature over a committee member's payload digest."""
 
     instance: int
@@ -122,24 +138,18 @@ class PpbShare:
     share: SignatureShare
     TAG = 3
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + self.share.share_bytes
-
 
 @dataclass(frozen=True)
-class Proposal:
+class Proposal(_Message):
     instance: int
     slot: int
     ciphertext: Ciphertext
     proof: ThresholdSignature
     TAG = 4
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + _enc_ciphertext(self.ciphertext) + self.proof.sig_bytes
-
 
 @dataclass(frozen=True)
-class Suggestion:
+class Suggestion(_Message):
     instance: int
     slot: int
     ciphertext: Ciphertext
@@ -147,17 +157,9 @@ class Suggestion:
     relayer: int
     TAG = 5
 
-    def encode_body(self) -> bytes:
-        return (
-            _u16(self.slot)
-            + _enc_ciphertext(self.ciphertext)
-            + self.proof.sig_bytes
-            + _u16(self.relayer)
-        )
-
 
 @dataclass(frozen=True)
-class VMsg:
+class VMsg(_Message):
     """Per-slot 1-bit claim.  The (ciphertext, proof) pair is optional wire
     baggage: honest parties send bare claims (pairs travel via the proposal
     and suggestion multicasts), but a claim that does attach a pair is
@@ -170,28 +172,23 @@ class VMsg:
     proof: Optional[ThresholdSignature] = None
     TAG = 6
 
-    def encode_body(self) -> bytes:
+    @property
+    def pair(self):  # (ciphertext, proof) if the claim carries both, else None
         carried = self.ciphertext is not None and self.proof is not None
-        out = _u16(self.slot) + struct.pack(">BB", self.u, 1 if carried else 0)
-        if carried:
-            out += _enc_ciphertext(self.ciphertext) + self.proof.sig_bytes
-        return out
+        return (self.ciphertext, self.proof) if carried else None
 
 
 @dataclass(frozen=True)
-class AbbaPreprocess:
+class AbbaPreprocess(_Message):
     instance: int
     slot: int
     bit: int
     share: SignatureShare
     TAG = 7
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + struct.pack(">B", self.bit) + self.share.share_bytes
-
 
 @dataclass(frozen=True)
-class AbbaPrevote:
+class AbbaPrevote(_Message):
     instance: int
     slot: int
     round: int
@@ -200,18 +197,9 @@ class AbbaPrevote:
     share: SignatureShare
     TAG = 8
 
-    def encode_body(self) -> bytes:
-        return (
-            _u16(self.slot)
-            + _u16(self.round)
-            + struct.pack(">B", self.bit)
-            + _enc_just(self.justification)
-            + self.share.share_bytes
-        )
-
 
 @dataclass(frozen=True)
-class AbbaMainvote:
+class AbbaMainvote(_Message):
     instance: int
     slot: int
     round: int
@@ -220,30 +208,18 @@ class AbbaMainvote:
     share: SignatureShare
     TAG = 9
 
-    def encode_body(self) -> bytes:
-        return (
-            _u16(self.slot)
-            + _u16(self.round)
-            + struct.pack(">B", self.value)
-            + _enc_just(self.justification)
-            + self.share.share_bytes
-        )
-
 
 @dataclass(frozen=True)
-class AbbaCoinShare:
+class AbbaCoinShare(_Message):
     instance: int
     slot: int
     round: int
     share: CoinShare
     TAG = 10
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + _u16(self.round) + self.share.share_bytes
-
 
 @dataclass(frozen=True)
-class AbbaDecision:
+class AbbaDecision(_Message):
     instance: int
     slot: int
     round: int
@@ -251,59 +227,61 @@ class AbbaDecision:
     sig: ThresholdSignature
     TAG = 11
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + _u16(self.round) + struct.pack(">B", self.bit) + self.sig.sig_bytes
-
 
 @dataclass(frozen=True)
-class Recover:
+class Recover(_Message):
     instance: int
     slot: int
     TAG = 12
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot)
-
 
 @dataclass(frozen=True)
-class RecoverResp:
+class RecoverResp(_Message):
     instance: int
     slot: int
     ciphertext: Ciphertext
     proof: ThresholdSignature
     TAG = 13
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + _enc_ciphertext(self.ciphertext) + self.proof.sig_bytes
-
 
 @dataclass(frozen=True)
-class DecShare:
+class DecShare(_Message):
     instance: int
     slot: int
     share: DecryptionShare
     TAG = 14
 
-    def encode_body(self) -> bytes:
-        return _u16(self.slot) + self.share.share_bytes
 
+# The format: each kind's wire fields in order, as (field, wire type).
+_SLOT, _ROUND = ("slot", U16), ("round", U16)
+_PAIR = (("ciphertext", CIPHERTEXT), ("proof", SIG))
+WIRE = {
+    CsShare: (("share", LEN_SHARE),),
+    PpbPayload: (_SLOT, ("ciphertext", CIPHERTEXT)),
+    PpbShare: (_SLOT, ("share", SHARE)),
+    Proposal: (_SLOT, *_PAIR),
+    Suggestion: (_SLOT, *_PAIR, ("relayer", U16)),
+    VMsg: (_SLOT, ("u", U8), ("pair", OPTIONAL_PAIR)),
+    AbbaPreprocess: (_SLOT, ("bit", U8), ("share", SHARE)),
+    AbbaPrevote: (_SLOT, _ROUND, ("bit", U8), ("justification", JUSTIFICATION), ("share", SHARE)),
+    AbbaMainvote: (_SLOT, _ROUND, ("value", U8), ("justification", JUSTIFICATION),
+                   ("share", SHARE)),
+    AbbaCoinShare: (_SLOT, _ROUND, ("share", SHARE)),
+    AbbaDecision: (_SLOT, _ROUND, ("bit", U8), ("sig", SIG)),
+    Recover: (_SLOT,),
+    RecoverResp: (_SLOT, *_PAIR),
+    DecShare: (_SLOT, ("share", SHARE)),
+}
+JUSTIFICATION_WIRE = {  # after the kind byte
+    JUST_NONE: (),
+    JUST_PREPROCESS_ONE: (("signer", U16), ("share", SHARE)),
+    JUST_PREPROCESS_ZERO: (("sig", SIG),),
+    JUST_PREVOTE_THRESHOLD: (("sig", SIG),),
+    JUST_ABSTAIN_THRESHOLD: (("sig", SIG),),
+    JUST_CONFLICT: (("prevote_zero", PREVOTE), ("prevote_one", PREVOTE)),
+}
 
-Message = Union[
-    CsShare,
-    PpbPayload,
-    PpbShare,
-    Proposal,
-    Suggestion,
-    VMsg,
-    AbbaPreprocess,
-    AbbaPrevote,
-    AbbaMainvote,
-    AbbaCoinShare,
-    AbbaDecision,
-    Recover,
-    RecoverResp,
-    DecShare,
-]
+Message = Union[tuple(WIRE)]  # any message kind
 
 
 @dataclass(slots=True)
@@ -317,10 +295,11 @@ class Envelope:
     _size: Optional[int] = field(default=None, repr=False, compare=False)
 
     def encode(self) -> bytes:
-        body = b"".join(
-            struct.pack(">B", m.TAG) + _blob(m.encode_body()) for m in self.entries
-        )
-        return _u16(self.sender) + _u64(self.instance) + _u16(len(self.entries)) + body
+        out = [HEADER.pack(self.sender, self.instance, len(self.entries))]
+        for m in self.entries:
+            body = m.encode_body()
+            out += (U8(m.TAG), _blob(body))
+        return b"".join(out)
 
     def size(self) -> int:
         """len(self.encode()), without building the bytes."""

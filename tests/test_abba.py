@@ -394,11 +394,11 @@ def test_wire_rounds_never_grow_the_string_cache():
         m.on_preprocess(i, machines[i].input(1)[0], out)
     assert m.round == 1 and set(m._round_msgs) == {1}
     entered = dict(m._round_msgs)
-    forged_sig = ThresholdSignature(bytes(32), bytes(8))
+    forged_sig = ThresholdSignature(bytes(8))
     for r in range(2, 65536):
         out = []
         m.on_decision(1, AbbaDecision(INSTANCE, SLOT, r, r & 1, forged_sig), out)
-        bogus = CoinShare(1, abba_coin_name(INSTANCE, SLOT, r), bytes(8))
+        bogus = CoinShare(1, bytes(8))
         m.on_coin_share(1, AbbaCoinShare(INSTANCE, SLOT, r, bogus), out)
         assert out == []
     assert m._round_msgs == entered and m.decided is None

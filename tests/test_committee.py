@@ -51,7 +51,7 @@ def test_instances_select_differently():
 def test_invalid_and_duplicate_shares_ignored():
     states = make_states()
     st = states[0]
-    garbage = CoinShare(2, committee_coin_name(1), b"\x00" * 8)
+    garbage = CoinShare(2, b"\x00" * 8)
     assert st.on_share(2, garbage) is None
     assert st.committee is None
     real = states[2].crypto.coin_share(committee_coin_name(1))

@@ -122,7 +122,7 @@ def test_combine_names_offenders():
     p = provider()
     msg = b"offender"
     shares = [p.sig_share(i, msg) for i in range(3)]
-    bad = SignatureShare(1, digest(msg), bytes(TAG_LEN))
+    bad = SignatureShare(1, bytes(TAG_LEN))
     with pytest.raises(InvalidShareError) as err:
         p.combine_shares(msg, [shares[0], bad, shares[2]])
     assert 1 in err.value.offenders
@@ -137,7 +137,7 @@ def test_mutated_shares_never_verify():
             raw = bytearray(share.share_bytes)
             raw[pos] ^= 1 << bit
             assert not p.verify_share(
-                msg, 2, SignatureShare(2, share.message_digest, bytes(raw))
+                msg, 2, SignatureShare(2, bytes(raw))
             )
 
 
@@ -149,7 +149,7 @@ def test_forged_signatures_rejected():
     for _ in range(200):
         fake = bytes(rng.randrange(256) for _ in range(TAG_LEN))
         if fake != real.sig_bytes:
-            assert not p.verify_signature(msg, ThresholdSignature(digest(msg), fake))
+            assert not p.verify_signature(msg, ThresholdSignature(fake))
 
 
 def test_signature_binds_message():
@@ -200,7 +200,7 @@ def test_coin_toss_requires_quorum():
     p = provider()
     with pytest.raises(InsufficientSharesError):
         p.coin_toss_bit(b"c", [p.coin_share(0, b"c")])
-    bad = CoinShare(1, b"c", bytes(TAG_LEN))
+    bad = CoinShare(1, bytes(TAG_LEN))
     with pytest.raises(InvalidShareError):
         p.coin_toss_bit(b"c", [p.coin_share(0, b"c"), bad])
 
@@ -288,7 +288,7 @@ def test_tpke_share_verify_and_corruption():
     assert p.tpke_dec_share_verify(c, 1, good)
     raw = bytearray(good.share_bytes)
     raw[0] ^= 0xFF
-    bad = DecryptionShare(1, good.ciphertext_digest, bytes(raw))
+    bad = DecryptionShare(1, bytes(raw))
     assert not p.tpke_dec_share_verify(c, 1, bad)
     with pytest.raises(InvalidShareError) as err:
         p.tpke_dec(c, [p.tpke_dec_share(0, c), bad])
@@ -438,7 +438,7 @@ def test_no_master_derived_state_reachable_from_handles_or_ciphertexts():
 def flip(share, pos=0):
     raw = bytearray(share.share_bytes)
     raw[pos] ^= 0x01
-    return SignatureShare(share.signer, share.message_digest, bytes(raw))
+    return SignatureShare(share.signer, bytes(raw))
 
 
 def test_memo_still_rejects_a_flipped_share():
@@ -452,7 +452,7 @@ def test_memo_still_rejects_a_flipped_share():
     assert not p.verify_share(b"memo!", 1, share)
     sig = p.combine_shares(b"memo", [p.sig_share(i, b"memo") for i in range(3)])
     assert p.verify_signature(b"memo", sig) and p.verify_signature(b"memo", sig)
-    assert not p.verify_signature(b"memo", ThresholdSignature(sig.message_digest, bytes(TAG_LEN)))
+    assert not p.verify_signature(b"memo", ThresholdSignature(bytes(TAG_LEN)))
     assert not p.verify_signature(b"other", sig)
 
 
@@ -466,16 +466,14 @@ def test_rejections_are_never_stored():
     size, dec_size = len(p._accepted), len(p._dec_accepted)
     rng = random.Random(5)
     for _ in range(500):
-        forged = SignatureShare(0, share.message_digest, rng.randbytes(TAG_LEN))
+        forged = SignatureShare(0, rng.randbytes(TAG_LEN))
         if forged != share:
             assert not p.verify_share(b"flood", 0, forged)
-            assert not p.verify_signature(b"flood", ThresholdSignature(share.message_digest,
-                                                                       forged.share_bytes))
-        forged_dec = DecryptionShare(0, dec.ciphertext_digest, rng.randbytes(TAG_LEN))
+            assert not p.verify_signature(b"flood", ThresholdSignature(forged.share_bytes))
+        forged_dec = DecryptionShare(0, rng.randbytes(TAG_LEN))
         if forged_dec != dec:
             assert not p.tpke_dec_share_verify(c, 0, forged_dec)
-        assert not p.tpke_dec_share_verify(c, 1, DecryptionShare(1, dec.ciphertext_digest,
-                                                                 dec.share_bytes))
+        assert not p.tpke_dec_share_verify(c, 1, DecryptionShare(1, dec.share_bytes))
     assert len(p._accepted) == size and len(p._dec_accepted) == dec_size
 
 
@@ -490,18 +488,13 @@ def test_warm_memo_combine_still_names_offenders():
 
 
 def mutate_dec_share(share: DecryptionShare, kind: int, rng) -> DecryptionShare:
-    """kind 1: flip a share byte; 2: claim another holder; 3: flip a digest byte."""
+    """kind 1: flip a share byte; 2: claim another holder."""
     if kind == 1:
         raw = bytearray(share.share_bytes)
         raw[rng.randrange(TAG_LEN)] ^= 0x01
-        return DecryptionShare(share.holder, share.ciphertext_digest, bytes(raw))
+        return DecryptionShare(share.holder, bytes(raw))
     if kind == 2:
-        return DecryptionShare((share.holder + 1) % 7, share.ciphertext_digest,
-                               share.share_bytes)
-    if kind == 3:
-        raw = bytearray(share.ciphertext_digest)
-        raw[rng.randrange(DIGEST_LEN)] ^= 0x01
-        return DecryptionShare(share.holder, bytes(raw), share.share_bytes)
+        return DecryptionShare((share.holder + 1) % 7, share.share_bytes)
     return share
 
 
@@ -534,7 +527,7 @@ def tpke_dec_call(p, rng, cts):
     shares = [p.tpke_dec_share(h, shared) for h in rng.sample(range(7), rng.randrange(1, 4))]
     if rng.randrange(3) == 0:
         i = rng.randrange(len(shares))
-        shares[i] = mutate_dec_share(shares[i], rng.randrange(1, 4), rng)
+        shares[i] = mutate_dec_share(shares[i], rng.randrange(1, 3), rng)
     return c, shares
 
 
@@ -558,7 +551,7 @@ def test_warm_and_fresh_providers_agree():
         calls.append(("verify_share", (msg, signer, share)))
         calls.append(("verify_signature", (msg, sigs[rng.choice(msgs)])))
         c, holder = rng.choice(cts), rng.randrange(7)
-        dec = mutate_dec_share(warm.tpke_dec_share(holder, c), rng.randrange(4), rng)
+        dec = mutate_dec_share(warm.tpke_dec_share(holder, c), rng.randrange(3), rng)
         if rng.randrange(4) == 0:
             holder = (holder + 3) % 7  # the share arrives from another sender
         calls.append(("tpke_dec_share_verify", (rng.choice(cts) if rng.randrange(4) == 0 else c,
@@ -605,7 +598,7 @@ def test_warm_plaintext_memo_still_checks_ciphertext_and_shares():
     c = p.tpke_enc(b"warm batch" * 10)
     assert c.ct_digest() in p._plaintexts
     shares = [p.tpke_dec_share(i, c) for i in range(4)]
-    bad = DecryptionShare(2, shares[2].ciphertext_digest, bytes(TAG_LEN))
+    bad = DecryptionShare(2, bytes(TAG_LEN))
     with pytest.raises(InvalidShareError) as err:
         p.tpke_dec(c, [shares[0], bad, shares[3]])
     assert err.value.offenders == (2,)

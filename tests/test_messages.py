@@ -3,6 +3,7 @@ and the bytes themselves are pinned."""
 import dataclasses
 import hashlib
 import itertools
+import struct
 import typing
 
 from slimabc import BehaviorSpec, SimConfig, sim_run
@@ -122,6 +123,69 @@ def test_size_equals_encoded_length_in_faulty_runs(monkeypatch):
                         byzantine=tuple(BehaviorSpec(p, kind) for p in range(2)))
         assert sim_run(cfg).ok
     assert seen and all(seen)
+
+
+def leaf_paths(obj, prefix=""):
+    """(dotted path, value) of every leaf field of `obj` that is set, through
+    nested dataclasses."""
+    for fld in dataclasses.fields(obj):
+        value, path = getattr(obj, fld.name), prefix + fld.name
+        if dataclasses.is_dataclass(value):
+            yield from leaf_paths(value, path + ".")
+        elif value is not None:
+            yield path, value
+
+
+def replaced(obj, path, value):
+    """A copy of `obj` with the field at dotted `path` set to `value`."""
+    name, _, rest = path.partition(".")
+    return dataclasses.replace(obj, **{name: replaced(getattr(obj, name), rest, value)
+                                       if rest else value})
+
+
+def off_wire(m):
+    """The leaf paths of `m` whose change leaves its encoded body unchanged."""
+    body = m.encode_body()
+    for path, value in leaf_paths(m):
+        changed = value + 1 if type(value) is int else bytes([value[0] ^ 1]) + value[1:]
+        try:
+            if replaced(m, path, changed).encode_body() == body:
+                yield path
+        except (AttributeError, struct.error):
+            pass  # a justification kind whose fields are absent: the kind byte counts
+
+
+# Every field a message holds that its bytes do not, derived from `WIRE`
+# through the encoder.  Each is one of three kinds:
+OFF_WIRE = sorted(
+    # the instance, which the envelope header carries (an embedded pre-vote's is
+    # its main-vote's: receivers check it under their own instance);
+    [f"{kind}.instance" for kind in (
+        "AbbaCoinShare", "AbbaDecision", "AbbaMainvote", "AbbaPreprocess", "AbbaPrevote",
+        "CsShare", "DecShare", "PpbPayload", "PpbShare", "Proposal", "Recover",
+        "RecoverResp", "Suggestion", "VMsg")]
+    + ["AbbaMainvote.justification.prevote_zero.instance",
+       "AbbaMainvote.justification.prevote_one.instance"]
+    # the signer or holder of a message's own share, which is the envelope sender;
+    + ["AbbaCoinShare.share.holder", "CsShare.share.holder", "DecShare.share.holder",
+       "AbbaMainvote.share.signer", "AbbaPreprocess.share.signer",
+       "AbbaPrevote.share.signer", "PpbShare.share.signer"]
+    # and the share signer of each pre-vote a conflict main-vote embeds, which
+    # nothing restores (ROADMAP item 1).
+    + ["AbbaMainvote.justification.prevote_zero.share.signer",
+       "AbbaMainvote.justification.prevote_one.share.signer"])
+
+
+def test_off_wire_fields_pinned():
+    """A preprocess-one justification's share signer is restored from the
+    justification's `signer`, which is on the wire, so it is not listed."""
+    found = set()
+    for m in one_of_each():
+        off = set(off_wire(m))
+        on = {path for path, _ in leaf_paths(m)} - off
+        found |= {f"{type(m).__name__}.{path}" for path in off  # x.share.signer is x.signer
+                  if path.removesuffix("share.signer") + "signer" not in on}
+    assert sorted(found) == OFF_WIRE
 
 
 # sha256 over the encoded envelope of each `one_of_each()` message, then over

@@ -65,8 +65,8 @@ def _other_party_output(rec, parties):
 
 def _other_party_content(rec, parties):
     """A batch the first party's re-encryption check would catch, at party 1."""
-    other = parties[1]
-    other.outputs_by_instance[1][0] = RequestBatch(0, 1, other.outputs_by_instance[1][0].requests[1:])
+    outputs = parties[1].outputs_by_instance[1]
+    outputs[0] = RequestBatch(0, 1, outputs[0].requests[1:])
 
 
 def _decide_zero(rec, inst, slot):
