@@ -164,29 +164,27 @@ _CT_MAGIC = b"STPK"
 _CT_HEADER = len(_CT_MAGIC) + 16  # magic + masked-seed header
 
 
-def key_setup(security_param: int, n: int, t_sig: int, seed: int) -> "ThresholdProvider":
+def key_setup(security_param: int, n: int, seed: int) -> "ThresholdProvider":
     """Dealer key generation; see ThresholdProvider for the contract."""
-    return ThresholdProvider(security_param, n, t_sig, seed)
+    return ThresholdProvider(security_param, n, seed)
 
 
 class ThresholdProvider:
     """Holds all key material; hands out per-party capabilities.
 
-    n = 3f+1 with f >= 1 is enforced; t_sig must satisfy f < t_sig <= n-f.
-    The TPKE and coin thresholds are fixed at f+1.
+    n = 3f+1 with f >= 1 is enforced.  The signature threshold t_sig is n-f;
+    the TPKE and coin thresholds are f+1.
     """
 
-    def __init__(self, security_param: int, n: int, t_sig: int, seed: int):
+    def __init__(self, security_param: int, n: int, seed: int):
         if n < 4 or (n - 1) % 3 != 0:
             raise ValueError(f"n must be 3f+1 with f >= 1, got n={n}")
         f = (n - 1) // 3
-        if not (f < t_sig <= n - f):
-            raise ValueError(f"t_sig must satisfy f < t_sig <= n-f, got {t_sig}")
         if not 1 <= security_param < 2**32:
             raise ValueError(f"security_param must be in 1..2**32-1, got {security_param}")
         self.n = n
         self.f = f
-        self.t_sig = t_sig
+        self.t_sig = t_sig = n - f
         master = digest(
             b"SABC-DEALER" + struct.pack(">QHHI", seed & (2**64 - 1), n, t_sig, security_param)
         )

@@ -760,7 +760,7 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
 def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
             step_callback: Optional[Callable[[dict], None]] = None) -> RunReport:
     cfg.validate()
-    provider = key_setup(cfg.security_param, cfg.n, cfg.n - cfg.f, cfg.seed)
+    provider = key_setup(cfg.security_param, cfg.n, cfg.seed)
     recorder = RunRecorder(cfg, provider)
     parties = [Party(p, provider.party_handle(p), cfg, observer=recorder) for p in range(cfg.n)]
     trace = open(trace_path, "w") if trace_path else None
@@ -893,7 +893,7 @@ def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
         raise ConfigError("need one input bit per party")
     if any(type(inputs[p]) is not int or inputs[p] not in (0, 1) for p in range(n)):
         raise ConfigError("input bits must be the ints 0 or 1")
-    provider = key_setup(cfg.security_param, n, n - f, seed)
+    provider = key_setup(cfg.security_param, n, seed)
     pair = make_proven_pair(provider, 1, 0, b"harness-payload")
     parties = [
         HarnessParty(p, provider.party_handle(p), cfg, pair if inputs[p] == 1 else None)

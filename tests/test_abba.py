@@ -40,7 +40,7 @@ INSTANCE, SLOT = 1, 0
 
 
 def make_machines(n=4, seed=11, evidence=True):
-    provider = key_setup(128, n, n - (n - 1) // 3, seed)
+    provider = key_setup(128, n, seed)
     machines = [AbbaMachine(INSTANCE, SLOT, provider.party_handle(i)) for i in range(n)]
     if evidence:
         for m in machines:

@@ -228,13 +228,13 @@ def test_c09_crypto_oracles():
     checks = []
 
     for n, f in ((4, 1), (7, 2)):
-        prov = key_setup(128, n, n - f, seed=5)
+        prov = key_setup(128, n, seed=5)
         shares = [prov.sig_share(p, msg) for p in range(n)]
         sigs = {prov.combine_shares(msg, sub).sig_bytes
                 for sub in combinations(shares, n - f)}
         checks.append(("combine subset independence", n, len(sigs) == 1))
 
-    prov4 = key_setup(128, 4, 3, seed=5)
+    prov4 = key_setup(128, 4, seed=5)
     ct = prov4.tpke_enc(b"sealed batch")
     dec = {prov4.tpke_dec(ct, [prov4.tpke_dec_share(p, ct) for p in sub])
            for sub in combinations(range(4), 2)}
@@ -247,7 +247,7 @@ def test_c09_crypto_oracles():
     freq = ones / 10_000
     checks.append(("coin bit frequency", round(freq, 4), 0.47 <= freq <= 0.53))
 
-    prov7 = key_setup(128, 7, 5, seed=5)
+    prov7 = key_setup(128, 7, seed=5)
     counts = [0] * 7
     for inst in range(10_000):
         name = committee_coin_name(inst)

@@ -73,7 +73,7 @@ def test_run_rejects_security_param_out_of_range(tmp_path, capsys, security_para
     assert cli.main(["run", "--scenario", str(path)]) == 2
     assert "security_param" in capsys.readouterr().err
     with pytest.raises(ValueError):  # the provider refuses it on its own, too
-        key_setup(security_param, 4, 3, 0)
+        key_setup(security_param, 4, 0)
 
 
 def test_check_counts_properties(tmp_path, capsys):

@@ -4,7 +4,7 @@ from slimabc.crypto import CoinShare, key_setup
 
 
 def make_states(n=4, seed=5, instance=1):
-    provider = key_setup(128, n, n - (n - 1) // 3, seed)
+    provider = key_setup(128, n, seed)
     return [CsState(instance, provider.party_handle(i)) for i in range(n)]
 
 

@@ -39,8 +39,7 @@ from slimabc.crypto import (
 
 
 def provider(n=4, seed=7):
-    f = (n - 1) // 3
-    return key_setup(128, n, n - f, seed)
+    return key_setup(128, n, seed)
 
 
 # -- parameter validation ----------------------------------------------------
@@ -48,17 +47,7 @@ def provider(n=4, seed=7):
 def test_key_setup_rejects_bad_n():
     for n in (0, 3, 5, 6, 8, 9, 11):
         with pytest.raises(ValueError):
-            key_setup(128, n, 3, 1)
-
-
-def test_key_setup_rejects_bad_threshold():
-    # t_sig must satisfy f < t_sig <= n-f
-    with pytest.raises(ValueError):
-        key_setup(128, 4, 1, 1)
-    with pytest.raises(ValueError):
-        key_setup(128, 4, 4, 1)
-    key_setup(128, 4, 2, 1)  # f < 2 <= 3 is fine
-    key_setup(128, 4, 3, 1)
+            key_setup(128, n, 1)
 
 
 def test_party_range_checked():
@@ -357,7 +346,7 @@ KAT_TPKE = {  # plaintext length -> sha256 of the ciphertext payload
 
 
 def kat_provider():
-    return key_setup(128, 7, 5, 2024)
+    return key_setup(128, 7, 2024)
 
 
 def test_kat_signatures():

@@ -11,7 +11,7 @@ INSTANCE, SLOT = 1, 0
 
 
 def setup(n=4, seed=21):
-    provider = key_setup(128, n, n - (n - 1) // 3, seed)
+    provider = key_setup(128, n, seed)
     pair = make_proven_pair(provider, INSTANCE, SLOT, b"slot payload")
     invs = [SlotInvocation(INSTANCE, SLOT, provider.party_handle(i)) for i in range(n)]
     return provider, pair, invs

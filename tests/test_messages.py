@@ -39,7 +39,7 @@ from slimabc.simnet import BEHAVIORS, POLICIES
 
 
 def one_of_each():
-    p = key_setup(128, 4, 3, 1)
+    p = key_setup(128, 4, 1)
     ct = p.tpke_enc(b"batch bytes" * 9)
     share = p.sig_share(2, b"m")
     sig = p.combine_shares(b"m", [p.sig_share(i, b"m") for i in range(3)])

@@ -13,7 +13,7 @@ from slimabc.ppb import (
 
 
 def setup(n=4, seed=3, members=(0, 1)):
-    provider = key_setup(128, n, n - (n - 1) // 3, seed)
+    provider = key_setup(128, n, seed)
     handles = [provider.party_handle(i) for i in range(n)]
     return provider, handles, Committee(1, members)
 

@@ -115,7 +115,7 @@ def test_phases_metric_reported_per_instance():
 def test_state_digest_distinguishes_parties_mid_run():
     from slimabc.crypto import key_setup
 
-    provider = key_setup(128, 4, 3, 2)
+    provider = key_setup(128, 4, 2)
     pcfg = cfg(instances=1)
     parties = [Party(i, provider.party_handle(i), pcfg) for i in range(4)]
     for p in parties:
@@ -173,7 +173,7 @@ def reference_flush(party: Party, wire) -> List[Envelope]:
 
 
 FLUSH_N = 4
-FLUSH_PARTY = key_setup(128, FLUSH_N, 3, 4).party_handle(1)
+FLUSH_PARTY = key_setup(128, FLUSH_N, 4).party_handle(1)
 
 wire_entries = st.lists(
     st.tuples(
@@ -275,7 +275,7 @@ def run_parties(parties, queue):
 
 
 def test_traffic_past_the_last_instance_is_dropped():
-    provider = key_setup(128, 4, 3, 6)
+    provider = key_setup(128, 4, 6)
     pcfg = cfg(instances=1)
     parties = [Party(i, provider.party_handle(i), pcfg) for i in range(4)]
     queue = [env for p in parties for env in p.begin()]

@@ -201,7 +201,7 @@ PLANTED_DIGEST = "c20d0e2716dbd27f0b4dfa56626b0f8df8f78c1c8236483145f95832aea2ae
 def honest_run():
     """A fault-free n=4 run of two instances, stopped before `finish`."""
     cfg = SimConfig(4, 1, seed=1, instances=2)
-    provider = key_setup(cfg.security_param, cfg.n, cfg.n - cfg.f, cfg.seed)
+    provider = key_setup(cfg.security_param, cfg.n, cfg.seed)
     rec = RunRecorder(cfg, provider)
     parties = [Party(p, provider.party_handle(p), cfg, observer=rec) for p in range(cfg.n)]
     steps, messages, nbytes, overrides, stalled = deliver(parties, cfg, rec)

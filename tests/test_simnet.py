@@ -158,7 +158,7 @@ def test_every_behavior_tolerated():
 def test_delay_policy_defers_an_envelope_queued_before_its_target_is_known():
     """The target member's own payload is queued before its proposal names
     the target; it is still deferred `budget` times, then chosen."""
-    provider = key_setup(128, 4, 3, 0)
+    provider = key_setup(128, 4, 0)
     ct, proof = make_proven_pair(provider, 1, 2, b"batch")
     budget = 3
     pol = AdversarialDelayPolicy({"budget": budget}, random.Random(0))
@@ -212,7 +212,7 @@ def construct_filter(behavior, step, envs):
 @pytest.mark.parametrize("kind", ["equivocate-ppb", "corrupt-shares", "withhold-suggestions",
                                   "random-votes"])
 def test_behavior_filter_matches_construction_and_passes_unchanged_envelopes(kind):
-    provider = key_setup(128, 4, 3, 0)
+    provider = key_setup(128, 4, 0)
     envs = filter_envelopes(provider)
 
     def behavior():
@@ -227,7 +227,7 @@ def test_behavior_filter_matches_construction_and_passes_unchanged_envelopes(kin
 
 
 def test_random_votes_change_votes_as_dataclass_replace_did():
-    provider = key_setup(128, 4, 3, 0)
+    provider = key_setup(128, 4, 0)
     envs = filter_envelopes(provider)
     spec = BehaviorSpec(3, "random-votes")
     got = BEHAVIORS["random-votes"](spec, provider.party_handle(3), random.Random(9)).filter(
@@ -252,7 +252,7 @@ def test_random_votes_change_votes_as_dataclass_replace_did():
 def test_flipped_shares_equal_dataclass_replace():
     """corrupt-shares builds each changed message directly; it must equal the
     `dataclasses.replace` reference for every share-carrying kind."""
-    provider = key_setup(128, 4, 3, 0)
+    provider = key_setup(128, 4, 0)
     sig = provider.sig_share(3, b"vote")
     coin = provider.coin_share(3, b"coin")
     dec = provider.tpke_dec_share(3, provider.tpke_enc(b"batch"))
@@ -274,7 +274,7 @@ def test_flipped_shares_equal_dataclass_replace():
 
 
 def test_equivocated_payload_equals_dataclass_replace():
-    provider = key_setup(128, 4, 3, 0)
+    provider = key_setup(128, 4, 0)
     payload = PpbPayload(2, 3, provider.tpke_enc(b"batch"))
     behavior = BEHAVIORS["equivocate-ppb"](BehaviorSpec(3, "equivocate-ppb"),
                                            provider.party_handle(3), random.Random(0))
@@ -381,7 +381,7 @@ def test_harness_deterministic_and_validated():
 
 
 def test_harness_party_answers_recover_with_its_pair():
-    provider = key_setup(128, 4, 3, 2)
+    provider = key_setup(128, 4, 2)
     pair = make_proven_pair(provider, 1, 0, b"payload")
     cfg = SimConfig(n=4, f=1)
     holder = HarnessParty(0, provider.party_handle(0), cfg, pair)
