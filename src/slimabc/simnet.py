@@ -805,26 +805,16 @@ def replay_trace(path: str) -> Tuple[bool, Optional[int], str]:
             or not isinstance(header.get("config"), dict):
         raise ConfigError("not a trace file")
     cfg = config_from_dict(header["config"])
-    records = lines[1:]
-    state = {"i": 0, "bad": None, "detail": ""}
-
-    def cb(rec: dict) -> None:
-        i = state["i"]
-        state["i"] = i + 1
-        if state["bad"] is not None:
-            return
-        if i >= len(records):
-            state["bad"] = rec["step"]
-            state["detail"] = "trace ended early"
-        elif records[i] != rec:
-            state["bad"] = rec["step"]
-            state["detail"] = f"expected {records[i]}, got {rec}"
-
-    sim_run(cfg, step_callback=cb)
-    if state["bad"] is None and state["i"] != len(records):
-        state["bad"] = state["i"] + 1
-        state["detail"] = "replay ended early"
-    return state["bad"] is None, state["bad"], state["detail"]
+    records, replayed = lines[1:], []
+    sim_run(cfg, step_callback=replayed.append)
+    for want, got in zip(records, replayed):
+        if want != got:
+            return False, got["step"], f"expected {want}, got {got}"
+    if len(replayed) > len(records):
+        return False, replayed[len(records)]["step"], "trace ended early"
+    if len(replayed) < len(records):
+        return False, len(replayed) + 1, "replay ended early"
+    return True, None, ""
 
 
 # -- single-slot agreement harness ----------------------------------------------------------
