@@ -7,7 +7,8 @@ dealer's master secret lives only inside the provider; party code and
 adversary code receive capability handles that expose a single party's
 signing/decryption operations plus the public verifier surface, and no
 public operation returns master-derived values unless threshold-many
-valid shares are presented.
+valid shares are presented.  A share holds its party and its tag, a
+signature its tag: the verifier recomputes what the tag is a MAC over.
 
 Every keyed digest is HMAC-SHA256 (RFC 2104), computed from sha256 inner
 and outer pad states that the provider hashes once per key when it is
@@ -117,10 +118,6 @@ def _remember(memo: dict, key, value, bound: int) -> None:
     if len(memo) >= bound:
         del memo[next(iter(memo))]
     memo[key] = value
-
-
-# A share holds its party and its tag, a signature its tag: each tag is a MAC over
-# the digest of what was signed, which the verifier recomputes from its inputs.
 
 
 @dataclass(frozen=True)

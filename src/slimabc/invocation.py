@@ -145,8 +145,8 @@ class SlotInvocation:
         if sender in claims:
             return
         effective = 0
-        if msg.u == 1 and msg.ciphertext is not None and msg.proof is not None:
-            if self.record_pair(msg.ciphertext, msg.proof, out):
+        if msg.u == 1 and msg.pair is not None:
+            if self.record_pair(*msg.pair, out):
                 effective = 1  # a claimed 1 without a verifiable pair demotes to 0
         claims[sender] = effective
         if effective == 1 and self.u == 0:

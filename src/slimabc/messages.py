@@ -88,7 +88,7 @@ def CIPHERTEXT(c: Ciphertext) -> bytes:
 
 
 def JUSTIFICATION(j: Justification) -> bytes:
-    return U8(j.kind) + _fields(j, JUSTIFICATION_WIRE.get(j.kind, ()))  # unknown: the kind
+    return U8(j.kind) + _fields(j, JUSTIFICATION_WIRE[j.kind])
 
 
 def PREVOTE(pv: "AbbaPrevote") -> bytes:  # embedded, so its share signer is off the wire

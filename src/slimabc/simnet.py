@@ -193,7 +193,7 @@ class QueueItem:
 def _carries_pair(m) -> bool:
     """Whether entry `m` carries a slot's (ciphertext, proof) pair."""
     return isinstance(m, (Proposal, Suggestion, RecoverResp)) \
-        or (isinstance(m, VMsg) and m.ciphertext is not None)
+        or (isinstance(m, VMsg) and m.pair is not None)
 
 
 class Policy:

@@ -151,8 +151,8 @@ def off_wire(m):
         try:
             if replaced(m, path, changed).encode_body() == body:
                 yield path
-        except (AttributeError, struct.error):
-            pass  # a justification kind whose fields are absent: the kind byte counts
+        except (AttributeError, KeyError, struct.error):
+            pass  # no such justification kind, or its fields are absent: the kind counts
 
 
 # Every field a message holds that its bytes do not, derived from `WIRE`
