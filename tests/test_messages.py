@@ -2,12 +2,21 @@
 and the bytes themselves are pinned."""
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import struct
 import typing
 
+import pytest
+
 from slimabc import BehaviorSpec, SimConfig, sim_run
-from slimabc.crypto import key_setup
+from slimabc.crypto import (
+    CoinShare,
+    DecryptionShare,
+    SignatureShare,
+    ThresholdSignature,
+    key_setup,
+)
 from slimabc.messages import (
     ABSTAIN,
     JUST_ABSTAIN_THRESHOLD,
@@ -33,6 +42,7 @@ from slimabc.messages import (
     RecoverResp,
     Suggestion,
     VMsg,
+    WIRE,
 )
 from slimabc.protocol import Party
 from slimabc.simnet import BEHAVIORS, POLICIES
@@ -123,6 +133,45 @@ def test_size_equals_encoded_length_in_faulty_runs(monkeypatch):
                         byzantine=tuple(BehaviorSpec(p, kind) for p in range(2)))
         assert sim_run(cfg).ok
     assert seen and all(seen)
+
+
+RECORD_KINDS = (*WIRE, Justification, SignatureShare, ThresholdSignature, CoinShare,
+                DecryptionShare)
+
+
+def one_record_of_each_kind():
+    """The first record of each of `RECORD_KINDS` met in `one_of_each()`, its
+    justifications, shares and signatures."""
+    found = {}
+    for m in one_of_each():
+        for r in (m, *(getattr(m, name, None) for name in ("justification", "share", "proof"))):
+            found.setdefault(type(r), r)
+    return [found[kind] for kind in RECORD_KINDS]
+
+
+def field_values(r):
+    return [getattr(r, name) for name in inspect.signature(type(r)).parameters]
+
+
+def test_records_are_immutable_values_of_their_own_kind():
+    """A field cannot be assigned; a record equals, and hashes like, a record
+    of its own kind with equal fields, but never a record of another kind
+    built from the same values, nor a plain tuple of them."""
+    crossed = set()
+    for r in one_record_of_each_kind():
+        values = field_values(r)
+        for name in inspect.signature(type(r)).parameters:
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+        twin = type(r)(*values)
+        assert twin == r and not twin != r and hash(twin) == hash(r)
+        assert r != tuple(values) and tuple(values) != r and not r == tuple(values)
+        for kind in RECORD_KINDS:
+            if kind is not type(r) and len(inspect.signature(kind).parameters) == len(values):
+                other = kind(*values)
+                assert other != r and r != other and not other == r and not r == other
+                crossed.add(type(r).__name__)
+    assert {"Proposal", "RecoverResp", "SignatureShare", "CoinShare"} <= crossed
 
 
 def leaf_paths(obj, prefix=""):
