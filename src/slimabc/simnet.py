@@ -168,9 +168,9 @@ def config_from_dict(d: dict) -> SimConfig:
 
 def load_scenario(path: str) -> SimConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # unreadable, undecodable or malformed JSON
         raise ConfigError(f"cannot read scenario {path}: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")

@@ -33,6 +33,11 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(bad)]) == 2
     assert cli.main(["run", "--scenario", str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"n": 4, "f": 1, "policy": "\xe9"}')
+    for command in ("run", "check"):
+        assert cli.main([command, "--scenario", str(undecodable)]) == 2
+        assert "cannot read scenario" in capsys.readouterr().err
     scn = write_scenario(tmp_path, "params.json", policy_params={"fairness_bound": "x"})
     assert cli.main(["run", "--scenario", scn]) == 2
     assert "fairness_bound" in capsys.readouterr().err
