@@ -9,6 +9,8 @@ signing/decryption operations plus the public verifier surface, and no
 public operation returns master-derived values unless threshold-many
 valid shares are presented.  A share holds its party and its tag, a
 signature its tag: the verifier recomputes what the tag is a MAC over.
+Shares and signatures are `Record`s, immutable named tuples that equal only
+their own kind, as are the wire messages built from them (`messages.py`).
 
 Every keyed digest is HMAC-SHA256 (RFC 2104), computed from sha256 inner
 and outer pad states that the provider hashes once per key when it is
@@ -43,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -120,21 +123,45 @@ def _remember(memo: dict, key, value, bound: int) -> None:
     memo[key] = value
 
 
-@dataclass(frozen=True)
-class SignatureShare:
-    signer: int
-    share_bytes: bytes
+class Record(tuple):
+    """An immutable value with named fields, cheaper to build than a frozen
+    dataclass: it equals only a record of its own kind with equal fields
+    (never a plain tuple), and equal records hash equal.  A kind subclasses
+    `record(fields)` and declares `__slots__ = ()`, so no attribute can be
+    set on it, its fields included."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class ThresholdSignature:
-    sig_bytes: bytes
+def record(fields: str, defaults: tuple = ()) -> type:
+    """The base of a `Record` kind with these space-separated fields, in
+    order; the last len(defaults) fields default to `defaults`."""
+    return type("Record", (Record, namedtuple("Record", fields, defaults=defaults)),
+                {"__slots__": ()})
 
 
-@dataclass(frozen=True)
-class CoinShare:
-    holder: int
-    share_bytes: bytes
+class SignatureShare(record("signer share_bytes")):
+    __slots__ = ()
+
+
+class ThresholdSignature(record("sig_bytes")):
+    __slots__ = ()
+
+
+class CoinShare(record("holder share_bytes")):
+    __slots__ = ()
+
+
+class DecryptionShare(record("holder share_bytes")):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -149,12 +176,6 @@ class Ciphertext:
             d = digest(self.payload)
             object.__setattr__(self, "_ct_digest", d)
         return d
-
-
-@dataclass(frozen=True)
-class DecryptionShare:
-    holder: int
-    share_bytes: bytes
 
 
 _CT_MAGIC = b"STPK"

@@ -6,9 +6,13 @@ walks them, so every message has exactly one byte representation.  The bytes
 hold every field but the instance (the envelope header carries it), a share's
 signer or holder (the envelope sender) and the share signer of each pre-vote
 a conflict main-vote embeds (ROADMAP item 1); `test_off_wire_fields_pinned`
-in `tests/test_messages.py` pins that list.  Messages one party emits to one
-destination during a single handling step travel in a single envelope;
-metrics count envelopes.
+in `tests/test_messages.py` pins that list.
+
+Each message kind and `Justification` is a `crypto.Record`: an immutable
+named tuple that equals only a message of its own kind.  Messages one party
+emits to one destination during a single handling step travel in a single
+envelope, which waits in the simulator's queue as itself; metrics count
+envelopes.
 """
 from __future__ import annotations
 
@@ -17,13 +21,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .crypto import (
-    Ciphertext,
-    CoinShare,
-    DecryptionShare,
-    SignatureShare,
-    ThresholdSignature,
-)
+from .crypto import Ciphertext, record
 
 BROADCAST = -1
 
@@ -38,14 +36,11 @@ JUST_ABSTAIN_THRESHOLD = 4  # threshold signature over prior-round abstain
 JUST_CONFLICT = 5  # two embedded justified pre-votes (bits 0 and 1)
 
 
-@dataclass(frozen=True)
-class Justification:
-    kind: int
-    signer: Optional[int] = None  # the pre-process signer, of JUST_PREPROCESS_ONE
-    share: Optional[SignatureShare] = None
-    sig: Optional[ThresholdSignature] = None
-    prevote_zero: Optional["AbbaPrevote"] = None
-    prevote_one: Optional["AbbaPrevote"] = None
+class Justification(record("kind signer share sig prevote_zero prevote_one", (None,) * 5)):
+    """A vote's justification; `signer` is the pre-process signer of
+    JUST_PREPROCESS_ONE, and only the fields its kind's wire names are set."""
+
+    __slots__ = ()
 
 
 HEADER = struct.Struct(">HQH")  # envelope: sender, instance, entry count
@@ -53,19 +48,7 @@ ENVELOPE_HEADER = HEADER.size
 ENTRY_HEADER = 5  # tag (1), body length (4)
 
 
-def _body_len(msg) -> int:
-    """len(msg.encode_body()), computed once per message object.
-
-    A broadcast message object rides in n-1 envelopes; messages are frozen,
-    so the length cached on the object stays valid."""
-    n = msg.__dict__.get("_body_len")
-    if n is None:
-        n = len(msg.encode_body())
-        object.__setattr__(msg, "_body_len", n)
-    return n
-
-
-def _fields(obj, wire) -> bytes:
+def _pack_fields(obj, wire) -> bytes:
     return b"".join([pack(getattr(obj, name)) for name, pack in wire])
 
 
@@ -88,7 +71,7 @@ def CIPHERTEXT(c: Ciphertext) -> bytes:
 
 
 def JUSTIFICATION(j: Justification) -> bytes:
-    return U8(j.kind) + _fields(j, JUSTIFICATION_WIRE[j.kind])
+    return U8(j.kind) + _pack_fields(j, JUSTIFICATION_WIRE[j.kind])
 
 
 def PREVOTE(pv: "AbbaPrevote") -> bytes:  # embedded, so its share signer is off the wire
@@ -101,75 +84,55 @@ def OPTIONAL_PAIR(pair) -> bytes:
 
 
 class _Message:
-    """A message kind: its body is the fields `WIRE` lists for it."""
+    """A message kind: its body is the fields `WIRE` lists for it.  Each kind
+    also subclasses `record(...)` for its fields; TAG and `slot`, where not a
+    field, are class attributes."""
 
     __slots__ = ()
 
     def encode_body(self) -> bytes:
-        return _fields(self, WIRE[type(self)])
+        return _pack_fields(self, WIRE[type(self)])
 
 
-@dataclass(frozen=True)
-class CsShare(_Message):
+class CsShare(_Message, record("instance share")):
     """Committee-selection coin share."""
 
-    instance: int
-    share: CoinShare
+    __slots__ = ()
     TAG = 1
     slot = None
 
 
-@dataclass(frozen=True)
-class PpbPayload(_Message):
+class PpbPayload(_Message, record("instance slot ciphertext")):
     """Committee member's ciphertext broadcast; slot doubles as sender."""
 
-    instance: int
-    slot: int
-    ciphertext: Ciphertext
+    __slots__ = ()
     TAG = 2
 
 
-@dataclass(frozen=True)
-class PpbShare(_Message):
+class PpbShare(_Message, record("instance slot share")):
     """Countersignature over a committee member's payload digest."""
 
-    instance: int
-    slot: int
-    share: SignatureShare
+    __slots__ = ()
     TAG = 3
 
 
-@dataclass(frozen=True)
-class Proposal(_Message):
-    instance: int
-    slot: int
-    ciphertext: Ciphertext
-    proof: ThresholdSignature
+class Proposal(_Message, record("instance slot ciphertext proof")):
+    __slots__ = ()
     TAG = 4
 
 
-@dataclass(frozen=True)
-class Suggestion(_Message):
-    instance: int
-    slot: int
-    ciphertext: Ciphertext
-    proof: ThresholdSignature
-    relayer: int
+class Suggestion(_Message, record("instance slot ciphertext proof relayer")):
+    __slots__ = ()
     TAG = 5
 
 
-@dataclass(frozen=True)
-class VMsg(_Message):
+class VMsg(_Message, record("instance slot u ciphertext proof", (None, None))):
     """Per-slot 1-bit claim.  The (ciphertext, proof) pair is optional wire
     baggage: honest parties send bare claims (pairs travel via the proposal
     and suggestion multicasts), but a claim that does attach a pair is
     verified and adopted like any other carrier."""
 
-    instance: int
-    slot: int
-    u: int
-    ciphertext: Optional[Ciphertext] = None
-    proof: Optional[ThresholdSignature] = None
+    __slots__ = ()
     TAG = 6
 
     @property
@@ -178,77 +141,45 @@ class VMsg(_Message):
         return (self.ciphertext, self.proof) if carried else None
 
 
-@dataclass(frozen=True)
-class AbbaPreprocess(_Message):
-    instance: int
-    slot: int
-    bit: int
-    share: SignatureShare
+class AbbaPreprocess(_Message, record("instance slot bit share")):
+    __slots__ = ()
     TAG = 7
 
 
-@dataclass(frozen=True)
-class AbbaPrevote(_Message):
-    instance: int
-    slot: int
-    round: int
-    bit: int
-    justification: Justification
-    share: SignatureShare
+class AbbaPrevote(_Message, record("instance slot round bit justification share")):
+    __slots__ = ()
     TAG = 8
 
 
-@dataclass(frozen=True)
-class AbbaMainvote(_Message):
-    instance: int
-    slot: int
-    round: int
-    value: int  # 0, 1 or ABSTAIN
-    justification: Justification
-    share: SignatureShare
+class AbbaMainvote(_Message, record("instance slot round value justification share")):
+    """A main-vote for `value`: 0, 1 or ABSTAIN."""
+
+    __slots__ = ()
     TAG = 9
 
 
-@dataclass(frozen=True)
-class AbbaCoinShare(_Message):
-    instance: int
-    slot: int
-    round: int
-    share: CoinShare
+class AbbaCoinShare(_Message, record("instance slot round share")):
+    __slots__ = ()
     TAG = 10
 
 
-@dataclass(frozen=True)
-class AbbaDecision(_Message):
-    instance: int
-    slot: int
-    round: int
-    bit: int
-    sig: ThresholdSignature
+class AbbaDecision(_Message, record("instance slot round bit sig")):
+    __slots__ = ()
     TAG = 11
 
 
-@dataclass(frozen=True)
-class Recover(_Message):
-    instance: int
-    slot: int
+class Recover(_Message, record("instance slot")):
+    __slots__ = ()
     TAG = 12
 
 
-@dataclass(frozen=True)
-class RecoverResp(_Message):
-    instance: int
-    slot: int
-    ciphertext: Ciphertext
-    proof: ThresholdSignature
+class RecoverResp(_Message, record("instance slot ciphertext proof")):
+    __slots__ = ()
     TAG = 13
 
 
-@dataclass(frozen=True)
-class DecShare(_Message):
-    instance: int
-    slot: int
-    share: DecryptionShare
+class DecShare(_Message, record("instance slot share")):
+    __slots__ = ()
     TAG = 14
 
 
@@ -286,13 +217,20 @@ Message = Union[tuple(WIRE)]  # any message kind
 
 @dataclass(slots=True)
 class Envelope:
-    """One delivery unit: all messages one party sent one peer in one step."""
+    """One delivery unit: all messages one party sent one peer in one step.
+    It waits in the simulator's queue as itself: the last three fields are
+    the queue's bookkeeping (the step it was queued at, how often a policy
+    deferred it, and whether it touches a targeting policy's target, once
+    the policy has looked)."""
 
     sender: int
     instance: int
     entries: tuple
     dst: int = BROADCAST  # transport metadata; not part of the wire bytes
     _size: Optional[int] = field(default=None, repr=False, compare=False)
+    enqueued: int = field(default=0, repr=False, compare=False)
+    deferrals: int = field(default=0, repr=False, compare=False)
+    targeted: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def encode(self) -> bytes:
         out = [HEADER.pack(self.sender, self.instance, len(self.entries))]
@@ -310,4 +248,4 @@ class Envelope:
 
 def entries_size(entries) -> int:
     """Wire size of an envelope carrying `entries`, without encoding them."""
-    return ENVELOPE_HEADER + sum(ENTRY_HEADER + _body_len(m) for m in entries)
+    return ENVELOPE_HEADER + sum(ENTRY_HEADER + len(m.encode_body()) for m in entries)

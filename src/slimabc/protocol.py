@@ -125,8 +125,7 @@ def wire_envelopes(pid: int, n: int, wire: List[WireItem],
         if all(type(m) is not tuple and m.instance == instance for m in wire):
             entries = tuple(wire)
             size = entries_size(entries) if sized else None
-            return [Envelope(pid, instance, entries, dst=q, _size=size)
-                    for q in range(n) if q != pid]
+            return [Envelope(pid, instance, entries, q, size) for q in range(n) if q != pid]
     grouped: Dict[Tuple[int, int], List[Message]] = {}
     for item in wire:
         if type(item) is tuple:
@@ -136,10 +135,7 @@ def wire_envelopes(pid: int, n: int, wire: List[WireItem],
             for q in range(n):
                 if q != pid:
                     grouped.setdefault((q, item.instance), []).append(item)
-    return [
-        Envelope(dst=dst, sender=pid, instance=inst, entries=tuple(msgs))
-        for (dst, inst), msgs in grouped.items()
-    ]
+    return [Envelope(pid, inst, tuple(msgs), dst) for (dst, inst), msgs in grouped.items()]
 
 
 class Observer:

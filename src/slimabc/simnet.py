@@ -25,26 +25,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .committee import Committee
-from .crypto import (
-    Ciphertext,
-    CoinShare,
-    DecryptionShare,
-    SignatureShare,
-    ThresholdSignature,
-    key_setup,
-)
+from .crypto import Ciphertext, ThresholdSignature, key_setup
 from .invocation import SlotInvocation
 from .messages import (
     BROADCAST,
-    AbbaCoinShare,
     AbbaMainvote,
-    AbbaPreprocess,
     AbbaPrevote,
-    CsShare,
-    DecShare,
     Envelope,
     PpbPayload,
-    PpbShare,
     Proposal,
     RecoverResp,
     Suggestion,
@@ -180,16 +168,6 @@ def load_scenario(path: str) -> SimConfig:
 # -- delivery policies ------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class QueueItem:
-    enqueued: int
-    env: Envelope
-    deferrals: int = 0
-    # Whether the envelope touches the targeting policy's target, set the
-    # first time the policy looks at the item once its target is known.
-    targeted: Optional[bool] = None
-
-
 def _carries_pair(m) -> bool:
     """Whether entry `m` carries a slot's (ciphertext, proof) pair."""
     return isinstance(m, (Proposal, Suggestion, RecoverResp)) \
@@ -198,14 +176,15 @@ def _carries_pair(m) -> bool:
 
 class Policy:
     """Picks which pending envelope is delivered next (`choose` returns its
-    index).  Every policy is built as cls(policy_params, rng)."""
+    index in the queue, a list of `Envelope`s in the order they were queued).
+    Every policy is built as cls(policy_params, rng)."""
 
     def __init__(self, params: dict, rng: random.Random):
         self.rng = rng
 
 
 class FifoPolicy(Policy):
-    def choose(self, pending: List[QueueItem]) -> int:
+    def choose(self, pending: List[Envelope]) -> int:
         return 0
 
 
@@ -218,7 +197,7 @@ class RandomPolicy(Policy):
         super().__init__(params, rng)
         self._getrandbits = rng.getrandbits
 
-    def choose(self, pending: List[QueueItem]) -> int:
+    def choose(self, pending: List[Envelope]) -> int:
         n = len(pending)
         k = n.bit_length()
         getrandbits = self._getrandbits
@@ -230,16 +209,17 @@ class RandomPolicy(Policy):
 
 class TargetingPolicy(Policy):
     """Targets the (instance, slot) of the first proposal enqueued; the event
-    loop shows it each queued item until the target is set.  The target
-    never changes once set, so each queued item is classified against it
-    once, by `touches`, the first time `choose` looks at the item: an item
-    queued before the first proposal can touch the target too."""
+    loop shows it each queued envelope until the target is set.  The target
+    never changes once set, so each queued envelope is classified against it
+    once, by `touches` into `Envelope.targeted`, the first time `choose`
+    looks at it: one queued before the first proposal can touch the target
+    too."""
 
     target: Optional[Tuple[int, int]] = None
 
-    def note_enqueue(self, item: QueueItem) -> None:
+    def note_enqueue(self, env: Envelope) -> None:
         if self.target is None:
-            for m in item.env.entries:
+            for m in env.entries:
                 if isinstance(m, Proposal):
                     self.target = (m.instance, m.slot)
                     return
@@ -256,16 +236,16 @@ class AdversarialDelayPolicy(TargetingPolicy):
         inst, slot = self.target
         return any(m.slot == slot and m.instance == inst for m in env.entries)
 
-    def choose(self, pending: List[QueueItem]) -> int:
+    def choose(self, pending: List[Envelope]) -> int:
         if self.target is None:
             return 0
         budget = self.budget
-        for i, item in enumerate(pending):
-            targeted = item.targeted
+        for i, env in enumerate(pending):
+            targeted = env.targeted
             if targeted is None:
-                targeted = item.targeted = self.touches(item.env)
-            if targeted and item.deferrals < budget:
-                item.deferrals += 1
+                targeted = env.targeted = self.touches(env)
+            if targeted and env.deferrals < budget:
+                env.deferrals += 1
                 continue
             return i
         return 0
@@ -280,12 +260,12 @@ class TargetedStarvePolicy(TargetingPolicy):
         return any(m.slot == slot and m.instance == inst and _carries_pair(m)
                    for m in env.entries)
 
-    def choose(self, pending: List[QueueItem]) -> int:
+    def choose(self, pending: List[Envelope]) -> int:
         if self.target is not None:
-            for i, item in enumerate(pending):
-                targeted = item.targeted
+            for i, env in enumerate(pending):
+                targeted = env.targeted
                 if targeted is None:
-                    targeted = item.targeted = self.touches(item.env)
+                    targeted = env.targeted = self.touches(env)
                 if not targeted:
                     return i
         return 0
@@ -302,19 +282,11 @@ POLICIES = {
 # -- byzantine behaviors -------------------------------------------------------------
 
 
-# Every share-carrying message kind keeps its share in its last field, and
-# every share type its share bytes: the names of the fields before it.
-_LEADING_FIELDS = {
-    cls: tuple(f.name for f in dataclasses.fields(cls))[:-1]
-    for cls in (CsShare, PpbShare, AbbaPreprocess, AbbaPrevote, AbbaMainvote, AbbaCoinShare,
-                DecShare, SignatureShare, CoinShare, DecryptionShare)
-}
-
-
 def _with_last(obj, value):
-    """A copy of `obj` with its last field set to `value`, by one constructor
-    call rather than `dataclasses.replace`."""
-    return type(obj)(*[getattr(obj, name) for name in _LEADING_FIELDS[type(obj)]], value)
+    """A copy of record `obj` with its last field set to `value`: every
+    share-carrying message kind keeps its share last, and every share type
+    its share bytes."""
+    return type(obj)(*obj[:-1], value)
 
 
 def _flip_share(msg):
@@ -350,7 +322,7 @@ class Behavior:
             if not changed:
                 out.append(env)
             elif entries:
-                out.append(Envelope(env.sender, env.instance, tuple(entries), dst=dst))
+                out.append(Envelope(env.sender, env.instance, tuple(entries), dst))
         return out
 
     def mutate(self, step: int, dst: int, msg):
@@ -437,7 +409,7 @@ class RunRecorder(Observer):
         self.provider = provider
         self.honest = set(cfg.honest())
         self.parties: List[Party] = []
-        self.pending: List[QueueItem] = []
+        self.pending: List[Envelope] = []
         self.current_env: Optional[Envelope] = None  # the envelope being handled
         self.committees: Dict[int, Dict[int, tuple]] = {}
         self.inputs: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -447,7 +419,7 @@ class RunRecorder(Observer):
         self.lemma: List[dict] = []
         self.failures: List[str] = []
 
-    def attach(self, parties: List[Party], pending: List[QueueItem]) -> None:
+    def attach(self, parties: List[Party], pending: List[Envelope]) -> None:
         self.parties = parties
         self.pending = pending
 
@@ -482,7 +454,7 @@ class RunRecorder(Observer):
         held_by = [party.held_pairs(instance) for party in self.parties]
         # One pass over the queue and the envelope being handled: the parties
         # each slot's pair is on its way to from an honest sender.
-        envs: List[Envelope] = [i.env for i in self.pending]
+        envs = list(self.pending)
         if self.current_env is not None:
             envs.append(self.current_env)
         inflight: Dict[int, Set[int]] = {}
@@ -705,7 +677,7 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
     fairness_bound = params.get("fairness_bound", 64 * len(parties))
     max_steps = cfg.max_steps
     honest = {p for p in range(len(parties)) if p not in behaviors}
-    pending: List[QueueItem] = []
+    pending: List[Envelope] = []
     if recorder is not None:
         recorder.attach(parties, pending)
 
@@ -715,11 +687,11 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
             envs = b.filter(step, envs)
         for env in envs:
             if env.sender != pid:  # behaviors cannot spoof the sender
-                env = Envelope(pid, env.instance, env.entries, dst=env.dst)
-            item = QueueItem(step, env)
+                env = Envelope(pid, env.instance, env.entries, env.dst)
+            env.enqueued = step
             if targeting and pol.target is None:
-                pol.note_enqueue(item)
-            pending.append(item)
+                pol.note_enqueue(env)
+            pending.append(env)
 
     for p in parties:
         b = behaviors.get(p.pid)
@@ -736,7 +708,7 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
             fairness_overrides += 1
         else:
             idx = pol.choose(pending)
-        env = pending.pop(idx).env
+        env = pending.pop(idx)
         if env.sender in honest:
             messages += 1
             if recorder is not None:

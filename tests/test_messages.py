@@ -13,6 +13,7 @@ from slimabc import BehaviorSpec, SimConfig, sim_run
 from slimabc.crypto import (
     CoinShare,
     DecryptionShare,
+    Record,
     SignatureShare,
     ThresholdSignature,
     key_setup,
@@ -81,14 +82,14 @@ def one_of_each():
         DecShare(1, 2, p.tpke_dec_share(0, ct)),
     ]
     # copies like the ones byzantine behaviors make
-    flipped = dataclasses.replace(share, share_bytes=bytes([share.share_bytes[0] ^ 0xFF])
-                                  + share.share_bytes[1:])
+    flipped = share._replace(share_bytes=bytes([share.share_bytes[0] ^ 0xFF])
+                             + share.share_bytes[1:])
     msgs += [
-        dataclasses.replace(msgs[-4], bit=0),
-        dataclasses.replace(msgs[13], value=1),
-        dataclasses.replace(msgs[5], u=1),
-        dataclasses.replace(msgs[1], ciphertext=p.tpke_enc(b"EQV")),
-        dataclasses.replace(msgs[2], share=flipped),
+        msgs[-4]._replace(bit=0),
+        msgs[13]._replace(value=1),
+        msgs[5]._replace(u=1),
+        msgs[1]._replace(ciphertext=p.tpke_enc(b"EQV")),
+        msgs[2]._replace(share=flipped),
     ]
     return msgs
 
@@ -174,12 +175,18 @@ def test_records_are_immutable_values_of_their_own_kind():
     assert {"Proposal", "RecoverResp", "SignatureShare", "CoinShare"} <= crossed
 
 
+def is_composite(value) -> bool:
+    """Whether `value` has fields: a record, or a `Ciphertext` dataclass."""
+    return isinstance(value, Record) or dataclasses.is_dataclass(value)
+
+
 def leaf_paths(obj, prefix=""):
     """(dotted path, value) of every leaf field of `obj` that is set, through
-    nested dataclasses."""
-    for fld in dataclasses.fields(obj):
-        value, path = getattr(obj, fld.name), prefix + fld.name
-        if dataclasses.is_dataclass(value):
+    nested records and ciphertexts."""
+    names = obj._fields if isinstance(obj, Record) else [f.name for f in dataclasses.fields(obj)]
+    for name in names:
+        value, path = getattr(obj, name), prefix + name
+        if is_composite(value):
             yield from leaf_paths(value, path + ".")
         elif value is not None:
             yield path, value
@@ -188,8 +195,8 @@ def leaf_paths(obj, prefix=""):
 def replaced(obj, path, value):
     """A copy of `obj` with the field at dotted `path` set to `value`."""
     name, _, rest = path.partition(".")
-    return dataclasses.replace(obj, **{name: replaced(getattr(obj, name), rest, value)
-                                       if rest else value})
+    change = {name: replaced(getattr(obj, name), rest, value) if rest else value}
+    return obj._replace(**change) if isinstance(obj, Record) else dataclasses.replace(obj, **change)
 
 
 def off_wire(m):

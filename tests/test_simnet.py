@@ -1,5 +1,4 @@
 """Simulator: config validation, determinism, policies, behaviors, traces."""
-import dataclasses
 import gc
 import hashlib
 import json
@@ -35,7 +34,6 @@ from slimabc.simnet import (
     POLICIES,
     AdversarialDelayPolicy,
     HarnessParty,
-    QueueItem,
     abba_harness_run,
     config_from_dict,
     load_scenario,
@@ -162,13 +160,13 @@ def test_delay_policy_defers_an_envelope_queued_before_its_target_is_known():
     ct, proof = make_proven_pair(provider, 1, 2, b"batch")
     budget = 3
     pol = AdversarialDelayPolicy({"budget": budget}, random.Random(0))
-    early = QueueItem(0, Envelope(2, 1, (PpbPayload(1, 2, ct),), dst=0))
+    early = Envelope(2, 1, (PpbPayload(1, 2, ct),), 0)
     pol.note_enqueue(early)
     assert pol.target is None
-    proposal = QueueItem(1, Envelope(2, 1, (Proposal(1, 2, ct, proof),), dst=1))
-    other = QueueItem(1, Envelope(0, 1, (VMsg(1, 0, 0),), dst=1))
-    for item in (proposal, other):
-        pol.note_enqueue(item)
+    proposal = Envelope(2, 1, (Proposal(1, 2, ct, proof),), 1, enqueued=1)
+    other = Envelope(0, 1, (VMsg(1, 0, 0),), 1, enqueued=1)
+    for env in (proposal, other):
+        pol.note_enqueue(env)
     assert pol.target == (1, 2)
     pending = [early, proposal, other]
     for _ in range(budget):
@@ -226,7 +224,7 @@ def test_behavior_filter_matches_construction_and_passes_unchanged_envelopes(kin
     assert {same for _, _, same in want} == {True, False}
 
 
-def test_random_votes_change_votes_as_dataclass_replace_did():
+def test_random_votes_change_votes_as_record_replace_does():
     provider = key_setup(128, 4, 0)
     envs = filter_envelopes(provider)
     spec = BehaviorSpec(3, "random-votes")
@@ -236,11 +234,11 @@ def test_random_votes_change_votes_as_dataclass_replace_did():
 
     def mutate(msg):
         if isinstance(msg, AbbaPrevote):
-            return dataclasses.replace(msg, bit=rng.randrange(2))
+            return msg._replace(bit=rng.randrange(2))
         if isinstance(msg, AbbaMainvote):
-            return dataclasses.replace(msg, value=rng.choice((0, 1, 2)))
+            return msg._replace(value=rng.choice((0, 1, 2)))
         if isinstance(msg, VMsg) and msg.u == 0 and rng.random() < 0.3:
-            return dataclasses.replace(msg, u=1)
+            return msg._replace(u=1)
         return msg
 
     want = [Envelope(e.sender, e.instance, tuple(mutate(m) for m in e.entries), dst=e.dst)
@@ -249,9 +247,9 @@ def test_random_votes_change_votes_as_dataclass_replace_did():
     assert got[-1] is envs[-1] and got[-2] is envs[-2]  # no vote or claim: passed as is
 
 
-def test_flipped_shares_equal_dataclass_replace():
+def test_flipped_shares_equal_record_replace():
     """corrupt-shares builds each changed message directly; it must equal the
-    `dataclasses.replace` reference for every share-carrying kind."""
+    `_replace` reference for every share-carrying kind."""
     provider = key_setup(128, 4, 0)
     sig = provider.sig_share(3, b"vote")
     coin = provider.coin_share(3, b"coin")
@@ -262,24 +260,24 @@ def test_flipped_shares_equal_dataclass_replace():
             AbbaCoinShare(1, 0, 1, coin), DecShare(1, 3, dec)]
     assert {type(m) for m in msgs} == {
         kind for kind in typing.get_args(Message)
-        if "share" in {fld.name for fld in dataclasses.fields(kind)}}
+        if "share" in kind._fields}
     behavior = BEHAVIORS["corrupt-shares"](BehaviorSpec(3, "corrupt-shares"),
                                            provider.party_handle(3), random.Random(0))
     for msg in msgs:
         raw = msg.share.share_bytes
-        flipped = dataclasses.replace(msg.share, share_bytes=bytes([raw[0] ^ 0xFF]) + raw[1:])
+        flipped = msg.share._replace(share_bytes=bytes([raw[0] ^ 0xFF]) + raw[1:])
         got = behavior.mutate(0, 1, msg)
-        assert got == dataclasses.replace(msg, share=flipped)
+        assert got == msg._replace(share=flipped)
         assert type(got) is type(msg) and type(got.share) is type(msg.share)
 
 
-def test_equivocated_payload_equals_dataclass_replace():
+def test_equivocated_payload_equals_record_replace():
     provider = key_setup(128, 4, 0)
     payload = PpbPayload(2, 3, provider.tpke_enc(b"batch"))
     behavior = BEHAVIORS["equivocate-ppb"](BehaviorSpec(3, "equivocate-ppb"),
                                            provider.party_handle(3), random.Random(0))
     alt = provider.tpke_enc(b"EQV" + (2).to_bytes(8, "big"))
-    assert behavior.mutate(0, 1, payload) == dataclasses.replace(payload, ciphertext=alt)
+    assert behavior.mutate(0, 1, payload) == payload._replace(ciphertext=alt)
     assert behavior.mutate(0, 2, payload) is payload
 
 
