@@ -240,12 +240,13 @@ class Envelope:
         return b"".join(out)
 
     def size(self) -> int:
-        """len(self.encode()), without building the bytes."""
+        """len(self.encode()), computed once, from the entries' body lengths."""
         if self._size is None:
             self._size = entries_size(self.entries)
         return self._size
 
 
 def entries_size(entries) -> int:
-    """Wire size of an envelope carrying `entries`, without encoding them."""
+    """Wire size of an envelope carrying `entries`: the headers and each
+    entry's encoded body."""
     return ENVELOPE_HEADER + sum(ENTRY_HEADER + len(m.encode_body()) for m in entries)

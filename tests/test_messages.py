@@ -155,13 +155,14 @@ def field_values(r):
 
 
 def test_records_are_immutable_values_of_their_own_kind():
-    """A field cannot be assigned; a record equals, and hashes like, a record
-    of its own kind with equal fields, but never a record of another kind
-    built from the same values, nor a plain tuple of them."""
+    """No field, nor any other attribute, can be assigned; a record equals,
+    and hashes like, a record of its own kind with equal fields, but never a
+    record of another kind built from the same values, nor a plain tuple of
+    them."""
     crossed = set()
     for r in one_record_of_each_kind():
         values = field_values(r)
-        for name in inspect.signature(type(r)).parameters:
+        for name in (*inspect.signature(type(r)).parameters, "unnamed"):
             with pytest.raises(AttributeError):
                 setattr(r, name, None)
         twin = type(r)(*values)
@@ -175,18 +176,13 @@ def test_records_are_immutable_values_of_their_own_kind():
     assert {"Proposal", "RecoverResp", "SignatureShare", "CoinShare"} <= crossed
 
 
-def is_composite(value) -> bool:
-    """Whether `value` has fields: a record, or a `Ciphertext` dataclass."""
-    return isinstance(value, Record) or dataclasses.is_dataclass(value)
-
-
 def leaf_paths(obj, prefix=""):
     """(dotted path, value) of every leaf field of `obj` that is set, through
     nested records and ciphertexts."""
     names = obj._fields if isinstance(obj, Record) else [f.name for f in dataclasses.fields(obj)]
     for name in names:
         value, path = getattr(obj, name), prefix + name
-        if is_composite(value):
+        if isinstance(value, Record) or dataclasses.is_dataclass(value):  # a Ciphertext
             yield from leaf_paths(value, path + ".")
         elif value is not None:
             yield path, value

@@ -163,8 +163,8 @@ def test_delay_policy_defers_an_envelope_queued_before_its_target_is_known():
     early = Envelope(2, 1, (PpbPayload(1, 2, ct),), 0)
     pol.note_enqueue(early)
     assert pol.target is None
-    proposal = Envelope(2, 1, (Proposal(1, 2, ct, proof),), 1, enqueued=1)
-    other = Envelope(0, 1, (VMsg(1, 0, 0),), 1, enqueued=1)
+    proposal = Envelope(2, 1, (Proposal(1, 2, ct, proof),), 1)
+    other = Envelope(0, 1, (VMsg(1, 0, 0),), 1)
     for env in (proposal, other):
         pol.note_enqueue(env)
     assert pol.target == (1, 2)
