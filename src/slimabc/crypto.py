@@ -29,14 +29,22 @@ spare repeated work without changing any result:
   ciphertext, every share and the holder count have been checked;
 * the *accepted* results of `verify_share`, `verify_signature` and
   `tpke_dec_share_verify`, keyed by tuples of the bytes and ints each
-  check reads.  A rejection is never stored, so a sender of invalid
-  shares cannot grow them, and any changed input is a new key that is
-  verified afresh.
+  check reads;
+* the tag of each (key, domain, signed input), such as (a party's key,
+  b"sig", message), so a hit skips the message digest and the MAC.
+  `sig_share`, `combine_shares`, `coin_share` and `tpke_dec_share` fill it;
+  `coin_share_verify` and, when their accepted memo misses, the three
+  verifiers above read it, and each stores a tag it computed only when the
+  offered one matches it.  Both of these are bounded by `VERIFY_MEMO_MAX`.
 
-All live inside the public methods: every call still enters the method
-(`combine_shares` and `tpke_dec` still check each share through the
-public verifiers), and no memo is reachable from a `PartyCrypto` handle
-or a `Ciphertext`, so the capability contract above is unchanged.
+A rejection is never stored in any of them, so a sender of invalid shares
+cannot grow them, and any changed input is a new key that is verified
+afresh.  All live inside the public methods: every call still enters the
+method, a check that misses the accepted memo still compares the offered
+tag with `hmac.compare_digest`, and `combine_shares` and `tpke_dec` still
+check each share through the public verifiers.  No memo is reachable from
+a `PartyCrypto` handle or a `Ciphertext`, so the capability contract above
+is unchanged.
 
 WARNING: this is a simulation artifact, not a secure implementation.
 """
@@ -214,11 +222,39 @@ class ThresholdProvider:
         self._plaintexts: dict = {}  # ct_digest() -> plaintext
         self._accepted: dict = {}  # inputs of accepted share/signature checks
         self._dec_accepted: dict = {}  # inputs of accepted decryption-share checks
+        self._tags: dict = {}  # (key, domain, signed input) -> tag
 
     # -- internal keyed digests ------------------------------------------
 
-    def _tag(self, key: _MacKey, *parts: bytes) -> bytes:
-        return key.mac(b"\x00".join(parts))[:TAG_LEN]
+    def _tag(self, key: _MacKey, domain: bytes, signed: bytes) -> bytes:
+        """The tag of `signed` under `key` in `domain`, from the tag memo, which
+        it fills: MAC(key, domain || 0x00 || input), cut to TAG_LEN, where the
+        input of the two signature domains is the digest of `signed`."""
+        memo_key = (key, domain, signed)
+        tag = self._tags.get(memo_key)
+        if tag is None:
+            tag = self._fresh_tag(key, domain, signed)
+            _remember(self._tags, memo_key, tag, VERIFY_MEMO_MAX)
+        return tag
+
+    def _fresh_tag(self, key: _MacKey, domain: bytes, signed: bytes) -> bytes:
+        if domain == b"sig" or domain == b"tsig":
+            signed = digest(signed)
+        return key.mac(domain + b"\x00" + signed)[:TAG_LEN]
+
+    def _tag_matches(self, key: _MacKey, domain: bytes, signed: bytes, offered: bytes) -> bool:
+        """Whether `offered` is `_tag(key, domain, signed)`.  A tag computed
+        here goes into the memo only when it matches, so rejected input never
+        grows it."""
+        memo_key = (key, domain, signed)
+        tag = self._tags.get(memo_key)
+        if tag is None:
+            tag = self._fresh_tag(key, domain, signed)
+            if not hmac.compare_digest(offered, tag):
+                return False
+            _remember(self._tags, memo_key, tag, VERIFY_MEMO_MAX)
+            return True
+        return hmac.compare_digest(offered, tag)
 
     def _stream(self, key: _MacKey, label: bytes, nbytes: int) -> bytes:
         """HMAC(key, label || be32(i)) for i = 0, 1, ..., cut to nbytes: block 0
@@ -239,7 +275,7 @@ class ThresholdProvider:
 
     def sig_share(self, party: int, message: bytes) -> SignatureShare:
         self._check_party(party)
-        return SignatureShare(party, self._tag(self._party_keys[party], b"sig", digest(message)))
+        return SignatureShare(party, self._tag(self._party_keys[party], b"sig", message))
 
     def verify_share(self, message: bytes, signer: int, share: SignatureShare) -> bool:
         key = (message, signer, share.signer, share.share_bytes)
@@ -247,8 +283,7 @@ class ThresholdProvider:
             return True
         if not 0 <= signer < self.n or share.signer != signer:
             return False
-        tag = self._tag(self._party_keys[signer], b"sig", digest(message))
-        ok = hmac.compare_digest(share.share_bytes, tag)
+        ok = self._tag_matches(self._party_keys[signer], b"sig", message, share.share_bytes)
         if ok:
             _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
         return ok
@@ -267,13 +302,13 @@ class ThresholdProvider:
         signers = {s.signer for s in shares}
         if len(signers) < self.t_sig:
             raise InsufficientSharesError(self.t_sig, len(signers))
-        return ThresholdSignature(self._tag(self._master, b"tsig", digest(message)))
+        return ThresholdSignature(self._tag(self._master, b"tsig", message))
 
     def verify_signature(self, message: bytes, sig: ThresholdSignature) -> bool:
         key = (message, sig.sig_bytes)  # never equal to a verify_share key, which has four
         if key in self._accepted:
             return True
-        ok = hmac.compare_digest(sig.sig_bytes, self._tag(self._master, b"tsig", digest(message)))
+        ok = self._tag_matches(self._master, b"tsig", message, sig.sig_bytes)
         if ok:
             _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
         return ok
@@ -287,9 +322,7 @@ class ThresholdProvider:
     def coin_share_verify(self, coin_name: bytes, holder: int, share: CoinShare) -> bool:
         if not 0 <= holder < self.n or share.holder != holder:
             return False
-        return hmac.compare_digest(
-            share.share_bytes, self._tag(self._party_keys[holder], b"coin", coin_name)
-        )
+        return self._tag_matches(self._party_keys[holder], b"coin", coin_name, share.share_bytes)
 
     def _coin_quorum(self, coin_name: bytes, shares: Iterable[CoinShare]) -> None:
         offenders = [
@@ -364,9 +397,7 @@ class ThresholdProvider:
             return True
         if not 0 <= holder < self.n or share.holder != holder:
             return False
-        ok = hmac.compare_digest(
-            share.share_bytes, self._tag(self._party_keys[holder], b"tpke-dec", d)
-        )
+        ok = self._tag_matches(self._party_keys[holder], b"tpke-dec", d, share.share_bytes)
         if ok:
             _remember(self._dec_accepted, key, True, VERIFY_MEMO_MAX)
         return ok

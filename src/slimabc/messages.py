@@ -8,6 +8,10 @@ signer or holder (the envelope sender) and the share signer of each pre-vote
 a conflict main-vote embeds (ROADMAP item 1); `test_off_wire_fields_pinned`
 in `tests/test_messages.py` pins that list.
 
+`WIDTH` gives each wire type's width, a number or a function of the value,
+and `body_size` walks the same tables with each kind's fixed widths summed
+once, so an envelope is sized without being encoded.
+
 Each message kind and `Justification` is a `crypto.Record`: an immutable
 named tuple that equals only a message of its own kind.  Messages one party
 emits to one destination during a single handling step travel in a single
@@ -214,6 +218,44 @@ JUSTIFICATION_WIRE = {  # after the kind byte
 
 Message = Union[tuple(WIRE)]  # any message kind
 
+# Each wire type's width in bytes: a number for a fixed width, else a function
+# of the value, which is what the type packs.
+WIDTH = {
+    U8: 1,
+    U16: 2,
+    SHARE: lambda share: len(share.share_bytes),
+    SIG: lambda sig: len(sig.sig_bytes),
+    LEN_SHARE: lambda share: 4 + len(share.share_bytes),
+    CIPHERTEXT: lambda c: 8 + len(c.payload),
+    JUSTIFICATION: lambda j: 1 + _walk_size(j, _JUSTIFICATION_SIZES[j.kind]),
+    PREVOTE: lambda pv: 4 + body_size(pv),
+    OPTIONAL_PAIR: lambda pair: 1 + (WIDTH[CIPHERTEXT](pair[0]) + WIDTH[SIG](pair[1]) if pair
+                                     else 0),
+}
+
+
+def _fold(wire) -> tuple:
+    """A field table as (the sum of its fixed widths, (field, width function)
+    of each other field)."""
+    fixed = sum(WIDTH[t] for _, t in wire if type(WIDTH[t]) is int)
+    return fixed, tuple((name, WIDTH[t]) for name, t in wire if type(WIDTH[t]) is not int)
+
+
+def _walk_size(obj, folded) -> int:
+    fixed, variable = folded
+    for name, width in variable:
+        fixed += width(getattr(obj, name))
+    return fixed
+
+
+_BODY_SIZES = {kind: _fold(wire) for kind, wire in WIRE.items()}
+_JUSTIFICATION_SIZES = {kind: _fold(wire) for kind, wire in JUSTIFICATION_WIRE.items()}
+
+
+def body_size(m) -> int:
+    """len(m.encode_body()), from the widths of the fields `WIRE` lists."""
+    return _walk_size(m, _BODY_SIZES[type(m)])
+
 
 @dataclass(slots=True)
 class Envelope:
@@ -240,7 +282,7 @@ class Envelope:
         return b"".join(out)
 
     def size(self) -> int:
-        """len(self.encode()), computed once, from the entries' body lengths."""
+        """len(self.encode()), computed once, from the entries' field widths."""
         if self._size is None:
             self._size = entries_size(self.entries)
         return self._size
@@ -248,5 +290,8 @@ class Envelope:
 
 def entries_size(entries) -> int:
     """Wire size of an envelope carrying `entries`: the headers and each
-    entry's encoded body."""
-    return ENVELOPE_HEADER + sum(ENTRY_HEADER + len(m.encode_body()) for m in entries)
+    entry's body, sized without encoding it."""
+    size = ENVELOPE_HEADER + ENTRY_HEADER * len(entries)
+    for m in entries:
+        size += body_size(m)
+    return size

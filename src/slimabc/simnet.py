@@ -234,7 +234,10 @@ class AdversarialDelayPolicy(TargetingPolicy):
 
     def touches(self, env: Envelope) -> bool:
         inst, slot = self.target
-        return any(m.slot == slot and m.instance == inst for m in env.entries)
+        for m in env.entries:
+            if m.slot == slot and m.instance == inst:
+                return True
+        return False
 
     def choose(self, pending: List[Envelope]) -> int:
         if self.target is None:
@@ -257,8 +260,10 @@ class TargetedStarvePolicy(TargetingPolicy):
 
     def touches(self, env: Envelope) -> bool:
         inst, slot = self.target
-        return any(m.slot == slot and m.instance == inst and _carries_pair(m)
-                   for m in env.entries)
+        for m in env.entries:
+            if m.slot == slot and m.instance == inst and _carries_pair(m):
+                return True
+        return False
 
     def choose(self, pending: List[Envelope]) -> int:
         if self.target is not None:

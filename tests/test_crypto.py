@@ -452,9 +452,11 @@ def test_rejections_are_never_stored():
     c = p.tpke_enc(b"flood")
     dec = p.tpke_dec_share(0, c)
     assert p.tpke_dec_share_verify(c, 0, dec)
-    size, dec_size = len(p._accepted), len(p._dec_accepted)
+    coin = p.coin_share(0, b"flood")
+    assert p.coin_share_verify(b"flood", 0, coin)
+    sizes = len(p._accepted), len(p._dec_accepted), len(p._tags)
     rng = random.Random(5)
-    for _ in range(500):
+    for k in range(500):
         forged = SignatureShare(0, rng.randbytes(TAG_LEN))
         if forged != share:
             assert not p.verify_share(b"flood", 0, forged)
@@ -463,7 +465,39 @@ def test_rejections_are_never_stored():
         if forged_dec != dec:
             assert not p.tpke_dec_share_verify(c, 0, forged_dec)
         assert not p.tpke_dec_share_verify(c, 1, DecryptionShare(1, dec.share_bytes))
-    assert len(p._accepted) == size and len(p._dec_accepted) == dec_size
+        forged_coin = CoinShare(0, rng.randbytes(TAG_LEN))
+        if forged_coin != coin:
+            assert not p.coin_share_verify(b"flood", 0, forged_coin)
+        assert not p.coin_share_verify(b"flood", 1, CoinShare(1, coin.share_bytes))
+        # inputs whose tags nobody has made yet
+        fresh = b"fresh %d" % k
+        assert not p.verify_share(fresh, 0, forged)
+        assert not p.verify_signature(fresh, ThresholdSignature(forged.share_bytes))
+        assert not p.coin_share_verify(fresh, 0, forged_coin)
+        assert not p.tpke_dec_share_verify(p.tpke_enc(fresh), 0, forged_dec)
+    assert (len(p._accepted), len(p._dec_accepted), len(p._tags)) == sizes
+
+
+def test_verifying_honest_output_makes_no_mac(monkeypatch):
+    """The producer's tags serve every verifier, and every combine after the
+    first; the checks still run and still reject a changed tag."""
+    p = provider()
+    share = p.sig_share(1, b"m")
+    shares = [p.sig_share(i, b"s") for i in range(3)]
+    sig = p.combine_shares(b"s", shares)
+    coin = p.coin_share(2, b"coin")
+    c = p.tpke_enc(b"batch")
+    dec = p.tpke_dec_share(3, c)
+    macs = []
+    monkeypatch.setattr(_MacKey, "mac", lambda key, msg: macs.append(msg))
+    assert p.verify_share(b"m", 1, share)
+    assert p.verify_signature(b"s", sig)
+    assert p.combine_shares(b"s", shares) == sig
+    assert p.coin_share_verify(b"coin", 2, coin)
+    assert p.tpke_dec_share_verify(c, 3, dec)
+    assert not p.verify_share(b"m", 1, flip(share))
+    assert not p.coin_share_verify(b"coin", 2, coin._replace(share_bytes=bytes(TAG_LEN)))
+    assert macs == []
 
 
 def test_warm_memo_combine_still_names_offenders():
@@ -563,7 +597,7 @@ def test_memos_stay_within_their_bounds():
     for k in range(VERIFY_MEMO_MAX + 50):
         msg = b"bound %d" % k
         assert p.verify_share(msg, k % 4, p.sig_share(k % 4, msg))
-        assert len(p._accepted) <= VERIFY_MEMO_MAX
+        assert len(p._accepted) <= VERIFY_MEMO_MAX and len(p._tags) <= VERIFY_MEMO_MAX
     for k in range(TPKE_MEMO_MAX + 10):
         c = p.tpke_enc(b"%d" % k)
         assert p.tpke_dec(c, [p.tpke_dec_share(i, c) for i in range(2)]) == b"%d" % k
@@ -574,9 +608,10 @@ def test_memos_stay_within_their_bounds():
         for i in range(2):
             assert p.tpke_dec_share_verify(c, i, shares[i])
         p.tpke_dec(c, shares)  # each a miss that fills the plaintext memo
-        assert len(p._dec_accepted) <= VERIFY_MEMO_MAX
+        assert len(p._dec_accepted) <= VERIFY_MEMO_MAX and len(p._tags) <= VERIFY_MEMO_MAX
         assert len(p._plaintexts) <= TPKE_MEMO_MAX
     assert len(p._accepted) == VERIFY_MEMO_MAX and len(p._dec_accepted) == VERIFY_MEMO_MAX
+    assert len(p._tags) == VERIFY_MEMO_MAX
     assert len(p._ciphertexts) == TPKE_MEMO_MAX and len(p._plaintexts) == TPKE_MEMO_MAX
 
 

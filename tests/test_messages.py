@@ -8,9 +8,12 @@ import struct
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimabc import BehaviorSpec, SimConfig, sim_run
 from slimabc.crypto import (
+    Ciphertext,
     CoinShare,
     DecryptionShare,
     Record,
@@ -34,6 +37,7 @@ from slimabc.messages import (
     CsShare,
     DecShare,
     Envelope,
+    JUSTIFICATION_WIRE,
     Justification,
     Message,
     PpbPayload,
@@ -43,7 +47,10 @@ from slimabc.messages import (
     RecoverResp,
     Suggestion,
     VMsg,
+    WIDTH,
     WIRE,
+    _Message,
+    entries_size,
 )
 from slimabc.protocol import Party
 from slimabc.simnet import BEHAVIORS, POLICIES
@@ -106,6 +113,82 @@ def test_size_equals_encoded_length_for_every_kind():
     again = Envelope(3, 7, tuple(reversed(msgs)))
     assert again.size() == len(again.encode())
     assert Envelope(0, 1, ()).size() == len(Envelope(0, 1, ()).encode())
+
+
+# Drawn messages: every kind and every justification kind, with shares,
+# signatures and payloads of any length (byzantine traffic need not carry
+# TAG_LEN-byte tags).
+u8, u16, u64 = (st.integers(0, 2**bits - 1) for bits in (8, 16, 64))
+tags = st.binary(max_size=40)
+shares = st.builds(SignatureShare, u16, tags)
+coin_shares = st.builds(CoinShare, u16, tags)
+sigs = st.builds(ThresholdSignature, tags)
+payloads = st.binary(max_size=64) | st.integers(0, 4096).map(bytes)
+cts = st.builds(Ciphertext, payloads, st.integers(0, 2**32 - 1))
+
+
+def _conflict(inner):
+    prevotes = st.builds(AbbaPrevote, u64, u16, u16, u8, inner, shares)
+    return st.builds(lambda zero, one: Justification(JUST_CONFLICT, prevote_zero=zero,
+                                                     prevote_one=one), prevotes, prevotes)
+
+
+justifications = st.recursive(
+    st.one_of(
+        st.just(Justification(JUST_NONE)),
+        st.builds(lambda signer, share: Justification(JUST_PREPROCESS_ONE, signer=signer,
+                                                      share=share), u16, shares),
+        st.builds(lambda kind, sig: Justification(kind, sig=sig),
+                  st.sampled_from((JUST_PREPROCESS_ZERO, JUST_PREVOTE_THRESHOLD,
+                                   JUST_ABSTAIN_THRESHOLD)), sigs)),
+    _conflict, max_leaves=4)
+DRAWN = {
+    CsShare: st.builds(CsShare, u64, coin_shares),
+    PpbPayload: st.builds(PpbPayload, u64, u16, cts),
+    PpbShare: st.builds(PpbShare, u64, u16, shares),
+    Proposal: st.builds(Proposal, u64, u16, cts, sigs),
+    Suggestion: st.builds(Suggestion, u64, u16, cts, sigs, u16),
+    VMsg: st.builds(VMsg, u64, u16, u8, st.none() | cts, st.none() | sigs),
+    AbbaPreprocess: st.builds(AbbaPreprocess, u64, u16, u8, shares),
+    AbbaPrevote: st.builds(AbbaPrevote, u64, u16, u16, u8, justifications, shares),
+    AbbaMainvote: st.builds(AbbaMainvote, u64, u16, u16, u8, justifications, shares),
+    AbbaCoinShare: st.builds(AbbaCoinShare, u64, u16, u16, coin_shares),
+    AbbaDecision: st.builds(AbbaDecision, u64, u16, u16, u8, sigs),
+    Recover: st.builds(Recover, u64, u16),
+    RecoverResp: st.builds(RecoverResp, u64, u16, cts, sigs),
+    DecShare: st.builds(DecShare, u64, u16, st.builds(DecryptionShare, u16, tags)),
+}
+messages = st.one_of(*DRAWN.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(u16, u64, st.lists(messages, max_size=6))
+def test_size_equals_encoded_length_of_drawn_entries(sender, instance, entries):
+    assert set(DRAWN) == set(WIRE)
+    assert entries_size(entries) == len(Envelope(sender, instance, tuple(entries)).encode())
+
+
+def test_every_wire_type_has_a_width():
+    used = {t for table in (*WIRE.values(), *JUSTIFICATION_WIRE.values()) for _, t in table}
+    assert used <= set(WIDTH)
+    for t in used:
+        if type(WIDTH[t]) is int:
+            assert len(t(0)) == WIDTH[t]
+
+
+def test_runs_size_envelopes_without_encoding(monkeypatch):
+    """A grid slice, every behavior under every policy at n=4, reports the
+    same when encoding a message body raises."""
+    cfgs = [SimConfig(n=4, f=1, seed=seed, instances=2, policy=policy,
+                      byzantine=(BehaviorSpec(0, fault, at_step=9),))
+            for seed, (fault, policy) in enumerate(itertools.product(BEHAVIORS, POLICIES))]
+    reports = [sim_run(cfg).to_json() for cfg in cfgs]
+
+    def refuse(self):
+        raise AssertionError("a message body was encoded during a run")
+
+    monkeypatch.setattr(_Message, "encode_body", refuse)
+    assert [sim_run(cfg).to_json() for cfg in cfgs] == reports
 
 
 def test_every_kind_has_a_slot():
