@@ -21,12 +21,13 @@ Justification discipline (what makes the bias and agreement stick):
     bit, so abstaining is impossible once only one bit is justifiable.
 
 A vote with an invalid justification is never counted toward any
-threshold.  Votes for rounds ahead of the local machine are buffered.
+threshold.  Votes for rounds ahead of the local machine are buffered, the
+first of each kind from each sender only.
 """
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .crypto import CoinShare, PartyCrypto, ThresholdSignature
 from .messages import (
@@ -101,13 +102,17 @@ class AbbaMachine:
         # Vote ledgers keep arrival order: the first quorum of a dict is the
         # quorum a threshold signature or a decision is built from.
         self._pp: Dict[int, AbbaPreprocess] = {}
-        self._pp_pending_one: List[Tuple[int, AbbaPreprocess]] = []
+        self._pp_pending_one: Dict[int, AbbaPreprocess] = {}  # sender -> first
         self._prevotes: Dict[int, Dict[int, AbbaPrevote]] = {}
         self._mainvotes: Dict[int, Dict[int, AbbaMainvote]] = {}
         self._coin_shares: Dict[int, Dict[int, CoinShare]] = {}
         self.coins: Dict[int, int] = {}
-        self._future: Dict[int, List[Tuple[int, Message]]] = {}  # votes for rounds ahead
-        self._ev_pending: List[Tuple[int, Message]] = []  # votes awaiting the payload proof
+        # Parked (sender, vote) pairs, the first per key in arrival order, so
+        # copies from one sender take one entry: votes for rounds ahead, per
+        # round, keyed by (kind, sender); votes awaiting the payload proof,
+        # keyed by (kind, round, sender).
+        self._future: Dict[int, Dict[Tuple[type, int], Tuple[int, Message]]] = {}
+        self._ev_pending: Dict[Tuple[type, int, int], Tuple[int, Message]] = {}
 
         # Progress within the current round: 0 awaits 2f+1 pre-votes, 1 has
         # sent the main-vote, 2 has checked for a decision and sent the coin share.
@@ -132,11 +137,11 @@ class AbbaMachine:
             return []
         self.evidence_known = True
         out: List[Message] = []
-        pending, self._pp_pending_one = self._pp_pending_one, []
-        for sender, msg in pending:
+        pending, self._pp_pending_one = self._pp_pending_one, {}
+        for sender, msg in pending.items():
             self._pp.setdefault(sender, msg)
-        replay, self._ev_pending = self._ev_pending, []
-        self._replay(replay, out)
+        replay, self._ev_pending = self._ev_pending, {}
+        self._replay(replay.values(), out)
         self._pump(out)
         return out
 
@@ -148,7 +153,7 @@ class AbbaMachine:
         if not self.crypto.verify_share(self._pp_msgs[msg.bit], sender, msg.share):
             return
         if msg.bit == 1 and not self.evidence_known:
-            self._pp_pending_one.append((sender, msg))
+            self._pp_pending_one.setdefault(sender, msg)
             return
         pp = self._pp
         pp[sender] = msg
@@ -167,14 +172,14 @@ class AbbaMachine:
         if msg.bit not in (0, 1) or self.decided or r < 1:
             return
         if r > self.round and r > 1:
-            self._future.setdefault(r, []).append((sender, msg))
+            self._future.setdefault(r, {}).setdefault((AbbaPrevote, sender), (sender, msg))
             return
         votes = self._prevotes.get(r)
         if votes is not None and sender in votes:
             return
         ok = self._validate_prevote(sender, msg)
         if ok == "pending":
-            self._ev_pending.append((sender, msg))
+            self._ev_pending.setdefault((AbbaPrevote, r, sender), (sender, msg))
             return
         if not ok:
             return
@@ -189,14 +194,14 @@ class AbbaMachine:
         if msg.value not in (0, 1, ABSTAIN) or self.decided or r < 1:
             return
         if r > self.round and r > 1:
-            self._future.setdefault(r, []).append((sender, msg))
+            self._future.setdefault(r, {}).setdefault((AbbaMainvote, sender), (sender, msg))
             return
         votes = self._mainvotes.get(r)
         if votes is not None and sender in votes:
             return
         ok = self._validate_mainvote(sender, msg)
         if ok == "pending":
-            self._ev_pending.append((sender, msg))
+            self._ev_pending.setdefault((AbbaMainvote, r, sender), (sender, msg))
             return
         if not ok:
             return
@@ -336,7 +341,7 @@ class AbbaMachine:
             just = Justification(JUST_PREPROCESS_ZERO, sig=sig)
             bit = 0
         self._emit_prevote(1, bit, just, out)
-        self._replay(self._future.pop(1, []), out)
+        self._replay(self._future.pop(1, {}).values(), out)
 
     def _emit_prevote(self, r: int, bit: int, just: Justification, out: List[Message]) -> None:
         share = self.crypto.sig_share(self._round_msgs[r][bit])
@@ -396,9 +401,9 @@ class AbbaMachine:
             self._emit_prevote(
                 r, self.coins[prev], Justification(JUST_ABSTAIN_THRESHOLD, sig=sig), out
             )
-        self._replay(self._future.pop(r, []), out)
+        self._replay(self._future.pop(r, {}).values(), out)
 
-    def _replay(self, parked: List[Tuple[int, Message]], out: List[Message]) -> None:
+    def _replay(self, parked: Iterable[Tuple[int, Message]], out: List[Message]) -> None:
         """Hand parked votes to the public handlers again, in arrival order."""
         for sender, msg in parked:
             if type(msg) is AbbaPrevote:

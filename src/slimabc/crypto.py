@@ -29,7 +29,12 @@ spare repeated work without changing any result:
   ciphertext, every share and the holder count have been checked;
 * the *accepted* results of `verify_share`, `verify_signature` and
   `tpke_dec_share_verify`, keyed by tuples of the bytes and ints each
-  check reads;
+  check reads.  These are the verifiers' hit path: a repeated check of
+  a share or signature costs one dict lookup, where the tag memo below
+  would also look up the key and compare the tags with
+  `hmac.compare_digest`.  Every accepted check's tag is in the tag memo
+  too, so they change no result and no MAC count, only the time of
+  repeated checks;
 * the tag of each (key, domain, signed input), such as (a party's key,
   b"sig", message), so a hit skips the message digest and the MAC.
   `sig_share`, `combine_shares`, `coin_share` and `tpke_dec_share` fill it;

@@ -8,7 +8,10 @@ party relays the first valid pair it sees (once), and after 2f+1
 distinct pair senders each party fixes a 1-bit claim per slot and runs
 one binary agreement per slot.  Slots decided 1 are threshold-decrypted
 and their batches delivered in slot order, deduplicated byte-exactly
-against everything delivered before.
+against everything delivered before.  A batch is decoded once per distinct
+plaintext: the parties that deliver it share one immutable `RequestBatch`
+and its request objects, and the shared decode is released with the last
+party that holds it, so nothing outlives the run.
 
 Messages a party cannot handle yet (for a later instance, or for a slot
 of the current one before its committee is known) wait in one buffer per
@@ -87,6 +90,24 @@ class RequestBatch:
         if off != len(data):
             raise ValueError("trailing bytes in batch")
         return cls(proposer, instance, tuple(requests))
+
+
+# The batch decoded from each plaintext that some party still holds.  Every
+# party of a run decrypts a slot to one shared plaintext, so they all share
+# one batch and its request objects; an entry goes with its last holder, and
+# a plaintext that fails to decode is never entered.  Decoding is a pure
+# function of the bytes and a batch is immutable, so runs that meet in this
+# table see exactly what they would have decoded themselves.
+_decoded: "weakref.WeakValueDictionary[bytes, RequestBatch]" = weakref.WeakValueDictionary()
+
+
+def decode_shared(plaintext: bytes) -> RequestBatch:
+    """`RequestBatch.decode(plaintext)`, made once per distinct plaintext
+    while any holder keeps the batch; a malformed one raises every time."""
+    batch = _decoded.get(plaintext)
+    if batch is None:
+        batch = _decoded[plaintext] = RequestBatch.decode(plaintext)
+    return batch
 
 
 def instance_pool(cfg: SimConfig, instance: int, party: int) -> List[bytes]:
@@ -437,7 +458,7 @@ class Party(SlotOwner):
                 continue
             pairs[slot] = inv.pair
             try:
-                batch = RequestBatch.decode(inv.plaintext)
+                batch = decode_shared(inv.plaintext)
             except ValueError:
                 continue  # provable but invalid content: excluded everywhere alike
             if batch.proposer != slot or batch.instance != self.instance:

@@ -283,6 +283,31 @@ def test_future_round_votes_buffered():
     assert m._future  # parked for round 2
 
 
+def test_parked_votes_keep_one_copy_per_sender():
+    """A sender repeating a vote the machine cannot check yet grows no
+    buffer: the first copy is parked, every later one is dropped."""
+    provider, machines = make_machines(evidence=False)
+    m = machines[0]
+    junk = AbbaPrevote(INSTANCE, SLOT, 5, 1, Justification(JUST_NONE), sig_for(provider, 2, b"x"))
+    ahead = AbbaMainvote(INSTANCE, SLOT, 5, ABSTAIN, Justification(JUST_NONE),
+                         sig_for(provider, 2, b"x"))
+    pp_share = sig_for(provider, 2, preprocess_bytes(INSTANCE, SLOT, 1))
+    pp_one = AbbaPreprocess(INSTANCE, SLOT, 1, pp_share)
+    pv_one = AbbaPrevote(
+        INSTANCE, SLOT, 1, 1, Justification(JUST_PREPROCESS_ONE, signer=2, share=pp_share),
+        sig_for(provider, 2, prevote_bytes(INSTANCE, SLOT, 1, 1)),
+    )
+    for _ in range(10_000):
+        m.on_prevote(2, junk, [])
+        m.on_mainvote(2, ahead, [])
+        m.on_preprocess(2, pp_one, [])
+        m.on_prevote(2, pv_one, [])
+    assert [len(m._future[5]), len(m._pp_pending_one), len(m._ev_pending)] == [2, 1, 1]
+    # the parked copies still count once the payload proof is known
+    m.set_evidence_known()
+    assert m._pp[2] == pp_one and m._prevotes[1][2] == pv_one
+
+
 def engineered_split(sent=None):
     """One party pre-votes 1, two pre-vote 0 => abstain main-votes and a coin.
     Returns the provider and the three active machines; every vote, coin share

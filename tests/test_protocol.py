@@ -1,7 +1,9 @@
 """Batches, pools, and the orchestrated full stack at small n."""
+import gc
 import hashlib
 import itertools
 import typing
+import weakref
 from typing import Dict, List, Tuple
 
 import pytest
@@ -23,8 +25,9 @@ from slimabc.messages import (
     Suggestion,
     VMsg,
 )
-from slimabc.protocol import instance_pool, sample_batch
-from slimabc.simnet import BEHAVIORS, POLICIES, HarnessParty, RunRecorder
+from slimabc import protocol
+from slimabc.protocol import decode_shared, instance_pool, sample_batch
+from slimabc.simnet import BEHAVIORS, POLICIES, HarnessParty, RunRecorder, deliver
 
 
 def cfg(**kw):
@@ -46,11 +49,60 @@ def test_batch_decode_rejects_garbage():
     for data in (b"", b"XXX" + good[3:], good + b"!", good[:-1], good[:7]):
         with pytest.raises(ValueError):
             RequestBatch.decode(data)
+        for _party in range(4):  # each party that sees it fails alike
+            with pytest.raises(ValueError):
+                decode_shared(data)
+        assert data not in protocol._decoded
 
 
 def test_batch_binds_proposer_and_instance():
     b = RequestBatch.decode(RequestBatch(2, 5, (b"r",)).encode())
     assert (b.proposer, b.instance) == (2, 5)
+
+
+drawn_batches = st.builds(
+    RequestBatch, st.integers(0, 0xFFFF), st.integers(0, 2**64 - 1),
+    st.lists(st.binary(max_size=40), max_size=6).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_batches, st.binary(min_size=1, max_size=8))
+def test_batch_encoding_is_the_only_decodable_one(batch, extra):
+    """Shared decodes are keyed by plaintext bytes, which is sound only while
+    decode inverts encode and accepts no neighbouring byte string."""
+    data = batch.encode()
+    assert RequestBatch.decode(data) == batch
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            RequestBatch.decode(data[:cut])
+    with pytest.raises(ValueError):
+        RequestBatch.decode(data + extra)
+
+
+def test_a_run_shares_its_decoded_batches():
+    """Honest parties hold one decode of each slot's plaintext, and one
+    object per distinct request; dropping the run releases all of them."""
+    cfg = SimConfig(n=4, f=1, seed=5, instances=2, policy="random", pool_size=16,
+                    batch_size=8, request_size=3200)
+    provider = key_setup(cfg.security_param, cfg.n, cfg.seed)
+    rec = RunRecorder(cfg, provider)
+    parties = [Party(p, provider.party_handle(p), cfg, observer=rec) for p in range(cfg.n)]
+    assert not deliver(parties, cfg, rec)[-1]
+    for i in (1, 2):
+        outputs = [p.outputs_by_instance[i] for p in parties]
+        assert outputs[0] and all(o.keys() == outputs[0].keys() for o in outputs)
+        for slot, batch in outputs[0].items():
+            assert all(o[slot] is batch for o in outputs)
+    requests = [r for p in parties for _, _, r in p.log]
+    assert len({id(r) for r in requests}) == len(set(requests))
+    batches = [b for i in (1, 2) for b in parties[0].outputs_by_instance[i].values()]
+    plaintexts = [b.encode() for b in batches]
+    held = [weakref.ref(b) for b in batches]
+    del parties, rec, provider, outputs, batch, batches, requests
+    gc.collect()
+    assert not any(ref() is not None for ref in held)
+    assert not any(pt in protocol._decoded for pt in plaintexts)
 
 
 # -- request pools --------------------------------------------------------------
