@@ -23,9 +23,18 @@ Justification discipline (what makes the bias and agreement stick):
 A vote with an invalid justification is never counted toward any
 threshold.  Votes for rounds ahead of the local machine are buffered, the
 first of each kind from each sender only.
+
+A decided machine holds a transferable decision signature and reads no
+vote again, so where `decided` is set it frees its vote ledgers, coin
+shares and parked rounds.  It keeps the entered rounds' signing strings,
+which `on_decision` still reads, and the votes parked until the payload
+proof is known: a late proof hands them once more to the public handlers,
+which drop them.  Signing strings are built once per (instance, slot) and
+round entered, in a bounded cache shared by every machine of the process.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -67,8 +76,21 @@ def abba_coin_name(instance: int, slot: int, round_: int) -> bytes:
     return b"ABBA-COIN" + struct.pack(">QHH", instance, slot, round_)
 
 
+# Entries the signing-string caches keep: the rounds that a run's machines
+# enter close together, so one run's parties share each tuple.
+STRINGS_CACHE_MAX = 256
+
+
+@functools.lru_cache(maxsize=STRINGS_CACHE_MAX)
+def preprocess_strings(instance: int, slot: int) -> Tuple[bytes, bytes]:
+    """The slot's pre-process signing strings for bit 0 and bit 1."""
+    return (preprocess_bytes(instance, slot, 0), preprocess_bytes(instance, slot, 1))
+
+
+@functools.lru_cache(maxsize=STRINGS_CACHE_MAX)
 def round_strings(instance: int, slot: int, r: int) -> Tuple[bytes, ...]:
-    """Round r's signing strings: pre-vote 0 and 1, then main-vote 0, 1 and ABSTAIN."""
+    """Round r's signing strings: pre-vote 0 and 1, then main-vote 0, 1 and ABSTAIN.
+    Call it only for a round a machine enters, never for a round off the wire."""
     return (
         prevote_bytes(instance, slot, r, 0),
         prevote_bytes(instance, slot, r, 1),
@@ -91,16 +113,17 @@ class AbbaMachine:
         self.evidence_known = False  # a verified payload proof for this slot exists locally
         self.round = 0  # 0 until n-f pre-process messages arrive
 
-        # Signing strings: pre-process per bit, built once; pre-vote per bit
-        # and main-vote per value (0, 1, ABSTAIN) for round 1, whose votes are
-        # checked before it is entered, and for each later round entered, so
-        # round numbers from the wire never add entries.  Every vote counted
-        # is of round 1 or of a round entered.
-        self._pp_msgs = (preprocess_bytes(instance, slot, 0), preprocess_bytes(instance, slot, 1))
+        # Signing strings: pre-process per bit; pre-vote per bit and main-vote
+        # per value (0, 1, ABSTAIN) for round 1, whose votes are checked
+        # before it is entered, and for each later round entered, so round
+        # numbers from the wire never add entries.  Every vote counted is of
+        # round 1 or of a round entered.
+        self._pp_msgs = preprocess_strings(instance, slot)
         self._round_msgs: Dict[int, Tuple[bytes, ...]] = {1: round_strings(instance, slot, 1)}
 
         # Vote ledgers keep arrival order: the first quorum of a dict is the
-        # quorum a threshold signature or a decision is built from.
+        # quorum a threshold signature or a decision is built from.  They,
+        # the coin shares and _future are freed once decided (_decide).
         self._pp: Dict[int, AbbaPreprocess] = {}
         self._pp_pending_one: Dict[int, AbbaPreprocess] = {}  # sender -> first
         self._prevotes: Dict[int, Dict[int, AbbaPrevote]] = {}
@@ -127,7 +150,7 @@ class AbbaMachine:
         if self.input_given is not None:
             raise AlreadyInputError(f"slot {self.slot} already has input {self.input_given}")
         self.input_given = bit
-        share = self.crypto.sig_share(preprocess_bytes(self.instance, self.slot, bit))
+        share = self.crypto.sig_share(self._pp_msgs[bit])
         out: List[Message] = [AbbaPreprocess(self.instance, self.slot, bit, share)]
         self._pump(out)
         return out
@@ -227,7 +250,7 @@ class AbbaMachine:
         if not self.crypto.verify_signature(self._mv_msg(msg.round, msg.bit), msg.sig):
             return
         if self.decided is None:
-            self.decided = (msg.bit, msg.round, msg.sig)
+            self._decide(msg.bit, msg.round, msg.sig)
         if not self._decision_forwarded:
             self._decision_forwarded = True
             out.append(AbbaDecision(self.instance, self.slot, msg.round, msg.bit, msg.sig))
@@ -341,7 +364,6 @@ class AbbaMachine:
             just = Justification(JUST_PREPROCESS_ZERO, sig=sig)
             bit = 0
         self._emit_prevote(1, bit, just, out)
-        self._replay(self._future.pop(1, {}).values(), out)
 
     def _emit_prevote(self, r: int, bit: int, just: Justification, out: List[Message]) -> None:
         share = self.crypto.sig_share(self._round_msgs[r][bit])
@@ -372,13 +394,23 @@ class AbbaMachine:
             (bit,) = values
             sig = self.crypto.combine_shares(self._round_msgs[r][2 + bit],
                                              [mv.share for mv in first])
-            self.decided = (bit, r, sig)
+            self._decide(bit, r, sig)
             if not self._decision_forwarded:
                 self._decision_forwarded = True
                 out.append(AbbaDecision(self.instance, self.slot, r, bit, sig))
             return
         share = self.crypto.coin_share(abba_coin_name(self.instance, self.slot, r))
         out.append(AbbaCoinShare(self.instance, self.slot, r, share))
+
+    def _decide(self, bit: int, r: int, sig: ThresholdSignature) -> None:
+        """Record the decision and free what only an undecided machine reads."""
+        self.decided = (bit, r, sig)
+        self._pp = {}
+        self._pp_pending_one = {}
+        self._prevotes = {}
+        self._mainvotes = {}
+        self._coin_shares = {}
+        self._future = {}
 
     def _advance(self, r: int, out: List[Message]) -> None:
         self._enter(r)

@@ -88,8 +88,11 @@ class SlotInvocation:
         self.plaintext: Optional[bytes] = None
         self._v_senders: Dict[int, int] = {}
         self._v_out: Optional[VMsg] = None
+        # Decryption shares, verified ones and ones parked until the pair is
+        # known (the first per sender, in arrival order); both are emptied
+        # once the plaintext is recovered.
         self._dec_shares: Dict[int, DecryptionShare] = {}
-        self._dec_pending: List[Tuple[int, DecryptionShare]] = []
+        self._dec_pending: Dict[int, DecryptionShare] = {}
         self._dec_share_sent = False
         self._recover_sent = False
 
@@ -104,8 +107,8 @@ class SlotInvocation:
             return False
         self.pair = (ciphertext, proof)
         out.extend(self.abba.set_evidence_known())
-        pending, self._dec_pending = self._dec_pending, []
-        for sender, share in pending:
+        pending, self._dec_pending = self._dec_pending, {}
+        for sender, share in pending.items():
             self.on_dec_share(sender, DecShare(self.instance, self.slot, share), out)
         self._after_abba(out)
         if self.decided is not None and self.decided[0] == 1:
@@ -224,7 +227,7 @@ class SlotInvocation:
         if msg.share.holder != sender:
             return
         if self.pair is None:
-            self._dec_pending.append((sender, msg.share))
+            self._dec_pending.setdefault(sender, msg.share)
             return
         if not self.crypto.tpke_dec_share_verify(self.pair[0], sender, msg.share):
             return
@@ -242,6 +245,8 @@ class SlotInvocation:
         ):
             shares = list(self._dec_shares.values())[: self._dec_quorum]
             self.plaintext = self.crypto.tpke_dec(self.pair[0], shares)
+            self._dec_shares = {}
+            self._dec_pending = {}
             self.owner.slot_ready(self)
 
     def on_recover_resp(self, sender: int, msg: RecoverResp, out: List[Message]) -> None:

@@ -9,9 +9,9 @@ distinct pair senders each party fixes a 1-bit claim per slot and runs
 one binary agreement per slot.  Slots decided 1 are threshold-decrypted
 and their batches delivered in slot order, deduplicated byte-exactly
 against everything delivered before.  A batch is decoded once per distinct
-plaintext: the parties that deliver it share one immutable `RequestBatch`
-and its request objects, and the shared decode is released with the last
-party that holds it, so nothing outlives the run.
+plaintext: the parties that deliver it share one immutable `RequestBatch`,
+its request objects and its log entries, and the shared decode is released
+with the last party that holds it, so nothing outlives the run.
 
 Messages a party cannot handle yet (for a later instance, or for a slot
 of the current one before its committee is known) wait in one buffer per
@@ -26,6 +26,7 @@ import random
 import struct
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .committee import Committee, CsState
@@ -63,6 +64,13 @@ class RequestBatch:
     proposer: int
     instance: int
     requests: Tuple[bytes, ...]
+
+    @cached_property
+    def log_entries(self) -> Tuple[Tuple[int, int, bytes], ...]:
+        """One `(instance, slot, request)` log entry per request, the slot
+        being the proposer's; built once, so every party that delivers this
+        batch appends the same tuples."""
+        return tuple((self.instance, self.proposer, r) for r in self.requests)
 
     def encode(self) -> bytes:
         parts = [BATCH_MAGIC, struct.pack(">HQH", self.proposer, self.instance, len(self.requests))]
@@ -465,10 +473,11 @@ class Party(SlotOwner):
                 continue
             outputs[slot] = batch
         for slot in sorted(outputs):
-            for req in outputs[slot].requests:
+            for entry in outputs[slot].log_entries:
+                req = entry[2]
                 if req not in self.delivered:
                     self.delivered.add(req)
-                    self.log.append((self.instance, slot, req))
+                    self.log.append(entry)
         self.pending = [r for r in self.pending if r not in self.delivered]
         self.outputs_by_instance[self.instance] = outputs
         self.archive[self.instance] = pairs

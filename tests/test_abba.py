@@ -17,7 +17,9 @@ from slimabc.abba import (
     abba_coin_name,
     mainvote_bytes,
     preprocess_bytes,
+    preprocess_strings,
     prevote_bytes,
+    round_strings,
 )
 from slimabc.crypto import CoinShare, ThresholdSignature, key_setup
 from slimabc.messages import (
@@ -308,6 +310,94 @@ def test_parked_votes_keep_one_copy_per_sender():
     assert m._pp[2] == pp_one and m._prevotes[1][2] == pv_one
 
 
+LEDGERS = ("_pp", "_pp_pending_one", "_prevotes", "_mainvotes", "_coin_shares", "_future")
+
+
+def test_decided_machines_free_their_ledgers():
+    """Every machine of a run that decides by its own quorum, by a coin
+    round or by a forwarded decision holds no vote ledger and no parked
+    round afterwards."""
+    _, machines = make_machines()
+    run_inputs(machines, [1, 1, 1, 1])
+    _, split = engineered_split()
+    for m in machines + split:
+        assert m.decided is not None
+        assert [getattr(m, name) for name in LEDGERS] == [{}] * len(LEDGERS)
+        assert m._round_msgs  # on_decision still reads the entered rounds' strings
+
+
+def test_decided_machine_still_replays_evidence_parked_votes(monkeypatch):
+    """A decision frees the ledgers, but a vote parked for the payload
+    proof stays and is handed to the public handler once the proof is known,
+    which drops it."""
+    provider, machines = make_machines(evidence=False)
+    m = machines[0]
+    pp_bytes = preprocess_bytes(INSTANCE, SLOT, 0)
+    pp_one_share = sig_for(provider, 2, preprocess_bytes(INSTANCE, SLOT, 1))
+    pv_one = AbbaPrevote(
+        INSTANCE, SLOT, 1, 1, Justification(JUST_PREPROCESS_ONE, signer=2, share=pp_one_share),
+        sig_for(provider, 2, prevote_bytes(INSTANCE, SLOT, 1, 1)),
+    )
+    pv_zero = AbbaPrevote(
+        INSTANCE, SLOT, 1, 0,
+        Justification(JUST_PREPROCESS_ZERO, sig=provider.combine_shares(
+            pp_bytes, [sig_for(provider, i, pp_bytes) for i in range(3)])),
+        sig_for(provider, 3, prevote_bytes(INSTANCE, SLOT, 1, 0)),
+    )
+    ahead = AbbaPrevote(INSTANCE, SLOT, 5, 1, Justification(JUST_NONE), sig_for(provider, 2, b"x"))
+    coin_name = abba_coin_name(INSTANCE, SLOT, 1)
+    m.on_preprocess(1, AbbaPreprocess(INSTANCE, SLOT, 0, sig_for(provider, 1, pp_bytes)), [])
+    m.on_preprocess(2, AbbaPreprocess(INSTANCE, SLOT, 1, pp_one_share), [])
+    m.on_prevote(2, pv_one, [])
+    m.on_prevote(3, pv_zero, [])
+    m.on_prevote(2, ahead, [])
+    m.on_coin_share(1, AbbaCoinShare(INSTANCE, SLOT, 1, provider.coin_share(1, coin_name)), [])
+    assert all(getattr(m, name) for name in LEDGERS if name != "_mainvotes")
+    assert len(m._ev_pending) == 1
+
+    mv = mainvote_bytes(INSTANCE, SLOT, 1, 1)
+    sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
+    m.on_decision(1, AbbaDecision(INSTANCE, SLOT, 1, 1, sig), [])
+    assert m.decided[:2] == (1, 1)
+    assert [getattr(m, name) for name in LEDGERS] == [{}] * len(LEDGERS)
+    assert len(m._ev_pending) == 1
+
+    calls = []
+    handler = AbbaMachine.on_prevote
+
+    def counted(self, sender, msg, out):
+        calls.append((sender, msg))
+        handler(self, sender, msg, out)
+
+    monkeypatch.setattr(AbbaMachine, "on_prevote", counted)
+    assert m.set_evidence_known() == []
+    assert calls == [(2, pv_one)]
+    assert m._ev_pending == {} and m._prevotes == {} and m._pp == {}
+
+
+def test_signing_strings_built_once_per_round():
+    assert round_strings(INSTANCE, SLOT, 3) is round_strings(INSTANCE, SLOT, 3)
+    assert preprocess_strings(INSTANCE, SLOT) is preprocess_strings(INSTANCE, SLOT)
+    _, machines = make_machines()
+    run_inputs(machines, [1, 1, 1, 1])
+    for m in machines:
+        assert m._round_msgs[1] is machines[0]._round_msgs[1]
+        assert m._pp_msgs is machines[0]._pp_msgs
+
+
+def test_unentered_rounds_stay_out_of_the_string_cache():
+    provider, machines = make_machines()
+    m = machines[0]
+    before = round_strings.cache_info()
+    assert m._mv_msg(70, 1) == mainvote_bytes(INSTANCE, SLOT, 70, 1)
+    mv = mainvote_bytes(INSTANCE, SLOT, 71, 0)
+    sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
+    m.on_decision(2, AbbaDecision(INSTANCE, SLOT, 71, 0, sig), [])
+    assert m.decided[:2] == (0, 71)
+    after = round_strings.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
 def engineered_split(sent=None):
     """One party pre-votes 1, two pre-vote 0 => abstain main-votes and a coin.
     Returns the provider and the three active machines; every vote, coin share
@@ -350,13 +440,16 @@ def engineered_split(sent=None):
 def test_coin_round_resolves_engineered_split():
     """The split's abstain main-votes lead to a unanimous round-2 decision
     on the coin bit."""
-    provider, active = engineered_split()
+    sent = []
+    provider, active = engineered_split(sent)
     coin = provider.coin_toss_bit(
         abba_coin_name(INSTANCE, SLOT, 1),
         [provider.coin_share(i, abba_coin_name(INSTANCE, SLOT, 1)) for i in range(2)],
     )
     for m in active:
-        assert m._mainvotes[1][m.crypto.party].value == ABSTAIN
+        # a decided machine keeps no ledger, so read its round-1 main-vote off the wire
+        assert [msg.value for s, msg in sent if s == m.crypto.party
+                and type(msg) is AbbaMainvote and msg.round == 1] == [ABSTAIN]
         assert (m.decided[0], m.decided[1]) == (coin, 2)
 
 

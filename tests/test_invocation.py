@@ -1,10 +1,10 @@
 """Slot invocation: claims, input trigger, recovery, decryption."""
 import pytest
 
-from slimabc.abba import AlreadyInputError
+from slimabc.abba import AlreadyInputError, mainvote_bytes
 from slimabc.crypto import key_setup
 from slimabc.invocation import InvalidProofError, SlotInvocation
-from slimabc.messages import DecShare, Recover, RecoverResp, VMsg
+from slimabc.messages import AbbaDecision, DecShare, Recover, RecoverResp, VMsg
 from slimabc.simnet import make_proven_pair
 
 INSTANCE, SLOT = 1, 0
@@ -163,6 +163,27 @@ def test_dec_shares_buffered_until_pair_known():
     assert inv._dec_pending and not inv._dec_shares
     inv.record_pair(*pair, out)
     assert 2 in inv._dec_shares  # drained once verifiable
+
+
+def test_parked_dec_shares_keep_one_copy_per_sender():
+    """Copies of a decryption share that arrive before the pair take one
+    entry; the parked shares still recover the plaintext once the pair is
+    known, and both share buffers are emptied then."""
+    provider, pair, invs = setup()
+    inv = invs[0]
+    inv.inv_start(0)
+    copies = DecShare(INSTANCE, SLOT, provider.tpke_dec_share(2, pair[0]))
+    for _ in range(10_000):
+        inv.on_dec_share(2, copies, [])
+    inv.on_dec_share(3, DecShare(INSTANCE, SLOT, provider.tpke_dec_share(3, pair[0])), [])
+    assert list(inv._dec_pending) == [2, 3]
+    mv = mainvote_bytes(INSTANCE, SLOT, 1, 1)
+    sig = provider.combine_shares(mv, [provider.sig_share(i, mv) for i in range(3)])
+    inv.on_decision(1, AbbaDecision(INSTANCE, SLOT, 1, 1, sig), [])
+    assert inv.decided == (1, 1) and inv.plaintext is None
+    inv.record_pair(*pair, [])
+    assert inv.plaintext == b"slot payload"
+    assert inv._dec_pending == {} and inv._dec_shares == {}
 
 
 def test_dec_share_holder_must_match_sender():

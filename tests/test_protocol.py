@@ -105,6 +105,22 @@ def test_a_run_shares_its_decoded_batches():
     assert not any(pt in protocol._decoded for pt in plaintexts)
 
 
+def test_honest_parties_share_their_log_entries():
+    """Each log entry is built once per decoded batch, so every honest
+    party's log holds party 0's entry objects, in the same order."""
+    cfg = SimConfig(n=4, f=1, seed=3, instances=2, policy="random", pool_size=16,
+                    batch_size=8, request_size=32, overlap=0.5)
+    provider = key_setup(cfg.security_param, cfg.n, cfg.seed)
+    rec = RunRecorder(cfg, provider)
+    parties = [Party(p, provider.party_handle(p), cfg, observer=rec) for p in range(cfg.n)]
+    assert not deliver(parties, cfg, rec)[-1]
+    ref = parties[0].log
+    assert ref
+    for p in parties[1:]:
+        assert len(p.log) == len(ref)
+        assert all(mine is theirs for mine, theirs in zip(p.log, ref))
+
+
 # -- request pools --------------------------------------------------------------
 
 def test_pool_deterministic_per_party_and_instance():
