@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimabc import BehaviorSpec, Party, RequestBatch, SimConfig, sim_run
+from slimabc.committee import CsState
 from slimabc.crypto import key_setup
 from slimabc.invocation import SLOT_HANDLERS, SlotInvocation
 from slimabc.messages import (
@@ -22,6 +23,7 @@ from slimabc.messages import (
     PpbShare,
     Proposal,
     Recover,
+    RecoverResp,
     Suggestion,
     VMsg,
 )
@@ -360,3 +362,136 @@ def test_traffic_past_the_last_instance_is_dropped():
     slot = next(iter(done.archive[1]))
     (resp,) = done.handle(Envelope(2, 1, (Recover(1, slot),), dst=0))
     assert resp.dst == 2 and resp.entries[0].ciphertext == done.archive[1][slot][0]
+
+
+# -- the routing rule -------------------------------------------------------------
+
+ROUTING_CFG = cfg(instances=2)
+
+
+def elected(provider, instance: int) -> Tuple[int, ...]:
+    """The committee every party elects for `instance`."""
+    cs = CsState(instance, provider.party_handle(0))
+    cs.on_share(1, CsState(instance, provider.party_handle(1)).own)
+    return cs.committee.members
+
+
+class RoutedParties:
+    """Four parties under FIFO delivery, party 0 brought to one routing
+    state; every handler call party 0 makes is logged by the object it got."""
+
+    def __init__(self, state: str, monkeypatch):
+        self.handled: List[object] = []
+        log = self.handled
+
+        def on_v(inv, sender, msg, out, _orig=SlotInvocation.on_v):
+            if inv.crypto.party == 0:
+                log.append(msg)
+            return _orig(inv, sender, msg, out)
+
+        def on_share(cs, sender, share, _orig=CsState.on_share):
+            if cs.crypto.party == 0 and sender != 0:
+                log.append(share)
+            return _orig(cs, sender, share)
+
+        def serve_recover(party, sender, msg, _orig=Party._serve_recover):
+            if party.pid == 0:
+                log.append(msg)
+            return _orig(party, sender, msg)
+
+        monkeypatch.setattr(SlotInvocation, "on_v", on_v)
+        monkeypatch.setattr(CsState, "on_share", on_share)
+        monkeypatch.setattr(Party, "_serve_recover", serve_recover)
+        self.provider = key_setup(128, 4, 6)
+        self.parties = [Party(i, self.provider.party_handle(i), ROUTING_CFG) for i in range(4)]
+        self.party = self.parties[0]
+        self.queue = [env for p in self.parties[1:] for env in p.begin()]
+        if state != "unbegun":
+            self.queue += self.party.begin()
+        if state == "committee":
+            self.advance(1)
+        elif state == "second":
+            self.advance(2)
+        elif state == "finished":
+            run_parties(self.parties, self.queue)
+
+    def advance(self, instance: int) -> None:
+        """Deliver until party 0 is in `instance` with its committee known."""
+        party = self.party
+        if party.instance == 0:
+            self.queue += party.begin()
+        while not (party.instance == instance and party.inst.committee is not None):
+            env = self.queue.pop(0)
+            self.queue.extend(self.parties[env.dst].handle(env))
+
+    def was_handled(self, msg) -> bool:
+        obj = msg.share if type(msg) is CsShare else msg
+        return any(seen is obj for seen in self.handled)
+
+    def entry(self, name: str) -> Message:
+        kind, instance = name[:-1], int(name[-1])
+        if kind == "v":
+            return VMsg(instance, elected(self.provider, instance)[0], 1)
+        if kind == "cs":
+            return CsShare(instance, CsState(instance, self.provider.party_handle(1)).own)
+        slot = next(iter(self.party.archive.get(instance, {0: None})))
+        return Recover(instance, slot)
+
+
+ROUTES = [
+    # party 0's state, the entry from party 1 (kind and instance), its fate
+    ("unbegun", "v1", "park"),
+    ("unbegun", "v2", "park"),
+    ("unbegun", "v3", "drop"),
+    ("unbegun", "recover1", "park"),
+    ("no_committee", "v1", "park"),
+    ("no_committee", "cs1", "handle"),
+    ("no_committee", "recover1", "handle"),
+    ("no_committee", "v2", "park"),
+    ("no_committee", "v3", "drop"),
+    ("committee", "v1", "handle"),
+    ("committee", "recover1", "handle"),
+    ("committee", "v2", "park"),
+    ("committee", "cs3", "drop"),
+    ("second", "recover1", "serve"),
+    ("second", "v1", "drop"),
+    ("second", "cs1", "drop"),
+    ("second", "v2", "handle"),
+    ("second", "v3", "drop"),
+    ("finished", "recover1", "serve"),
+    ("finished", "recover2", "serve"),
+    ("finished", "v2", "drop"),
+    ("finished", "cs2", "drop"),
+    ("finished", "recover3", "drop"),
+]
+
+
+@pytest.mark.parametrize("state,name,fate", ROUTES)
+def test_routing_rule(state, name, fate, monkeypatch):
+    """A party handles an entry of its current instance once the committee
+    is known (a `CsShare` or `Recover` at once), parks a later configured
+    instance's entry or the current one's before the committee, serves a
+    `Recover` of a past instance, and drops everything else.  A parked entry
+    reaches its handler once its instance is current with the committee known."""
+    run = RoutedParties(state, monkeypatch)
+    party, msg = run.party, run.entry(name)
+    run.handled.clear()  # electing the committee to name a slot went through on_share
+    parked = {k: list(v) for k, v in party._future.items()}
+    out = party.handle(Envelope(1, msg.instance, (msg,), dst=0))
+    if fate == "park":
+        assert (1, msg) in party._future[msg.instance] and not run.handled
+        assert out == []
+        run.advance(msg.instance)
+        assert run.was_handled(msg)
+        assert (1, msg) not in party._future.get(msg.instance, ())
+    elif fate == "handle":
+        assert run.was_handled(msg)
+        assert (1, msg) not in party._future.get(msg.instance, ())
+    elif fate == "serve":
+        assert run.handled == [msg]
+        ((dst, entries),) = [(e.dst, e.entries) for e in out]
+        assert dst == 1 and [(type(m), m.instance, m.slot) for m in entries] == \
+            [(RecoverResp, msg.instance, msg.slot)]
+    else:
+        assert out == [] and not run.handled
+        assert {k: list(v) for k, v in party._future.items()} == parked
