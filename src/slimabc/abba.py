@@ -20,9 +20,12 @@ Justification discipline (what makes the bias and agreement stick):
     signature; an abstain embeds two fully justified pre-votes, one per
     bit, so abstaining is impossible once only one bit is justifiable.
 
-A vote with an invalid justification is never counted toward any
-threshold.  Votes for rounds ahead of the local machine are buffered, the
-first of each kind from each sender only.
+Both vote kinds go through one intake, as the justified agreement of
+Cachin, Kursawe and Shoup (PODC 2000) gives them one accept rule: a vote
+with an invalid justification is never counted toward any threshold, the
+first from each sender per round is counted, and votes for rounds ahead of
+the local machine are buffered, the first of each kind from each sender
+only.  The decision is forwarded once, where `decided` is set.
 
 A decided machine holds a transferable decision signature and reads no
 vote again, so where `decided` is set it frees its vote ledgers, coin
@@ -142,7 +145,6 @@ class AbbaMachine:
         self._stage = 0
 
         self.decided: Optional[Tuple[int, int, ThresholdSignature]] = None  # (bit, round, sig)
-        self._decision_forwarded = False
 
     # -- inputs ------------------------------------------------------------
 
@@ -190,49 +192,47 @@ class AbbaMachine:
     # reaches its stage.  Votes for a round not entered yet are parked, except
     # round 1's, which are verifiable before entry.
 
-    def on_prevote(self, sender: int, msg: AbbaPrevote, out: List[Message]) -> None:
+    def on_prevote(self, sender: int, msg, out: List[Message]) -> None:
+        """The one intake of both vote kinds (`on_mainvote` is this function):
+        a vote of a well-formed value is counted in its kind's ledger, the
+        first per sender and round, once its validator accepts it; a quorum
+        in the current round ends the kind's stage (0 or 1)."""
+        kind = type(msg)
+        if kind is AbbaPrevote:
+            if msg.bit not in (0, 1):
+                return
+            ledgers, stage = self._prevotes, 0
+        elif msg.value in (0, 1, ABSTAIN):
+            ledgers, stage = self._mainvotes, 1
+        else:
+            return
         r = msg.round
-        if msg.bit not in (0, 1) or self.decided or r < 1:
+        if self.decided or r < 1:
             return
         if r > self.round and r > 1:
-            self._future.setdefault(r, {}).setdefault((AbbaPrevote, sender), (sender, msg))
+            self._future.setdefault(r, {}).setdefault((kind, sender), (sender, msg))
             return
-        votes = self._prevotes.get(r)
+        votes = ledgers.get(r)
         if votes is not None and sender in votes:
             return
-        ok = self._validate_prevote(sender, msg)
+        if stage == 0:
+            ok = self._validate_prevote(sender, msg)
+        else:
+            ok = self._validate_mainvote(sender, msg)
         if ok == "pending":
-            self._ev_pending.setdefault((AbbaPrevote, r, sender), (sender, msg))
+            self._ev_pending.setdefault((kind, r, sender), (sender, msg))
             return
         if not ok:
             return
         if votes is None:
-            votes = self._prevotes[r] = {}
+            votes = ledgers[r] = {}
         votes[sender] = msg
-        if r == self.round and self._stage == 0 and len(votes) >= self.quorum:
+        if r == self.round and self._stage == stage and len(votes) >= self.quorum:
             self._pump(out)
 
-    def on_mainvote(self, sender: int, msg: AbbaMainvote, out: List[Message]) -> None:
-        r = msg.round
-        if msg.value not in (0, 1, ABSTAIN) or self.decided or r < 1:
-            return
-        if r > self.round and r > 1:
-            self._future.setdefault(r, {}).setdefault((AbbaMainvote, sender), (sender, msg))
-            return
-        votes = self._mainvotes.get(r)
-        if votes is not None and sender in votes:
-            return
-        ok = self._validate_mainvote(sender, msg)
-        if ok == "pending":
-            self._ev_pending.setdefault((AbbaMainvote, r, sender), (sender, msg))
-            return
-        if not ok:
-            return
-        if votes is None:
-            votes = self._mainvotes[r] = {}
-        votes[sender] = msg
-        if r == self.round and self._stage == 1 and len(votes) >= self.quorum:
-            self._pump(out)
+    # Two names, so each vote kind has its own handler name in the dispatch
+    # table and its own count in a tracer that wraps methods by name.
+    on_mainvote = on_prevote
 
     def on_coin_share(self, sender: int, msg: AbbaCoinShare, out: List[Message]) -> None:
         if self.decided or sender in self._coin_shares.get(msg.round, {}):
@@ -251,8 +251,6 @@ class AbbaMachine:
             return
         if self.decided is None:
             self._decide(msg.bit, msg.round, msg.sig)
-        if not self._decision_forwarded:
-            self._decision_forwarded = True
             out.append(AbbaDecision(self.instance, self.slot, msg.round, msg.bit, msg.sig))
 
     # -- justification checks -----------------------------------------------
@@ -395,9 +393,7 @@ class AbbaMachine:
             sig = self.crypto.combine_shares(self._round_msgs[r][2 + bit],
                                              [mv.share for mv in first])
             self._decide(bit, r, sig)
-            if not self._decision_forwarded:
-                self._decision_forwarded = True
-                out.append(AbbaDecision(self.instance, self.slot, r, bit, sig))
+            out.append(AbbaDecision(self.instance, self.slot, r, bit, sig))
             return
         share = self.crypto.coin_share(abba_coin_name(self.instance, self.slot, r))
         out.append(AbbaCoinShare(self.instance, self.slot, r, share))

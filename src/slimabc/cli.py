@@ -8,23 +8,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
-import os
 import statistics
 import sys
 from typing import List, Optional
 
 from .metrics import RunReport, scaling_fit, write_csv
 from .simnet import ConfigError, SimConfig, load_scenario, replay_trace, sim_run
-
-log = logging.getLogger("slimabc")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("SLIM_ABC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
     if getattr(args, "seed", None) is not None:
@@ -47,7 +36,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         print(payload)
     if not report.ok:
-        log.warning("run failed: %s", "; ".join(report.failures) or "stalled")
+        print(f"run failed: {'; '.join(report.failures) or 'stalled'}", file=sys.stderr)
         return 1
     return 0
 
@@ -210,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

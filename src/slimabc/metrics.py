@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 
@@ -55,26 +55,11 @@ class RunReport:
         return not self.stalled and all(self.assertions.values())
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "stalled": self.stalled,
-            "steps": self.steps,
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "finalized_instances": self.finalized_instances,
-            "phases": {str(k): v for k, v in sorted(self.phases.items())},
-            "rounds": dict(sorted(self.rounds.items())),
-            "decisions": dict(sorted(self.decisions.items())),
-            "duplicate_ratios": {str(k): v for k, v in sorted(self.duplicate_ratios.items())},
-            "delivered_total": self.delivered_total,
-            "log_digest": self.log_digest,
-            "lemma": self.lemma,
-            "censorship": self.censorship,
-            "assertions": dict(sorted(self.assertions.items())),
-            "failures": list(self.failures),
-            "fairness_overrides": self.fairness_overrides,
-            "ok": self.ok,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("phases", "duplicate_ratios"):  # int keys, as JSON strings
+            d[name] = {str(k): v for k, v in sorted(d[name].items())}
+        d["ok"] = self.ok
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -214,8 +214,10 @@ class Party(SlotOwner):
         self.archive: Dict[int, Dict[int, Tuple[Ciphertext, ThresholdSignature]]] = {}
         self.inst: Optional[InstanceState] = None
         # Entries this party cannot handle yet, per instance: later instances,
-        # and the current one's slot traffic until its committee is known.
-        self._future: Dict[int, List[Tuple[int, Message]]] = {}
+        # and the current one's until its committee is known.  Each maps
+        # (sender, entry) to None, so a copy from one sender is kept once,
+        # and replays in arrival order.
+        self._future: Dict[int, Dict[Tuple[int, Message], None]] = {}
         self._wire: List[WireItem] = []
         self._selfq: List[Message] = []
         self._out: List[Message] = []  # a slot handler's emissions, emptied after each
@@ -261,8 +263,8 @@ class Party(SlotOwner):
         self.pending.extend(instance_pool(self.cfg, number, self.pid))
         self.inst = InstanceState(cs=CsState(number, self.crypto))
         self._emit(BROADCAST, CsShare(number, self.inst.cs.own))
-        for sender, msg in self._future.pop(number, []):
-            self._route(sender, msg)
+        for sender, msg in self._future.pop(number, ()):
+            self._deliver(sender, (msg,))
 
     # -- emission / delivery plumbing -------------------------------------------
 
@@ -289,52 +291,49 @@ class Party(SlotOwner):
     # -- routing ------------------------------------------------------------------
 
     def _deliver(self, sender: int, msgs: Iterable[Message]) -> None:
-        """Handle entries from one sender in order: slot-level entries of the
-        current instance go straight to their slot's handler, which appends
-        its emissions to one reused list; everything else is dispatched or
-        routed.  A finished instance's traffic other than `Recover` is dropped
-        here, without a `_route` call."""
+        """Route entries from one sender in order; this is the only place
+        that decides an entry's fate.  A party *handles* an entry of its
+        current instance once the committee is known, and a `CsShare` or
+        `Recover` of it at once: slot-level entries go straight to their
+        slot's handler, which appends its emissions to one reused list, and
+        party-level ones to `_dispatch`.  It *parks* an entry of a later
+        configured instance, or of the current one before its committee,
+        keeping the first copy of each (sender, entry) in arrival order.  It
+        *serves* a `Recover` of a past instance, and *drops* everything
+        else, including a slot-level entry for a slot outside the committee."""
         inst, current = self.inst, self.instance
-        if inst is None:  # not begun yet, or finished
-            for msg in msgs:
-                if msg.instance > current or type(msg) is Recover:
-                    self._route(sender, msg)
-            return
-        slots, handlers = inst.slots, self._handlers
-        out, wire, selfq = self._out, self._wire, self._selfq
+        if inst is None:  # not begun, or finished: no instance is live
+            live = slots = None
+        else:
+            live, slots = current, inst.slots
+        handlers, out, wire, selfq = self._handlers, self._out, self._wire, self._selfq
         for msg in msgs:
             instance = msg.instance
-            if instance != current:
-                if instance > current or type(msg) is Recover:
-                    self._route(sender, msg)
+            if instance == live:
+                handler = handlers.get(type(msg))
+                if handler is not None:
+                    inv = slots.get(msg.slot)
+                    if inv is not None:
+                        handler(inv, sender, msg, out)
+                        if out:  # _multicast, inlined: this runs once per entry
+                            wire += out
+                            selfq += out
+                            out.clear()
+                        continue
+                    if inst.committee is not None:
+                        continue  # a slot outside the committee
+                elif inst.committee is not None or type(msg) is CsShare or type(msg) is Recover:
+                    self._dispatch(sender, msg)
+                    continue
+            elif not current < instance <= self.cfg.instances:
+                if instance < current and type(msg) is Recover:
+                    self._serve_recover(sender, msg)
                 continue
-            handler = handlers.get(type(msg))
-            if handler is None:
-                self._dispatch(sender, msg)
-                continue
-            inv = slots.get(msg.slot)
-            if inv is not None:
-                handler(inv, sender, msg, out)
-                if out:  # _multicast, inlined: this runs once per entry
-                    wire += out
-                    selfq += out
-                    out.clear()
-            elif inst.committee is None:
-                self._future.setdefault(current, []).append((sender, msg))
-
-    def _route(self, sender: int, msg: Message) -> None:
-        instance = msg.instance
-        if instance == self.instance and self.inst is not None:
-            self._deliver(sender, (msg,))
-        elif instance < self.instance:
-            if type(msg) is Recover:
-                self._serve_recover(sender, msg)
-        elif self.instance < instance <= self.cfg.instances:
-            self._future.setdefault(instance, []).append((sender, msg))
-        # anything else names an instance that will never run: dropped
+            self._future.setdefault(instance, {}).setdefault((sender, msg))
 
     def _dispatch(self, sender: int, msg: Message) -> None:
-        """Handle one party-level entry of the current instance."""
+        """Handle one party-level entry of the current instance; all but a
+        `CsShare` or `Recover` come once the committee is known."""
         inst = self.inst
         kind = type(msg)
         if kind is CsShare:
@@ -344,9 +343,6 @@ class Party(SlotOwner):
             return
         if kind is Recover:
             self._serve_recover(sender, msg)
-            return
-        if inst.committee is None:
-            self._future.setdefault(self.instance, []).append((sender, msg))
             return
         if kind is PpbPayload:
             if msg.slot != sender:
@@ -402,7 +398,7 @@ class Party(SlotOwner):
             ciphertext = self.crypto.tpke_enc(batch.encode())
             inst.ppb_send = PpbSender(self.instance, self.crypto, committee, ciphertext)
             self._emit(BROADCAST, PpbPayload(self.instance, self.pid, ciphertext))
-        for sender, msg in self._future.pop(self.instance, []):
+        for sender, msg in self._future.pop(self.instance, ()):
             self._deliver(sender, (msg,))
 
     def _on_pair(self, sender: int, slot: int, ciphertext: Ciphertext,

@@ -27,6 +27,15 @@ def test_run_writes_report(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"]
 
 
+def test_run_stopped_short_exits_1_with_its_report(tmp_path, capsys):
+    scn = write_scenario(tmp_path, max_steps=10)
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["stalled"] and not rep["ok"] and rep["steps"] == 10
+    assert rep["failures"][0].startswith("totality: ")
+    assert capsys.readouterr().err == f"run failed: {'; '.join(rep['failures'])}\n"
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "nope"}))

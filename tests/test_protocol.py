@@ -364,6 +364,19 @@ def test_traffic_past_the_last_instance_is_dropped():
     assert resp.dst == 2 and resp.entries[0].ciphertext == done.archive[1][slot][0]
 
 
+def test_a_parked_entry_is_kept_once_per_sender():
+    """Copies of an entry from one sender take one place among the parked
+    entries, which keep the order of first arrival; another sender's copy
+    is an entry of its own."""
+    provider = key_setup(128, 4, 6)
+    party = Party(0, provider.party_handle(0), cfg(instances=2))
+    party.begin()
+    for _ in range(10_000):
+        assert party.handle(Envelope(1, 2, (VMsg(2, 0, 1), Recover(2, 0)), dst=0)) == []
+    assert list(party._future[2]) == [(1, VMsg(2, 0, 1)), (1, Recover(2, 0))]
+    party.handle(Envelope(2, 2, (Recover(2, 0),), dst=0))
+    assert len(party._future[2]) == 3
+
 # -- the routing rule -------------------------------------------------------------
 
 ROUTING_CFG = cfg(instances=2)
