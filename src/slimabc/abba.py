@@ -192,7 +192,8 @@ class AbbaMachine:
     # reaches its stage.  Votes for a round not entered yet are parked, except
     # round 1's, which are verifiable before entry.
 
-    def on_prevote(self, sender: int, msg, out: List[Message]) -> None:
+    def on_prevote(self, sender: int, msg: AbbaPrevote | AbbaMainvote,
+                   out: List[Message]) -> None:
         """The one intake of both vote kinds (`on_mainvote` is this function):
         a vote of a well-formed value is counted in its kind's ledger, the
         first per sender and round, once its validator accepts it; a quorum

@@ -13,11 +13,12 @@ plaintext: the parties that deliver it share one immutable `RequestBatch`,
 its request objects and its log entries, and the shared decode is released
 with the last party that holds it, so nothing outlives the run.
 
-Messages a party cannot handle yet (for a later instance, or for a slot
-of the current one before its committee is known) wait in one buffer per
-instance; traffic for finished instances is dropped, except recovery
-requests, which are served from the archive of proven pairs so a lagging
-party can always catch up.
+Messages a party cannot handle yet (for a later configured instance, or
+for the current one before its committee is known) wait in one buffer per
+instance, one copy per sender and entry.  Traffic for finished instances
+is dropped, except recovery requests, which are served from the archive of
+proven pairs so a lagging party can always catch up; traffic for instances
+past the configured count is dropped too.
 """
 from __future__ import annotations
 

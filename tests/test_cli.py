@@ -36,6 +36,7 @@ def test_run_stopped_short_exits_1_with_its_report(tmp_path, capsys):
     assert rep["failures"][0].startswith("totality: ")
     assert capsys.readouterr().err == f"run failed: {'; '.join(rep['failures'])}\n"
 
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "nope"}))

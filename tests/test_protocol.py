@@ -377,6 +377,7 @@ def test_a_parked_entry_is_kept_once_per_sender():
     party.handle(Envelope(2, 2, (Recover(2, 0),), dst=0))
     assert len(party._future[2]) == 3
 
+
 # -- the routing rule -------------------------------------------------------------
 
 ROUTING_CFG = cfg(instances=2)
@@ -391,7 +392,8 @@ def elected(provider, instance: int) -> Tuple[int, ...]:
 
 class RoutedParties:
     """Four parties under FIFO delivery, party 0 brought to one routing
-    state; every handler call party 0 makes is logged by the object it got."""
+    state; party 0's calls to `SlotInvocation.on_v`, `CsState.on_share` and
+    `Party._serve_recover` log the entry (or coin share) each one got."""
 
     def __init__(self, state: str, monkeypatch):
         self.handled: List[object] = []
