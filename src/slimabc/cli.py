@@ -13,7 +13,8 @@ import sys
 from typing import List, Optional
 
 from .metrics import RunReport, scaling_fit, write_csv
-from .simnet import ConfigError, SimConfig, load_scenario, replay_trace, sim_run
+from .config import ConfigError, SimConfig, load_scenario
+from .simnet import replay_trace, sim_run
 
 def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
     if getattr(args, "seed", None) is not None:

@@ -187,6 +187,12 @@ class DecShare(_Message, record("instance slot share")):
     TAG = 14
 
 
+def carries_pair(m) -> bool:
+    """Whether entry `m` carries a slot's (ciphertext, proof) pair."""
+    return isinstance(m, (Proposal, Suggestion, RecoverResp)) \
+        or (isinstance(m, VMsg) and m.pair is not None)
+
+
 # The format: each kind's wire fields in order, as (field, wire type).
 _SLOT, _ROUND = ("slot", U16), ("round", U16)
 _PAIR = (("ciphertext", CIPHERTEXT), ("proof", SIG))

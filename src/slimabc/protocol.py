@@ -28,9 +28,10 @@ import struct
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .committee import Committee, CsState
+from .config import SimConfig
 from .crypto import Ciphertext, PartyCrypto, ThresholdSignature
 from .invocation import SLOT_HANDLERS, SlotInvocation, SlotOwner
 from .messages import (
@@ -47,9 +48,6 @@ from .messages import (
     entries_size,
 )
 from .ppb import PpbReceiver, PpbSender
-
-if TYPE_CHECKING:
-    from .simnet import SimConfig
 
 BATCH_MAGIC = b"RB1"
 

@@ -36,7 +36,8 @@ from slimabc.messages import (
     JUST_PREVOTE_THRESHOLD,
     Justification,
 )
-from slimabc.simnet import BehaviorSpec, HarnessParty, abba_harness_run
+from slimabc.config import BehaviorSpec
+from slimabc.simnet import HarnessParty, abba_harness_run
 
 INSTANCE, SLOT = 1, 0
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from slimabc import SimConfig, cli, key_setup, sim_run
-from slimabc.simnet import TRACE_FORMAT, scenario_dict
+from slimabc.config import scenario_dict
+from slimabc.simnet import TRACE_FORMAT
 
 
 def write_scenario(tmp_path, name="scn.json", **kw):

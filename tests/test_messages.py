@@ -53,7 +53,7 @@ from slimabc.messages import (
     entries_size,
 )
 from slimabc.protocol import Party
-from slimabc.simnet import BEHAVIORS, POLICIES
+from slimabc.adversary import BEHAVIORS, POLICIES
 
 
 def one_of_each():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimabc import BehaviorSpec, Party, RequestBatch, SimConfig, sim_run
+from slimabc.adversary import BEHAVIORS, POLICIES
 from slimabc.committee import CsState
 from slimabc.crypto import key_setup
 from slimabc.invocation import SLOT_HANDLERS, SlotInvocation
@@ -29,7 +30,8 @@ from slimabc.messages import (
 )
 from slimabc import protocol
 from slimabc.protocol import decode_shared, instance_pool, sample_batch
-from slimabc.simnet import BEHAVIORS, POLICIES, HarnessParty, RunRecorder, deliver
+from slimabc.recorder import RunRecorder
+from slimabc.simnet import HarnessParty, deliver
 
 
 def cfg(**kw):

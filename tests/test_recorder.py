@@ -8,9 +8,11 @@ import hashlib
 
 import pytest
 
+from slimabc.config import SimConfig
 from slimabc.crypto import key_setup
 from slimabc.protocol import Party, RequestBatch
-from slimabc.simnet import RunRecorder, SimConfig, deliver
+from slimabc.recorder import RunRecorder
+from slimabc.simnet import deliver
 
 TOTALITY = "totality: some honest party did not finish all instances"
 

@@ -29,18 +29,9 @@ from slimabc.messages import (
     Suggestion,
     VMsg,
 )
-from slimabc.simnet import (
-    BEHAVIORS,
-    POLICIES,
-    AdversarialDelayPolicy,
-    HarnessParty,
-    abba_harness_run,
-    config_from_dict,
-    load_scenario,
-    make_proven_pair,
-    replay_trace,
-    scenario_dict,
-)
+from slimabc.adversary import BEHAVIORS, POLICIES, AdversarialDelayPolicy
+from slimabc.config import config_from_dict, load_scenario, scenario_dict
+from slimabc.simnet import HarnessParty, abba_harness_run, make_proven_pair, replay_trace
 
 
 def base_cfg(**kw):
