@@ -366,6 +366,31 @@ def test_traffic_past_the_last_instance_is_dropped():
     assert resp.dst == 2 and resp.entries[0].ciphertext == done.archive[1][slot][0]
 
 
+def test_each_recovery_request_is_answered_once():
+    """A party answers one sender's `Recover` for a slot once, however many
+    copies arrive, and still answers another sender; a request that came
+    before the party held the pair does not count as answered."""
+    provider = key_setup(128, 4, 6)
+    parties = [Party(i, provider.party_handle(i), cfg(instances=1)) for i in range(4)]
+    party = parties[0]
+    queue = [env for p in parties for env in p.begin()]
+    while party.inst.committee is None:
+        env = queue.pop(0)
+        queue.extend(parties[env.dst].handle(env))
+    early = tuple(Recover(1, s) for s, inv in party.inst.slots.items() if inv.pair is None)
+    assert party.handle(Envelope(1, 1, early, dst=0)) == []  # no pair to answer with yet
+    run_parties(parties, queue)
+    slot = next(iter(party.archive[1]))
+    assert Recover(1, slot) in early
+    answer = RecoverResp(1, slot, *party.archive[1][slot])
+    flood = Envelope(1, 1, (Recover(1, slot),) * 1000, dst=0)
+    (resp,) = party.handle(flood)
+    assert resp.dst == 1 and resp.entries == (answer,)
+    assert party.handle(flood) == []
+    (resp,) = party.handle(Envelope(2, 1, (Recover(1, slot),), dst=0))
+    assert resp.dst == 2 and resp.entries == (answer,)
+
+
 def test_a_parked_entry_is_kept_once_per_sender():
     """Copies of an entry from one sender take one place among the parked
     entries, which keep the order of first arrival; another sender's copy
