@@ -18,7 +18,8 @@ for the current one before its committee is known) wait in one buffer per
 instance, one copy per sender and entry.  Traffic for finished instances
 is dropped, except recovery requests, which are served from the archive of
 proven pairs so a lagging party can always catch up; traffic for instances
-past the configured count is dropped too.
+past the configured count is dropped too.  A party answers each sender's
+recovery request for a slot once, so copies cannot amplify traffic.
 """
 from __future__ import annotations
 
@@ -217,6 +218,8 @@ class Party(SlotOwner):
         # (sender, entry) to None, so a copy from one sender is kept once,
         # and replays in arrival order.
         self._future: Dict[int, Dict[Tuple[int, Message], None]] = {}
+        # (sender, instance, slot) of each `Recover` answered: one answer each.
+        self._answered: Set[Tuple[int, int, int]] = set()
         self._wire: List[WireItem] = []
         self._selfq: List[Message] = []
         self._out: List[Message] = []  # a slot handler's emissions, emptied after each
@@ -434,6 +437,9 @@ class Party(SlotOwner):
                 self._emit(BROADCAST, v)
 
     def _serve_recover(self, sender: int, msg: Recover) -> None:
+        key = (sender, msg.instance, msg.slot)
+        if key in self._answered:
+            return
         pair = None
         if msg.instance == self.instance and self.inst is not None:
             inv = self.inst.slots.get(msg.slot)
@@ -441,6 +447,7 @@ class Party(SlotOwner):
         elif msg.instance < self.instance:
             pair = self.archive.get(msg.instance, {}).get(msg.slot)
         if pair is not None:
+            self._answered.add(key)
             self._emit(sender, RecoverResp(msg.instance, msg.slot, pair[0], pair[1]))
 
     # -- finalization -----------------------------------------------------------------
