@@ -12,16 +12,16 @@ import statistics
 import sys
 from typing import List, Optional
 
-from .metrics import RunReport, scaling_fit, write_csv
 from .config import ConfigError, SimConfig, load_scenario
+from .metrics import RunReport, scaling_fit, write_csv
 from .simnet import replay_trace, sim_run
 
 def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "policy", None) is not None:
+    if args.policy is not None:
         cfg.policy = args.policy
-    if getattr(args, "instances", None) is not None:
+    if args.instances is not None:
         cfg.instances = args.instances
     cfg.validate()
     return cfg

@@ -28,6 +28,17 @@ def test_run_writes_report(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"]
 
 
+def test_run_overrides_reach_the_report(tmp_path, capsys):
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out), "--seed", "5",
+                     "--policy", "random", "--instances", "1"]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["seed"], config["policy"], config["instances"]) == (5, "random", 1)
+    assert cli.main(["run", "--scenario", scn, "--policy", "nope"]) == 2
+    assert "unknown policy 'nope'" in capsys.readouterr().err
+
+
 def test_run_stopped_short_exits_1_with_its_report(tmp_path, capsys):
     scn = write_scenario(tmp_path, max_steps=10)
     out = tmp_path / "report.json"
