@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimabc import BehaviorSpec, SimConfig, sim_run
+from slimabc.adversary import BEHAVIORS, POLICIES
 from slimabc.crypto import (
     Ciphertext,
     CoinShare,
@@ -50,10 +51,10 @@ from slimabc.messages import (
     WIDTH,
     WIRE,
     _Message,
+    carries_pair,
     entries_size,
 )
 from slimabc.protocol import Party
-from slimabc.adversary import BEHAVIORS, POLICIES
 
 
 def one_of_each():
@@ -99,6 +100,21 @@ def one_of_each():
         msgs[2]._replace(share=flipped),
     ]
     return msgs
+
+
+def test_carries_pair_truth_table():
+    """A proposal, a suggestion, a recovery answer and a claim with both
+    halves of its pair carry a slot's pair; a bare or half-filled claim and
+    every other kind do not."""
+    msgs = one_of_each()
+    ct, sig = msgs[3].ciphertext, msgs[3].proof
+    claims = [VMsg(1, 2, 0), VMsg(1, 2, 1), VMsg(1, 2, 1, ct), VMsg(1, 2, 1, None, sig),
+              VMsg(1, 2, 1, ct, sig)]
+    others = [m for m in msgs if type(m) is not VMsg]
+    assert {type(m) for m in claims + others} == set(WIRE) and len(WIRE) == 14
+    assert [carries_pair(m) for m in claims] == [False, False, False, False, True]
+    for m in others:
+        assert carries_pair(m) is (type(m) in (Proposal, Suggestion, RecoverResp)), m
 
 
 def test_size_equals_encoded_length_for_every_kind():
