@@ -153,10 +153,8 @@ def _flip_share(msg):
 
 
 class Behavior:
-    """Built as cls(spec, crypto, rng) from a `BehaviorSpec`, the byzantine
-    party's crypto handle and its own generator.  A subclass either defines
-    `mutate(step, dst, msg)`, which the base `filter` calls per entry, or
-    overrides `filter` itself."""
+    """Built as cls(spec, crypto, rng).  A subclass defines `mutate(step, dst,
+    msg)`, which the base `filter` calls per entry, or overrides `filter`."""
 
     def __init__(self, spec, crypto, rng: random.Random):
         self.spec = spec

@@ -1,11 +1,8 @@
 """Run configuration: `SimConfig`, its byzantine behavior specs, and scenario
-files.
-
+files (`scenario_dict(cfg)` as JSON, read back by `config_from_dict`).
 `SimConfig.validate` is the one checked entry for `sim_run`, the agreement
-harness, CLI overrides and scenario files: it checks each field's JSON type,
-then its range.  A scenario file is `scenario_dict(cfg)` as JSON, and
-`config_from_dict` reads one back.
-"""
+harness, CLI overrides and scenario files: each field's JSON type, then its
+range."""
 from __future__ import annotations
 
 import dataclasses

@@ -1,13 +1,8 @@
-"""The run recorder: an `Observer` of every party that checks the run's
-properties once it ends.
-
-`RunRecorder` records what honest parties report as it happens (committees,
-ABBA inputs and decisions, phases), takes a lemma snapshot of who holds or
-is about to receive each slot's pair when an instance first sweeps, and
-`finish` runs its table of checkers (`CHECKS`) into a `RunReport`: each
-checker yields the violations of one property, and can be called on its own
-with `recorder.context(stalled)`.
-"""
+"""The run recorder, an `Observer` of every party: it records what honest
+parties report (committees, ABBA inputs and decisions, phases) and a lemma
+snapshot per instance, and `finish` runs its table of checkers (`CHECKS`)
+into a `RunReport`.  Each checker yields the violations of one property and
+can be called on its own with `recorder.context(stalled)`."""
 from __future__ import annotations
 
 import hashlib
