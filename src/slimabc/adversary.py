@@ -32,7 +32,7 @@ class Policy:
     Every policy is built as cls(policy_params, rng)."""
 
     def __init__(self, params: dict, rng: random.Random):
-        self.rng = rng
+        """The base policy reads neither its parameters nor the RNG."""
 
 
 class FifoPolicy(Policy):
@@ -233,8 +233,7 @@ class RandomVotesBehavior(Behavior):
             return AbbaMainvote(msg.instance, msg.slot, msg.round, self.rng.choice((0, 1, 2)),
                                 msg.justification, msg.share)
         if kind is VMsg and msg.u == 0 and self.rng.random() < 0.3:
-            # claim 1 without shipping a pair
-            return VMsg(msg.instance, msg.slot, 1, msg.ciphertext, msg.proof)
+            return VMsg(msg.instance, msg.slot, 1)  # claim 1 without holding the pair
         return msg
 
 

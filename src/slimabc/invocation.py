@@ -2,11 +2,11 @@
 
 Wraps one binary-agreement machine with the slot's input layer: each
 party announces a 1-bit claim (V-message) for the slot, claiming 1 iff
-it holds the verified (ciphertext, proof) pair.  Claims travel bare —
-pair dissemination is the proposal/suggestion multicasts' job — though
-a claim that does attach a pair is verified and adopted (an attached
-pair that fails verification demotes the claim to 0).  Once 2f+1
-claims are in, the local claim bit feeds the agreement machine.  A
+it holds the verified (ciphertext, proof) pair.  Claims are bare (pair
+dissemination is the proposal/suggestion multicasts' job), and a
+received claim's bit is not read: claims only time the input.  Once
+2f+1 distinct parties' claims are in, the local claim bit feeds the
+agreement machine, and later claims are ignored.  A
 party that learns the slot decided 1 without holding the pair
 multicasts a recovery request; any holder answers with the pair.
 After deciding 1, holders contribute decryption shares and the
@@ -86,7 +86,7 @@ class SlotInvocation:
         self.input_bit: Optional[int] = None  # set when the machine got its input
         self.decided: Optional[Tuple[int, int]] = None  # (bit, round)
         self.plaintext: Optional[bytes] = None
-        self._v_senders: Dict[int, int] = {}
+        self._v_senders: Dict[int, None] = {}  # claim senders until the input is fixed
         self._v_out: Optional[VMsg] = None
         # Decryption shares, verified ones and ones parked until the pair is
         # known (the first per sender, in arrival order); both are emptied
@@ -144,21 +144,16 @@ class SlotInvocation:
         return v
 
     def on_v(self, sender: int, msg: VMsg, out: List[Message]) -> None:
-        claims = self._v_senders
-        if sender in claims:
+        if self.input_bit is not None:
             return
-        effective = 0
-        if msg.u == 1 and msg.pair is not None:
-            if self.record_pair(*msg.pair, out):
-                effective = 1  # a claimed 1 without a verifiable pair demotes to 0
-        claims[sender] = effective
-        if effective == 1 and self.u == 0:
-            self.u = 1
-        if self.input_bit is None and self.started and len(claims) >= self._claim_quorum:
+        claims = self._v_senders
+        claims[sender] = None
+        if self.started and len(claims) >= self._claim_quorum:
             self._fix_input(out)
 
     def _fix_input(self, out: List[Message]) -> None:
         """Feed the local claim to the agreement machine, once 2f+1 claims are in."""
+        self._v_senders.clear()
         self.input_bit = self.u
         self.owner.slot_input(self)
         out.extend(self.abba.input(self.u))

@@ -6,7 +6,9 @@ walks them, so every message has exactly one byte representation.  The bytes
 hold every field but the instance (the envelope header carries it), a share's
 signer or holder (the envelope sender) and the share signer of each pre-vote
 a conflict main-vote embeds (ROADMAP item 1); `test_off_wire_fields_pinned`
-in `tests/test_messages.py` pins that list.
+in `tests/test_messages.py` pins that list.  A V-claim is its slot and bit
+alone: the bit is the paper's claim, though no receiver reads it (a receiver
+counts claims, and its own input is whether it holds the pair).
 
 `WIDTH` gives each wire type's width, a number or a function of the value,
 and `body_size` walks the same tables with each kind's fixed widths summed
@@ -66,10 +68,6 @@ def _blob(b: bytes) -> bytes:
     return _U32(len(b)) + b
 
 
-def LEN_SHARE(share) -> bytes:
-    return _blob(share.share_bytes)
-
-
 def CIPHERTEXT(c: Ciphertext) -> bytes:
     return _blob(c.payload) + _U32(c.length_plain)
 
@@ -80,11 +78,6 @@ def JUSTIFICATION(j: Justification) -> bytes:
 
 def PREVOTE(pv: "AbbaPrevote") -> bytes:  # embedded, so its share signer is off the wire
     return _blob(pv.encode_body())
-
-
-def OPTIONAL_PAIR(pair) -> bytes:
-    """A flag byte, then the (ciphertext, proof) pair if there is one."""
-    return b"\x01" + CIPHERTEXT(pair[0]) + SIG(pair[1]) if pair else b"\x00"
 
 
 class _Message:
@@ -125,24 +118,19 @@ class Proposal(_Message, record("instance slot ciphertext proof")):
     TAG = 4
 
 
-class Suggestion(_Message, record("instance slot ciphertext proof relayer")):
+class Suggestion(_Message, record("instance slot ciphertext proof")):
+    """A relayed pair; the relayer is the envelope sender."""
+
     __slots__ = ()
     TAG = 5
 
 
-class VMsg(_Message, record("instance slot u ciphertext proof", (None, None))):
-    """Per-slot 1-bit claim.  The (ciphertext, proof) pair is optional wire
-    baggage: honest parties send bare claims (pairs travel via the proposal
-    and suggestion multicasts), but a claim that does attach a pair is
-    verified and adopted like any other carrier."""
+class VMsg(_Message, record("instance slot u")):
+    """Per-slot 1-bit claim, always bare: pairs travel in the proposal,
+    suggestion and recovery messages."""
 
     __slots__ = ()
     TAG = 6
-
-    @property
-    def pair(self):  # (ciphertext, proof) if the claim carries both, else None
-        carried = self.ciphertext is not None and self.proof is not None
-        return (self.ciphertext, self.proof) if carried else None
 
 
 class AbbaPreprocess(_Message, record("instance slot bit share")):
@@ -189,20 +177,19 @@ class DecShare(_Message, record("instance slot share")):
 
 def carries_pair(m) -> bool:
     """Whether entry `m` carries a slot's (ciphertext, proof) pair."""
-    return isinstance(m, (Proposal, Suggestion, RecoverResp)) \
-        or (isinstance(m, VMsg) and m.pair is not None)
+    return isinstance(m, (Proposal, Suggestion, RecoverResp))
 
 
 # The format: each kind's wire fields in order, as (field, wire type).
 _SLOT, _ROUND = ("slot", U16), ("round", U16)
 _PAIR = (("ciphertext", CIPHERTEXT), ("proof", SIG))
 WIRE = {
-    CsShare: (("share", LEN_SHARE),),
+    CsShare: (("share", SHARE),),
     PpbPayload: (_SLOT, ("ciphertext", CIPHERTEXT)),
     PpbShare: (_SLOT, ("share", SHARE)),
     Proposal: (_SLOT, *_PAIR),
-    Suggestion: (_SLOT, *_PAIR, ("relayer", U16)),
-    VMsg: (_SLOT, ("u", U8), ("pair", OPTIONAL_PAIR)),
+    Suggestion: (_SLOT, *_PAIR),
+    VMsg: (_SLOT, ("u", U8)),
     AbbaPreprocess: (_SLOT, ("bit", U8), ("share", SHARE)),
     AbbaPrevote: (_SLOT, _ROUND, ("bit", U8), ("justification", JUSTIFICATION), ("share", SHARE)),
     AbbaMainvote: (_SLOT, _ROUND, ("value", U8), ("justification", JUSTIFICATION),
@@ -231,12 +218,9 @@ WIDTH = {
     U16: 2,
     SHARE: lambda share: len(share.share_bytes),
     SIG: lambda sig: len(sig.sig_bytes),
-    LEN_SHARE: lambda share: 4 + len(share.share_bytes),
     CIPHERTEXT: lambda c: 8 + len(c.payload),
     JUSTIFICATION: lambda j: 1 + _walk_size(j, _JUSTIFICATION_SIZES[j.kind]),
     PREVOTE: lambda pv: 4 + body_size(pv),
-    OPTIONAL_PAIR: lambda pair: 1 + (WIDTH[CIPHERTEXT](pair[0]) + WIDTH[SIG](pair[1]) if pair
-                                     else 0),
 }
 
 

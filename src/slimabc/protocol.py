@@ -179,8 +179,7 @@ class Observer:
     def on_slot_decided(self, party: int, instance: int, slot: int, bit: int,
                         round_: int) -> None: ...
 
-    def on_finalized(self, party: int, instance: int, outputs: Dict[int, RequestBatch],
-                     rounds: Dict[int, int], phases: int) -> None: ...
+    def on_finalized(self, party: int, instance: int, phases: int) -> None: ...
 
 
 @dataclass
@@ -367,8 +366,6 @@ class Party(SlotOwner):
                 return
             self._on_pair(sender, msg.slot, msg.ciphertext, msg.proof)
         elif kind is Suggestion:
-            if msg.relayer != sender:
-                return
             self._on_pair(sender, msg.slot, msg.ciphertext, msg.proof)
 
     # -- slot transitions, reported by each SlotInvocation as they happen -----------
@@ -417,7 +414,7 @@ class Party(SlotOwner):
         inst.sugg_senders.add(sender)
         if not inst.relayed:
             inst.relayed = True
-            self._emit(BROADCAST, Suggestion(self.instance, slot, ciphertext, proof, self.pid))
+            self._emit(BROADCAST, Suggestion(self.instance, slot, ciphertext, proof))
         if not inv.started:
             self._multicast(inv.inv_start(1, ciphertext, proof, out))
         self._maybe_sweep()
@@ -459,11 +456,9 @@ class Party(SlotOwner):
         if inst is None or inst.committee is None or len(inst.ready) < len(inst.slots):
             return False
         outputs: Dict[int, RequestBatch] = {}
-        rounds: Dict[int, int] = {}
         pairs: Dict[int, Tuple[Ciphertext, ThresholdSignature]] = {}
         for slot in sorted(inst.slots):
             inv = inst.slots[slot]
-            rounds[slot] = inv.decided[1]
             if inv.decided[0] != 1:
                 continue
             pairs[slot] = inv.pair
@@ -483,8 +478,8 @@ class Party(SlotOwner):
         self.pending = [r for r in self.pending if r not in self.delivered]
         self.outputs_by_instance[self.instance] = outputs
         self.archive[self.instance] = pairs
-        phases = 4 + max(rounds.values())
-        self.observer.on_finalized(self.pid, self.instance, outputs, rounds, phases)
+        phases = 4 + max(inv.decided[1] for inv in inst.slots.values())
+        self.observer.on_finalized(self.pid, self.instance, phases)
         finished_instance = self.instance
         if finished_instance >= self.cfg.instances:
             self.finished = True

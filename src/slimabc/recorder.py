@@ -63,7 +63,7 @@ class RunRecorder(Observer):
         if party in self.honest:
             self.decisions.setdefault((instance, slot), {})[party] = (bit, round_)
 
-    def on_finalized(self, party, instance, outputs, rounds, phases) -> None:
+    def on_finalized(self, party, instance, phases) -> None:
         if party in self.honest:
             self.phases[instance] = max(self.phases.get(instance, 0), phases)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # sha256 of the canonical JSON of {workload: {metric: value}}, seed 7.
-TRACED_COUNTS_DIGEST = "1b0c9c8e6937e214257a11afc9628247bdb1d8ca41c81d64040308341892c8f2"
+TRACED_COUNTS_DIGEST = "94cdf9c98e8fa5c8933c90953e89e0fd14fd4847418d59096ca68c3a0643c770"
 TIMES = ("simnet.us_per_step", "trace.overhead_ratio")
 
 

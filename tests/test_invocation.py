@@ -4,7 +4,7 @@ import pytest
 from slimabc.abba import AlreadyInputError, mainvote_bytes
 from slimabc.crypto import key_setup
 from slimabc.invocation import InvalidProofError, SlotInvocation
-from slimabc.messages import AbbaDecision, DecShare, Recover, RecoverResp, VMsg
+from slimabc.messages import AbbaDecision, AbbaPreprocess, DecShare, Recover, RecoverResp, VMsg
 from slimabc.simnet import make_proven_pair
 
 INSTANCE, SLOT = 1, 0
@@ -21,8 +21,7 @@ def test_start_with_pair_claims_one_without_shipping_it():
     _, pair, invs = setup()
     inv = invs[0]
     inv.inv_start(1, *pair)
-    v = inv.take_v()
-    assert (v.u, v.ciphertext, v.proof) == (1, None, None)
+    assert inv.take_v() == VMsg(INSTANCE, SLOT, 1)  # the claim's slot and bit, bare
     assert inv.u == 1 and inv.pair == pair
     assert inv.take_v() is None  # consumed
 
@@ -65,28 +64,32 @@ def test_input_fires_at_quorum_of_distinct_claims():
     assert inv.input_bit == 1
 
 
-def test_v_with_attached_pair_is_adopted():
+def test_one_claims_count_but_never_make_a_pairless_input_one():
+    """A claim's bit is not read: 2f+1 claims of 1 fix a receiver's input,
+    and a receiver without the pair inputs 0, whatever the claims say."""
+    _, _, invs = setup()
+    inv = invs[0]
+    out = []
+    inv.on_v(1, VMsg(INSTANCE, SLOT, 1), out)
+    inv.on_v(2, VMsg(INSTANCE, SLOT, 1), out)
+    inv.on_v(3, VMsg(INSTANCE, SLOT, 1), out)
+    assert inv.input_bit is None and not out  # not started: claims wait
+    inv.inv_start(0, out=out)
+    assert inv.input_bit == 0 and inv.u == 0 and inv.pair is None
+    assert [(type(m), m.bit) for m in out] == [(AbbaPreprocess, 0)]
+
+
+def test_claims_are_freed_once_the_input_is_fixed():
     _, pair, invs = setup()
     inv = invs[0]
-    inv.inv_start(0)
+    inv.inv_start(1, *pair)
     out = []
-    inv.on_v(2, VMsg(INSTANCE, SLOT, 1, pair[0], pair[1]), out)
-    assert inv.pair == pair
-    assert inv.u == 1  # upgraded before input
-
-
-def test_v_with_bogus_pair_demotes_to_zero():
-    provider, pair, invs = setup()
-    inv = invs[0]
-    inv.inv_start(0)
-    out = []
-    wrong = make_proven_pair(provider, INSTANCE, SLOT + 2, b"not this slot")
-    inv.on_v(2, VMsg(INSTANCE, SLOT, 1, pair[0], wrong[1]), out)
-    assert inv.pair is None and inv.u == 0
-    assert inv._v_senders[2] == 0  # still counted, as a 0
-    inv.on_v(1, VMsg(INSTANCE, SLOT, 0), out)
-    inv.on_v(0, VMsg(INSTANCE, SLOT, 0), out)
-    assert inv.input_bit == 0
+    for sender in range(3):
+        inv.on_v(sender, VMsg(INSTANCE, SLOT, 0), out)
+    assert inv.input_bit == 1 and inv._v_senders == {}
+    emitted = list(out)
+    inv.on_v(3, VMsg(INSTANCE, SLOT, 0), out)  # a late claim changes nothing
+    assert inv._v_senders == {} and out == emitted and inv.input_bit == 1
 
 
 def run_until_decided(invs, claims):

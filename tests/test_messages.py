@@ -51,6 +51,7 @@ from slimabc.messages import (
     WIDTH,
     WIRE,
     _Message,
+    body_size,
     carries_pair,
     entries_size,
 )
@@ -71,9 +72,8 @@ def one_of_each():
         PpbPayload(1, 2, ct),
         PpbShare(1, 2, share),
         Proposal(1, 2, ct, sig),
-        Suggestion(1, 2, ct, sig, relayer=3),
+        Suggestion(1, 2, ct, sig),
         VMsg(1, 2, 0),
-        VMsg(1, 2, 1, ct, sig),  # a claim carrying its pair
         AbbaPreprocess(1, 2, 1, share),
         pv0,
         pv1,
@@ -94,7 +94,7 @@ def one_of_each():
                              + share.share_bytes[1:])
     msgs += [
         msgs[-4]._replace(bit=0),
-        msgs[13]._replace(value=1),
+        msgs[12]._replace(value=1),
         msgs[5]._replace(u=1),
         msgs[1]._replace(ciphertext=p.tpke_enc(b"EQV")),
         msgs[2]._replace(share=flipped),
@@ -103,18 +103,26 @@ def one_of_each():
 
 
 def test_carries_pair_truth_table():
-    """A proposal, a suggestion, a recovery answer and a claim with both
-    halves of its pair carry a slot's pair; a bare or half-filled claim and
-    every other kind do not."""
+    """A proposal, a suggestion and a recovery answer carry a slot's pair;
+    claims, of either bit, and every other kind do not."""
     msgs = one_of_each()
-    ct, sig = msgs[3].ciphertext, msgs[3].proof
-    claims = [VMsg(1, 2, 0), VMsg(1, 2, 1), VMsg(1, 2, 1, ct), VMsg(1, 2, 1, None, sig),
-              VMsg(1, 2, 1, ct, sig)]
-    others = [m for m in msgs if type(m) is not VMsg]
-    assert {type(m) for m in claims + others} == set(WIRE) and len(WIRE) == 14
-    assert [carries_pair(m) for m in claims] == [False, False, False, False, True]
-    for m in others:
+    assert {type(m) for m in msgs} == set(WIRE) and len(WIRE) == 14
+    assert {m.u for m in msgs if type(m) is VMsg} == {0, 1}
+    for m in msgs:
         assert carries_pair(m) is (type(m) in (Proposal, Suggestion, RecoverResp)), m
+
+
+def test_coin_shares_claims_and_suggestions_carry_no_extra_bytes():
+    """A coin share's body is its tag alone, with no length prefix; a claim's
+    is its slot and bit, with no pair flag; a suggestion's is the proposal's
+    of the same pair, with no relayer (the envelope sender is the relayer)."""
+    msgs = {type(m): m for m in one_of_each()}
+    coin, sugg = msgs[CsShare], msgs[Suggestion]
+    assert coin.encode_body() == coin.share.share_bytes
+    assert VMsg(1, 2, 1).encode_body() == b"\x00\x02\x01"
+    assert sugg.encode_body() == Proposal(*sugg).encode_body()
+    assert [body_size(m) for m in (coin, VMsg(1, 2, 1), sugg)] \
+        == [len(coin.share.share_bytes), 3, body_size(Proposal(*sugg))]
 
 
 def test_size_equals_encoded_length_for_every_kind():
@@ -163,8 +171,8 @@ DRAWN = {
     PpbPayload: st.builds(PpbPayload, u64, u16, cts),
     PpbShare: st.builds(PpbShare, u64, u16, shares),
     Proposal: st.builds(Proposal, u64, u16, cts, sigs),
-    Suggestion: st.builds(Suggestion, u64, u16, cts, sigs, u16),
-    VMsg: st.builds(VMsg, u64, u16, u8, st.none() | cts, st.none() | sigs),
+    Suggestion: st.builds(Suggestion, u64, u16, cts, sigs),
+    VMsg: st.builds(VMsg, u64, u16, u8),
     AbbaPreprocess: st.builds(AbbaPreprocess, u64, u16, u8, shares),
     AbbaPrevote: st.builds(AbbaPrevote, u64, u16, u16, u8, justifications, shares),
     AbbaMainvote: st.builds(AbbaMainvote, u64, u16, u16, u8, justifications, shares),
@@ -342,7 +350,7 @@ def test_off_wire_fields_pinned():
 # sha256 over the encoded envelope of each `one_of_each()` message, then over
 # every envelope an honest party sent in the runs of `test_wire_bytes_pinned`,
 # in delivery order.  The size checks above see lengths only; this sees content.
-WIRE_DIGEST = "32629a32b33dbdd2273fbe8589b7c595bcab7df5fa3ca8d562225b65d0632ca1"
+WIRE_DIGEST = "afab5e2e971f76e4d464d722106dbbabb216cb016be8eeacb8be7b678f0d5333"
 
 
 def test_wire_bytes_pinned(monkeypatch):

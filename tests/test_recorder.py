@@ -197,7 +197,7 @@ CASES = {
 }
 
 # sha256 over every case's report JSON, finished then stalled, in CASES order.
-PLANTED_DIGEST = "c20d0e2716dbd27f0b4dfa56626b0f8df8f78c1c8236483145f95832aea2aefb"
+PLANTED_DIGEST = "81e3ac6b5d20c4ecffb4e4e55e8b94eeb3588f947b518f0fab0af92f981a8ba4"
 
 
 def honest_run():

@@ -177,12 +177,12 @@ def filter_envelopes(provider):
         VMsg(1, 0, 0),
         VMsg(1, 1, 1),
         PpbPayload(1, 3, ct),
-        Suggestion(1, 3, ct, proof, 3),
+        Suggestion(1, 3, ct, proof),
         Recover(1, 2),
     )
     envs = [Envelope(3, 1, entries[i % 7:] + entries[:i % 7], dst=i % 3) for i in range(30)]
     return envs + [Envelope(3, 1, (Recover(1, 2),), dst=0),
-                   Envelope(3, 1, (Suggestion(1, 3, ct, proof, 3),), dst=1)]
+                   Envelope(3, 1, (Suggestion(1, 3, ct, proof),), dst=1)]
 
 
 def construct_filter(behavior, step, envs):
