@@ -27,12 +27,15 @@ first from each sender per round is counted, and votes for rounds ahead of
 the local machine are buffered, the first of each kind from each sender
 only.  The decision is forwarded once, where `decided` is set.
 
+What waits for the payload proof (pre-processes for 1 and votes justified
+by one) waits in one buffer, `_ev_pending`, which the proof replays.
+
 A decided machine holds a transferable decision signature and reads no
 vote again, so where `decided` is set it frees its vote ledgers, coin
 shares and parked rounds.  It keeps the entered rounds' signing strings,
-which `on_decision` still reads, and the votes parked until the payload
-proof is known: a late proof hands them once more to the public handlers,
-which drop them.  Signing strings are built once per (instance, slot) and
+which `on_decision` still reads, and `_ev_pending`: a late proof hands its
+votes once more to the public handlers, which drop them, and skips its
+pre-processes.  Signing strings are built once per (instance, slot) and
 round entered, in a bounded cache shared by every machine of the process.
 """
 from __future__ import annotations
@@ -128,7 +131,6 @@ class AbbaMachine:
         # quorum a threshold signature or a decision is built from.  They,
         # the coin shares and _future are freed once decided (_decide).
         self._pp: Dict[int, AbbaPreprocess] = {}
-        self._pp_pending_one: Dict[int, AbbaPreprocess] = {}  # sender -> first
         self._prevotes: Dict[int, Dict[int, AbbaPrevote]] = {}
         self._mainvotes: Dict[int, Dict[int, AbbaMainvote]] = {}
         self._coin_shares: Dict[int, Dict[int, CoinShare]] = {}
@@ -136,7 +138,7 @@ class AbbaMachine:
         # Parked (sender, vote) pairs, the first per key in arrival order, so
         # copies from one sender take one entry: votes for rounds ahead, per
         # round, keyed by (kind, sender); votes awaiting the payload proof,
-        # keyed by (kind, round, sender).
+        # keyed by (kind, round, sender), a pre-process for 1 under round 0.
         self._future: Dict[int, Dict[Tuple[type, int], Tuple[int, Message]]] = {}
         self._ev_pending: Dict[Tuple[type, int, int], Tuple[int, Message]] = {}
 
@@ -162,9 +164,6 @@ class AbbaMachine:
             return []
         self.evidence_known = True
         out: List[Message] = []
-        pending, self._pp_pending_one = self._pp_pending_one, {}
-        for sender, msg in pending.items():
-            self._pp.setdefault(sender, msg)
         replay, self._ev_pending = self._ev_pending, {}
         self._replay(replay.values(), out)
         self._pump(out)
@@ -178,7 +177,7 @@ class AbbaMachine:
         if not self.crypto.verify_share(self._pp_msgs[msg.bit], sender, msg.share):
             return
         if msg.bit == 1 and not self.evidence_known:
-            self._pp_pending_one.setdefault(sender, msg)
+            self._ev_pending.setdefault((AbbaPreprocess, 0, sender), (sender, msg))
             return
         pp = self._pp
         pp[sender] = msg
@@ -403,7 +402,6 @@ class AbbaMachine:
         """Record the decision and free what only an undecided machine reads."""
         self.decided = (bit, r, sig)
         self._pp = {}
-        self._pp_pending_one = {}
         self._prevotes = {}
         self._mainvotes = {}
         self._coin_shares = {}
@@ -433,9 +431,14 @@ class AbbaMachine:
         self._replay(self._future.pop(r, {}).values(), out)
 
     def _replay(self, parked: Iterable[Tuple[int, Message]], out: List[Message]) -> None:
-        """Hand parked votes to the public handlers again, in arrival order."""
+        """Hand parked votes to the public handlers again, in arrival order;
+        an undecided machine takes a parked (verified) pre-process into `_pp`."""
         for sender, msg in parked:
-            if type(msg) is AbbaPrevote:
+            kind = type(msg)
+            if kind is AbbaPreprocess:
+                if self.decided is None:
+                    self._pp.setdefault(sender, msg)
+            elif kind is AbbaPrevote:
                 self.on_prevote(sender, msg, out)
             else:
                 self.on_mainvote(sender, msg, out)

@@ -224,6 +224,12 @@ class WithholdSuggestionsBehavior(Behavior):
 
 
 class RandomVotesBehavior(Behavior):
+    """Redraws the bit of each pre-vote and the value of each main-vote,
+    keeping the original share, and flips some 0-claims to 1.  The claim
+    flip has had no effect since claims went bare (`BENCH_20.json`): no
+    receiver reads a claim's bit.  It stays because removing it would shift
+    this behavior's random draws and change every random-votes report."""
+
     def mutate(self, step: int, dst: int, msg):
         kind = type(msg)
         if kind is AbbaPrevote:

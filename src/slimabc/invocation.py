@@ -1,16 +1,17 @@
 """Per-slot agreement invocation.
 
 Wraps one binary-agreement machine with the slot's input layer: each
-party announces a 1-bit claim (V-message) for the slot, claiming 1 iff
-it holds the verified (ciphertext, proof) pair.  Claims are bare (pair
-dissemination is the proposal/suggestion multicasts' job), and a
-received claim's bit is not read: claims only time the input.  Once
-2f+1 distinct parties' claims are in, the local claim bit feeds the
-agreement machine, and later claims are ignored.  A
-party that learns the slot decided 1 without holding the pair
-multicasts a recovery request; any holder answers with the pair.
-After deciding 1, holders contribute decryption shares and the
-plaintext is recovered from f+1 of them.
+party announces a 1-bit claim `u` for the slot, 1 iff it holds the
+verified (ciphertext, proof) pair, when the slot starts; the owner sends
+it as a V-message.  Claims are bare (pair dissemination is the
+proposal/suggestion multicasts' job), and a received claim's bit is not
+read: claims only time the input.  Once 2f+1 distinct parties' claims are
+in, `u` feeds the agreement machine (`abba.input_given` is then set), and
+later claims are ignored.  A party that learns the slot decided 1 without
+holding the pair multicasts a recovery request; any holder answers with
+the pair.  A holder contributes its decryption share once, when both the
+decision 1 and the pair are known, and the plaintext is recovered from f+1
+shares.
 
 The invocation reports its own transitions to its owner as they happen:
 input fixed, decided, and outcome ready (decided 0, or decided 1 and
@@ -81,80 +82,63 @@ class SlotInvocation:
         self._claim_quorum = 2 * crypto.f + 1  # claims that fix the input
         self._dec_quorum = crypto.f + 1  # decryption shares that recover the plaintext
         self.pair: Optional[Tuple[Ciphertext, ThresholdSignature]] = None
-        self.u = 0
-        self.started = False
-        self.input_bit: Optional[int] = None  # set when the machine got its input
+        self.u: Optional[int] = None  # the local claim, set when the slot starts
         self.decided: Optional[Tuple[int, int]] = None  # (bit, round)
         self.plaintext: Optional[bytes] = None
         self._v_senders: Dict[int, None] = {}  # claim senders until the input is fixed
-        self._v_out: Optional[VMsg] = None
         # Decryption shares, verified ones and ones parked until the pair is
         # known (the first per sender, in arrival order); both are emptied
         # once the plaintext is recovered.
         self._dec_shares: Dict[int, DecryptionShare] = {}
         self._dec_pending: Dict[int, DecryptionShare] = {}
-        self._dec_share_sent = False
         self._recover_sent = False
 
     # -- pair dissemination ---------------------------------------------------
 
     def record_pair(self, ciphertext: Ciphertext, proof: ThresholdSignature,
                     out: List[Message]) -> bool:
-        """Adopt a verified (ciphertext, proof) pair; idempotent."""
+        """Adopt a verified (ciphertext, proof) pair; idempotent.  A slot
+        decided 1 before the pair contributes its decryption share here, one
+        that decides meanwhile in `_after_abba`."""
         if self.pair is not None:
             return verify_proof(self.crypto, self.instance, self.slot, ciphertext, proof)
         if not verify_proof(self.crypto, self.instance, self.slot, ciphertext, proof):
             return False
+        decided = self.decided
         self.pair = (ciphertext, proof)
         out.extend(self.abba.set_evidence_known())
         pending, self._dec_pending = self._dec_pending, {}
         for sender, share in pending.items():
             self.on_dec_share(sender, DecShare(self.instance, self.slot, share), out)
         self._after_abba(out)
-        if self.decided is not None and self.decided[0] == 1:
-            self._emit_dec_share(out)
-            self._try_decrypt()
+        if decided is not None and decided[0] == 1:
+            self._share_and_decrypt(out)
         return True
 
-    def inv_start(self, bit: int, ciphertext: Optional[Ciphertext] = None,
-                  proof: Optional[ThresholdSignature] = None,
-                  out: Optional[List[Message]] = None) -> List[Message]:
-        """Fix the local claim and produce the V-message (flushed by the owner).
-
-        Emissions are appended to `out` (a new list if none is given), which
-        is returned."""
-        if self.started:
+    def inv_start(self, bit: int, ciphertext: Optional[Ciphertext],
+                  proof: Optional[ThresholdSignature], out: List[Message]) -> None:
+        """Start the slot: fix the local claim `u` (1 needs the proven pair),
+        which the owner sends as the V-message."""
+        if self.u is not None:
             raise AlreadyInputError(f"slot {self.slot} invocation already started")
-        if out is None:
-            out = []
-        if bit == 1:
-            if ciphertext is None or proof is None or not self.record_pair(
-                ciphertext, proof, out
-            ):
-                raise InvalidProofError(f"slot {self.slot}: cannot start with unproven payload")
-            self.u = 1
-        self.started = True
-        self._v_out = VMsg(self.instance, self.slot, self.u)
+        if bit == 1 and (ciphertext is None or proof is None
+                         or not self.record_pair(ciphertext, proof, out)):
+            raise InvalidProofError(f"slot {self.slot}: cannot start with unproven payload")
+        self.u = bit
         if len(self._v_senders) >= self._claim_quorum:
             self._fix_input(out)
-        return out
-
-    def take_v(self) -> Optional[VMsg]:
-        v, self._v_out = self._v_out, None
-        return v
 
     def on_v(self, sender: int, msg: VMsg, out: List[Message]) -> None:
-        if self.input_bit is not None:
+        if self.abba.input_given is not None:
             return
         claims = self._v_senders
         claims[sender] = None
-        if self.started and len(claims) >= self._claim_quorum:
+        if self.u is not None and len(claims) >= self._claim_quorum:
             self._fix_input(out)
 
     def _fix_input(self, out: List[Message]) -> None:
         """Feed the local claim to the agreement machine, once 2f+1 claims are in."""
         self._v_senders.clear()
-        self.input_bit = self.u
         self.owner.slot_input(self)
         out.extend(self.abba.input(self.u))
         self._after_abba(out)
@@ -200,21 +184,17 @@ class SlotInvocation:
         self.owner.slot_decided(self)
         if bit == 0:
             self.owner.slot_ready(self)
-        else:
-            if self.pair is not None:
-                self._emit_dec_share(out)
-                self._try_decrypt()
-            elif not self._recover_sent:
-                self._recover_sent = True
-                out.append(Recover(self.instance, self.slot))
+        elif self.pair is not None:
+            self._share_and_decrypt(out)
+        else:  # runs once: the decision is new
+            self._recover_sent = True
+            out.append(Recover(self.instance, self.slot))
 
     # -- decryption and recovery ----------------------------------------------
 
-    def _emit_dec_share(self, out: List[Message]) -> None:
-        if self._dec_share_sent or self.pair is None:
-            return
-        self._dec_share_sent = True
+    def _share_and_decrypt(self, out: List[Message]) -> None:
         out.append(DecShare(self.instance, self.slot, self.crypto.dec_share(self.pair[0])))
+        self._try_decrypt()
 
     def on_dec_share(self, sender: int, msg: DecShare, out: List[Message]) -> None:
         if self.plaintext is not None or sender in self._dec_shares:
@@ -235,7 +215,6 @@ class SlotInvocation:
             self.plaintext is None
             and self.decided is not None
             and self.decided[0] == 1
-            and self.pair is not None
             and len(self._dec_shares) >= self._dec_quorum
         ):
             shares = list(self._dec_shares.values())[: self._dec_quorum]

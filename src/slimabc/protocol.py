@@ -46,6 +46,7 @@ from .messages import (
     Recover,
     RecoverResp,
     Suggestion,
+    VMsg,
     entries_size,
 )
 from .ppb import PpbReceiver, PpbSender
@@ -371,7 +372,7 @@ class Party(SlotOwner):
     # -- slot transitions, reported by each SlotInvocation as they happen -----------
 
     def slot_input(self, inv: SlotInvocation) -> None:
-        self.observer.on_abba_input(self.pid, inv.instance, inv.slot, inv.input_bit)
+        self.observer.on_abba_input(self.pid, inv.instance, inv.slot, inv.u)
 
     def slot_decided(self, inv: SlotInvocation) -> None:
         bit, round_ = inv.decided
@@ -415,8 +416,9 @@ class Party(SlotOwner):
         if not inst.relayed:
             inst.relayed = True
             self._emit(BROADCAST, Suggestion(self.instance, slot, ciphertext, proof))
-        if not inv.started:
-            self._multicast(inv.inv_start(1, ciphertext, proof, out))
+        if inv.u is None:
+            inv.inv_start(1, ciphertext, proof, out)
+            self._multicast(out)
         self._maybe_sweep()
 
     def _maybe_sweep(self) -> None:
@@ -425,13 +427,13 @@ class Party(SlotOwner):
             return
         inst.swept = True
         self.observer.on_sweep(self.pid, self.instance)
+        out = self._out
         for slot in sorted(inst.slots):
             inv = inst.slots[slot]
-            if not inv.started:
-                self._multicast(inv.inv_start(0, None, None, self._out))
-            v = inv.take_v()
-            if v is not None:
-                self._emit(BROADCAST, v)
+            if inv.u is None:
+                inv.inv_start(0, None, None, out)
+                self._multicast(out)
+            self._emit(BROADCAST, VMsg(self.instance, slot, inv.u))
 
     def _serve_recover(self, sender: int, msg: Recover) -> None:
         key = (sender, msg.instance, msg.slot)
@@ -514,8 +516,8 @@ class Party(SlotOwner):
                     struct.pack(
                         ">HBBHB",
                         slot,
-                        inv.u,
-                        1 if inv.started else 0,
+                        inv.u or 0,
+                        inv.u is not None,
                         inv.abba.round,
                         7 if inv.decided is None else inv.decided[0],
                     )

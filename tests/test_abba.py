@@ -29,6 +29,7 @@ from slimabc.messages import (
     AbbaMainvote,
     AbbaPreprocess,
     AbbaPrevote,
+    JUST_ABSTAIN_THRESHOLD,
     JUST_CONFLICT,
     JUST_NONE,
     JUST_PREPROCESS_ONE,
@@ -37,6 +38,7 @@ from slimabc.messages import (
     Justification,
 )
 from slimabc.config import BehaviorSpec
+from slimabc.invocation import SLOT_HANDLERS
 from slimabc.simnet import HarnessParty, abba_harness_run
 
 INSTANCE, SLOT = 1, 0
@@ -53,14 +55,8 @@ def make_machines(n=4, seed=11, evidence=True):
 
 def pump(machines, queue, sent=None):
     """Deliver (sender, msg) items to every machine until quiescent; each
-    item is also appended to `sent` when one is given."""
-    handlers = {
-        AbbaPreprocess: "on_preprocess",
-        AbbaPrevote: "on_prevote",
-        AbbaMainvote: "on_mainvote",
-        AbbaCoinShare: "on_coin_share",
-        AbbaDecision: "on_decision",
-    }
+    item is also appended to `sent` when one is given.  Each kind goes to
+    the handler the party's dispatch names for it."""
     steps = 0
     while queue:
         steps += 1
@@ -70,7 +66,7 @@ def pump(machines, queue, sent=None):
             sent.append((sender, msg))
         for m in machines:
             out = []
-            getattr(m, handlers[type(msg)])(sender, msg, out)
+            getattr(m, SLOT_HANDLERS[type(msg)])(sender, msg, out)
             queue.extend((m.crypto.party, o) for o in out)
     return machines
 
@@ -115,10 +111,12 @@ def test_preprocess_one_gated_on_evidence():
     provider, machines = make_machines(evidence=False)
     m = machines[0]
     share = provider.sig_share(1, preprocess_bytes(INSTANCE, SLOT, 1))
-    m.on_preprocess(1, AbbaPreprocess(INSTANCE, SLOT, 1, share), [])
+    pp_one = AbbaPreprocess(INSTANCE, SLOT, 1, share)
+    m.on_preprocess(1, pp_one, [])
     assert 1 not in m._pp  # parked until the payload proof is known
+    assert m._ev_pending == {(AbbaPreprocess, 0, 1): (1, pp_one)}
     m.set_evidence_known()
-    assert 1 in m._pp
+    assert m._pp == {1: pp_one} and m._ev_pending == {}
 
 
 def test_agreement_and_validity_over_input_space():
@@ -214,24 +212,28 @@ def test_mainvote_rejects_conflicting_or_unjustified_values():
     assert 1 in m._mainvotes[1]
 
 
-def test_abstain_embeds_two_justified_prevotes():
-    provider, machines = make_machines()
-    m = machines[0]
-    pp1 = sig_for(provider, 0, preprocess_bytes(INSTANCE, SLOT, 1))
-    pv1 = AbbaPrevote(
-        INSTANCE, SLOT, 1, 1,
-        Justification(JUST_PREPROCESS_ONE, signer=0, share=pp1),
-        sig_for(provider, 0, prevote_bytes(INSTANCE, SLOT, 1, 1)),
-    )
+def justified_prevotes(provider, signer0=2, signer1=0):
+    """A round-1 pre-vote for 0 (by `signer0`) and for 1 (by `signer1`), each
+    validly signed and justified."""
     zeros = preprocess_bytes(INSTANCE, SLOT, 0)
     pv0 = AbbaPrevote(
         INSTANCE, SLOT, 1, 0,
-        Justification(
-            JUST_PREPROCESS_ZERO,
-            sig=provider.combine_shares(zeros, [sig_for(provider, i, zeros) for i in range(3)]),
-        ),
-        sig_for(provider, 2, prevote_bytes(INSTANCE, SLOT, 1, 0)),
+        Justification(JUST_PREPROCESS_ZERO, sig=provider.combine_shares(
+            zeros, [sig_for(provider, i, zeros) for i in range(3)])),
+        sig_for(provider, signer0, prevote_bytes(INSTANCE, SLOT, 1, 0)),
     )
+    pp1 = sig_for(provider, signer1, preprocess_bytes(INSTANCE, SLOT, 1))
+    pv1 = AbbaPrevote(
+        INSTANCE, SLOT, 1, 1, Justification(JUST_PREPROCESS_ONE, signer=signer1, share=pp1),
+        sig_for(provider, signer1, prevote_bytes(INSTANCE, SLOT, 1, 1)),
+    )
+    return pv0, pv1
+
+
+def test_abstain_embeds_two_justified_prevotes():
+    provider, machines = make_machines()
+    m = machines[0]
+    pv0, pv1 = justified_prevotes(provider)
     mv_share = sig_for(provider, 1, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN))
     good = AbbaMainvote(
         INSTANCE, SLOT, 1, ABSTAIN,
@@ -248,6 +250,88 @@ def test_abstain_embeds_two_justified_prevotes():
     )
     m2.on_mainvote(1, bad, [])
     assert 1 not in m2._mainvotes.get(1, {})
+
+
+def test_mainvote_needs_the_prevote_threshold_of_its_own_value():
+    """A validly signed 0/1 main-vote whose pre-vote threshold signature is
+    over other bytes (the other bit's pre-votes, or another round's) is not
+    counted."""
+    provider, machines = make_machines()
+    m = machines[0]
+    mv_share = sig_for(provider, 1, mainvote_bytes(INSTANCE, SLOT, 1, 1))
+    for data in (prevote_bytes(INSTANCE, SLOT, 1, 0), prevote_bytes(INSTANCE, SLOT, 2, 1),
+                 mainvote_bytes(INSTANCE, SLOT, 1, 1)):
+        sig = provider.combine_shares(data, [sig_for(provider, i, data) for i in range(3)])
+        m.on_mainvote(1, AbbaMainvote(INSTANCE, SLOT, 1, 1,
+                                      Justification(JUST_PREVOTE_THRESHOLD, sig=sig), mv_share), [])
+        assert 1 not in m._mainvotes.get(1, {}), data
+
+
+def test_abstain_rejects_unjustified_embedded_prevotes():
+    """A validly signed abstain main-vote is not counted when one of its two
+    embedded pre-votes carries a bad signature share or a bad justification."""
+    provider, machines = make_machines()
+    m = machines[0]
+    pv0, pv1 = justified_prevotes(provider)
+    zeroed = pv1.share._replace(share_bytes=bytes(len(pv1.share.share_bytes)))
+    bad_pairs = [
+        (pv0, pv1._replace(share=zeroed)),  # a forged share
+        (pv0._replace(share=sig_for(provider, 2, b"other")), pv1),  # a share of other bytes
+        (pv0, pv1._replace(justification=Justification(JUST_NONE))),
+    ]
+    mv_share = sig_for(provider, 1, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN))
+    for zero, one in bad_pairs:
+        m.on_mainvote(1, AbbaMainvote(
+            INSTANCE, SLOT, 1, ABSTAIN,
+            Justification(JUST_CONFLICT, prevote_zero=zero, prevote_one=one), mv_share), [])
+        assert 1 not in m._mainvotes.get(1, {})
+    m.on_mainvote(1, AbbaMainvote(
+        INSTANCE, SLOT, 1, ABSTAIN,
+        Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1), mv_share), [])
+    assert 1 in m._mainvotes[1]  # the same vote with both embedded pre-votes valid
+
+
+def machine_in_round_two():
+    """Machine 0 after an abstain round 1 and its coin: in round 2,
+    undecided, with `coins[1]` known.  Returns the provider and the machine."""
+    provider, machines = make_machines()
+    m = machines[0]
+    m.input(0)
+    zeros = preprocess_bytes(INSTANCE, SLOT, 0)
+    for i in (1, 2, 3):
+        m.on_preprocess(i, AbbaPreprocess(INSTANCE, SLOT, 0, sig_for(provider, i, zeros)), [])
+    pv0, pv1 = justified_prevotes(provider, signer0=2, signer1=1)
+    pv0_3 = justified_prevotes(provider, signer0=3)[0]
+    for sender, pv in ((1, pv1), (2, pv0), (3, pv0_3)):
+        m.on_prevote(sender, pv, [])
+    abstain = Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1)
+    coin_name = abba_coin_name(INSTANCE, SLOT, 1)
+    for i in (1, 2, 3):
+        m.on_mainvote(i, AbbaMainvote(
+            INSTANCE, SLOT, 1, ABSTAIN, abstain,
+            sig_for(provider, i, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN))), [])
+    for i in (1, 2, 3):
+        m.on_coin_share(i, AbbaCoinShare(INSTANCE, SLOT, 1, provider.coin_share(i, coin_name)),
+                        [])
+    assert m.round == 2 and m.decided is None and 1 in m.coins
+    return provider, m
+
+
+def test_abstain_justified_prevote_must_carry_the_coin_bit():
+    """A validly signed round-2 pre-vote justified by round 1's abstain
+    threshold signature is counted for the coin's bit only."""
+    provider, m = machine_in_round_two()
+    abstains = mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN)
+    just = Justification(JUST_ABSTAIN_THRESHOLD, sig=provider.combine_shares(
+        abstains, [sig_for(provider, i, abstains) for i in range(3)]))
+    coin = m.coins[1]
+    m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 2, 1 - coin, just,
+                                sig_for(provider, 1, prevote_bytes(INSTANCE, SLOT, 2, 1 - coin))),
+                 [])
+    assert 1 not in m._prevotes.get(2, {})
+    m.on_prevote(2, AbbaPrevote(INSTANCE, SLOT, 2, coin, just,
+                                sig_for(provider, 2, prevote_bytes(INSTANCE, SLOT, 2, coin))), [])
+    assert 2 in m._prevotes[2]  # the same justification with the coin's bit
 
 
 def test_decision_transferable_and_forwarded_once():
@@ -305,13 +389,14 @@ def test_parked_votes_keep_one_copy_per_sender():
         m.on_mainvote(2, ahead, [])
         m.on_preprocess(2, pp_one, [])
         m.on_prevote(2, pv_one, [])
-    assert [len(m._future[5]), len(m._pp_pending_one), len(m._ev_pending)] == [2, 1, 1]
+    assert len(m._future[5]) == 2
+    assert list(m._ev_pending) == [(AbbaPreprocess, 0, 2), (AbbaPrevote, 1, 2)]
     # the parked copies still count once the payload proof is known
     m.set_evidence_known()
     assert m._pp[2] == pp_one and m._prevotes[1][2] == pv_one
 
 
-LEDGERS = ("_pp", "_pp_pending_one", "_prevotes", "_mainvotes", "_coin_shares", "_future")
+LEDGERS = ("_pp", "_prevotes", "_mainvotes", "_coin_shares", "_future")
 
 
 def test_decided_machines_free_their_ledgers():
@@ -328,9 +413,9 @@ def test_decided_machines_free_their_ledgers():
 
 
 def test_decided_machine_still_replays_evidence_parked_votes(monkeypatch):
-    """A decision frees the ledgers, but a vote parked for the payload
-    proof stays and is handed to the public handler once the proof is known,
-    which drops it."""
+    """A decision frees the ledgers, but what is parked for the payload
+    proof stays: once the proof is known, the vote is handed to the public
+    handler, which drops it, and the pre-process for 1 is skipped."""
     provider, machines = make_machines(evidence=False)
     m = machines[0]
     pp_bytes = preprocess_bytes(INSTANCE, SLOT, 0)
@@ -354,23 +439,22 @@ def test_decided_machine_still_replays_evidence_parked_votes(monkeypatch):
     m.on_prevote(2, ahead, [])
     m.on_coin_share(1, AbbaCoinShare(INSTANCE, SLOT, 1, provider.coin_share(1, coin_name)), [])
     assert all(getattr(m, name) for name in LEDGERS if name != "_mainvotes")
-    assert len(m._ev_pending) == 1
+    assert list(m._ev_pending) == [(AbbaPreprocess, 0, 2), (AbbaPrevote, 1, 2)]
 
     mv = mainvote_bytes(INSTANCE, SLOT, 1, 1)
     sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
     m.on_decision(1, AbbaDecision(INSTANCE, SLOT, 1, 1, sig), [])
     assert m.decided[:2] == (1, 1)
     assert [getattr(m, name) for name in LEDGERS] == [{}] * len(LEDGERS)
-    assert len(m._ev_pending) == 1
+    assert len(m._ev_pending) == 2
 
     calls = []
-    handler = AbbaMachine.on_prevote
+    for name in ("on_preprocess", "on_prevote"):
+        def counted(self, sender, msg, out, handler=getattr(AbbaMachine, name)):
+            calls.append((sender, msg))
+            handler(self, sender, msg, out)
 
-    def counted(self, sender, msg, out):
-        calls.append((sender, msg))
-        handler(self, sender, msg, out)
-
-    monkeypatch.setattr(AbbaMachine, "on_prevote", counted)
+        monkeypatch.setattr(AbbaMachine, name, counted)
     assert m.set_evidence_known() == []
     assert calls == [(2, pv_one)]
     assert m._ev_pending == {} and m._prevotes == {} and m._pp == {}
@@ -460,13 +544,6 @@ def run_shuffled(seed, bits, sent=None):
     """Deliver every message to every machine (sender included) in a seeded
     random order until quiescent; each emitted (sender, msg) is also appended
     to `sent` when one is given."""
-    handlers = {
-        AbbaPreprocess: "on_preprocess",
-        AbbaPrevote: "on_prevote",
-        AbbaMainvote: "on_mainvote",
-        AbbaCoinShare: "on_coin_share",
-        AbbaDecision: "on_decision",
-    }
     provider, machines = make_machines(seed=seed)
     rng = random.Random(seed)
     queue = []
@@ -478,7 +555,7 @@ def run_shuffled(seed, bits, sent=None):
     while queue:
         sender, msg, dst = queue.pop(rng.randrange(len(queue)))
         out = []
-        getattr(machines[dst], handlers[type(msg)])(sender, msg, out)
+        getattr(machines[dst], SLOT_HANDLERS[type(msg)])(sender, msg, out)
         if sent is not None:
             sent.extend((dst, o) for o in out)
         queue.extend((dst, o, q) for o in out for q in range(4))

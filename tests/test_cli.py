@@ -111,6 +111,38 @@ def test_check_counts_properties(tmp_path, capsys):
     assert "totality: 3/3" in out
 
 
+def test_check_names_the_first_failing_seed(tmp_path, capsys):
+    scn = write_scenario(tmp_path, instances=1, seed=4, max_steps=10)
+    assert cli.main(["check", "--scenario", scn, "--seeds", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "totality: 0/2" in out and "OK" not in out
+    assert out.splitlines()[-1].startswith("FAIL first at seed 4: totality: ")
+
+
+def test_sweep_exits_1_at_a_failing_point(tmp_path, capsys):
+    scn = write_scenario(tmp_path, instances=1, max_steps=10)
+    csv_path = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--scenario", scn, "--n-list", "4,7", "--seeds", "2",
+                     "--csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "run n=4 seed=0 failed\n"
+    assert captured.out == "" and not csv_path.exists()  # no summary, no rows
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(dict(scenario_dict(SimConfig(n=4, f=1)), byzantine={"party": 0})),
+     "byzantine must be a list"),
+    (json.dumps(dict(scenario_dict(SimConfig(n=4, f=1)), steps=5)), "bad scenario fields"),
+    (json.dumps([scenario_dict(SimConfig(n=4, f=1))]), "must be a JSON object"),
+])
+def test_run_rejects_malformed_scenario_shapes(tmp_path, capsys, text, message):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def test_sweep_summary_and_csv(tmp_path, capsys):
     scn = write_scenario(tmp_path, instances=1)
     csv_path = tmp_path / "rows.csv"

@@ -1,10 +1,22 @@
 """Slot invocation: claims, input trigger, recovery, decryption."""
 import pytest
 
-from slimabc.abba import AlreadyInputError, mainvote_bytes
+from slimabc.abba import AlreadyInputError, mainvote_bytes, preprocess_bytes, prevote_bytes
 from slimabc.crypto import key_setup
-from slimabc.invocation import InvalidProofError, SlotInvocation
-from slimabc.messages import AbbaDecision, AbbaPreprocess, DecShare, Recover, RecoverResp, VMsg
+from slimabc.invocation import SLOT_HANDLERS, InvalidProofError, SlotInvocation
+from slimabc.messages import (
+    JUST_PREPROCESS_ONE,
+    JUST_PREVOTE_THRESHOLD,
+    AbbaDecision,
+    AbbaMainvote,
+    AbbaPreprocess,
+    AbbaPrevote,
+    DecShare,
+    Justification,
+    Recover,
+    RecoverResp,
+    VMsg,
+)
 from slimabc.simnet import make_proven_pair
 
 INSTANCE, SLOT = 1, 0
@@ -20,48 +32,52 @@ def setup(n=4, seed=21):
 def test_start_with_pair_claims_one_without_shipping_it():
     _, pair, invs = setup()
     inv = invs[0]
-    inv.inv_start(1, *pair)
-    assert inv.take_v() == VMsg(INSTANCE, SLOT, 1)  # the claim's slot and bit, bare
+    out = []
+    inv.inv_start(1, *pair, out)
     assert inv.u == 1 and inv.pair == pair
-    assert inv.take_v() is None  # consumed
+    assert out == []  # the owner sends the bare claim; the start itself emits nothing
 
 
 def test_start_without_pair_claims_zero():
     _, _, invs = setup()
     inv = invs[0]
-    inv.inv_start(0)
-    assert inv.take_v().u == 0
-    assert inv.u == 0
+    assert inv.u is None  # not started
+    out = []
+    inv.inv_start(0, None, None, out)
+    assert inv.u == 0 and out == []
 
 
 def test_start_one_requires_valid_proof():
     provider, pair, invs = setup()
     with pytest.raises(InvalidProofError):
-        invs[0].inv_start(1)
+        invs[0].inv_start(1, None, None, [])
     wrong = make_proven_pair(provider, INSTANCE, SLOT + 1, b"other slot")
     with pytest.raises(InvalidProofError):
-        invs[1].inv_start(1, pair[0], wrong[1])
+        invs[1].inv_start(1, pair[0], wrong[1], [])
+    assert invs[0].u is None and invs[1].u is None  # neither started
 
 
 def test_double_start_rejected():
     _, pair, invs = setup()
-    invs[0].inv_start(1, *pair)
+    invs[0].inv_start(1, *pair, [])
     with pytest.raises(AlreadyInputError):
-        invs[0].inv_start(0)
+        invs[0].inv_start(0, None, None, [])
+    assert invs[0].u == 1
 
 
 def test_input_fires_at_quorum_of_distinct_claims():
     _, pair, invs = setup()
     inv = invs[0]
-    inv.inv_start(1, *pair)
     out = []
+    inv.inv_start(1, *pair, out)
     inv.on_v(0, VMsg(INSTANCE, SLOT, 1), out)  # own claim
     inv.on_v(1, VMsg(INSTANCE, SLOT, 0), out)
-    assert inv.input_bit is None
+    assert inv.abba.input_given is None
     inv.on_v(1, VMsg(INSTANCE, SLOT, 1), out)  # duplicate sender ignored
-    assert inv.input_bit is None
+    assert inv.abba.input_given is None and out == []
     inv.on_v(2, VMsg(INSTANCE, SLOT, 0), out)  # 2f+1 = 3 distinct
-    assert inv.input_bit == 1
+    assert inv.abba.input_given == 1
+    assert [(type(m), m.bit) for m in out] == [(AbbaPreprocess, 1)]
 
 
 def test_one_claims_count_but_never_make_a_pairless_input_one():
@@ -73,58 +89,50 @@ def test_one_claims_count_but_never_make_a_pairless_input_one():
     inv.on_v(1, VMsg(INSTANCE, SLOT, 1), out)
     inv.on_v(2, VMsg(INSTANCE, SLOT, 1), out)
     inv.on_v(3, VMsg(INSTANCE, SLOT, 1), out)
-    assert inv.input_bit is None and not out  # not started: claims wait
-    inv.inv_start(0, out=out)
-    assert inv.input_bit == 0 and inv.u == 0 and inv.pair is None
+    assert inv.abba.input_given is None and not out  # not started: claims wait
+    inv.inv_start(0, None, None, out)
+    assert inv.abba.input_given == 0 and inv.u == 0 and inv.pair is None
     assert [(type(m), m.bit) for m in out] == [(AbbaPreprocess, 0)]
 
 
 def test_claims_are_freed_once_the_input_is_fixed():
     _, pair, invs = setup()
     inv = invs[0]
-    inv.inv_start(1, *pair)
     out = []
+    inv.inv_start(1, *pair, out)
     for sender in range(3):
         inv.on_v(sender, VMsg(INSTANCE, SLOT, 0), out)
-    assert inv.input_bit == 1 and inv._v_senders == {}
+    assert inv.abba.input_given == 1 and inv._v_senders == {}
     emitted = list(out)
     inv.on_v(3, VMsg(INSTANCE, SLOT, 0), out)  # a late claim changes nothing
-    assert inv._v_senders == {} and out == emitted and inv.input_bit == 1
+    assert inv._v_senders == {} and out == emitted and inv.abba.input_given == 1
 
 
 def run_until_decided(invs, claims):
-    """Start each invocation per claims and deliver everything broadcast-style."""
+    """Start each invocation per claims (bit, ciphertext, proof), send its
+    claim the way a party does, and deliver everything broadcast-style
+    through the party's slot dispatch table; a `Recover` is answered by
+    every holder.  Returns the delivered (sender, msg) items."""
     queue = []
     for inv, claim in zip(invs, claims):
-        inv.inv_start(*claim)
-        v = inv.take_v()
-        queue.append((inv.crypto.party, v))
+        out = []
+        inv.inv_start(*claim, out)
+        out.append(VMsg(INSTANCE, SLOT, inv.u))
+        queue.extend((inv.crypto.party, o) for o in out)
     idx = 0
     while idx < len(queue):
         sender, msg = queue[idx]
         idx += 1
         for inv in invs:
             out = []
-            if isinstance(msg, VMsg):
-                inv.on_v(sender, msg, out)
-            elif isinstance(msg, DecShare):
-                inv.on_dec_share(sender, msg, out)
-            elif isinstance(msg, RecoverResp):
-                inv.on_recover_resp(sender, msg, out)
-            elif isinstance(msg, Recover):
-                if inv.pair is not None:
-                    out.append(RecoverResp(INSTANCE, SLOT, *inv.pair))
-            else:
-                handler = {
-                    "AbbaPreprocess": inv.on_preprocess,
-                    "AbbaPrevote": inv.on_prevote,
-                    "AbbaMainvote": inv.on_mainvote,
-                    "AbbaCoinShare": inv.on_coin_share,
-                    "AbbaDecision": inv.on_decision,
-                }[type(msg).__name__]
-                handler(sender, msg, out)
+            name = SLOT_HANDLERS.get(type(msg))
+            if name is not None:
+                getattr(inv, name)(sender, msg, out)
+            elif inv.pair is not None:  # a Recover
+                out.append(RecoverResp(INSTANCE, SLOT, *inv.pair))
             queue.extend((inv.crypto.party, o) for o in out)
         assert idx < 20_000
+    return queue
 
 
 def test_all_holders_decide_one_and_decrypt():
@@ -138,7 +146,7 @@ def test_all_holders_decide_one_and_decrypt():
 
 def test_no_holders_decide_zero_without_decryption():
     _, _, invs = setup()
-    run_until_decided(invs, [(0,)] * 4)
+    run_until_decided(invs, [(0, None, None)] * 4)
     for inv in invs:
         assert inv.decided[0] == 0
         assert inv.plaintext is None
@@ -149,17 +157,20 @@ def test_non_holder_recovers_then_decrypts():
     # three holders, one blank: f+1 honest 1-claims force a 1 decision;
     # the blank party multicasts Recover and finishes via the response
     _, pair, invs = setup()
-    run_until_decided(invs, [(1, *pair), (1, *pair), (1, *pair), (0,)])
+    sent = run_until_decided(invs, [(1, *pair), (1, *pair), (1, *pair), (0, None, None)])
     for inv in invs:
         assert inv.decided[0] == 1
         assert inv.plaintext == b"slot payload"
     assert invs[3]._recover_sent
+    # each party sends one decryption share: the holders on deciding, the
+    # blank party once the recovered pair arrives
+    assert sorted(s for s, m in sent if type(m) is DecShare) == [0, 1, 2, 3]
 
 
 def test_dec_shares_buffered_until_pair_known():
     provider, pair, invs = setup()
     inv = invs[0]
-    inv.inv_start(0)
+    inv.inv_start(0, None, None, [])
     share = provider.tpke_dec_share(2, pair[0])
     out = []
     inv.on_dec_share(2, DecShare(INSTANCE, SLOT, share), out)
@@ -174,7 +185,7 @@ def test_parked_dec_shares_keep_one_copy_per_sender():
     known, and both share buffers are emptied then."""
     provider, pair, invs = setup()
     inv = invs[0]
-    inv.inv_start(0)
+    inv.inv_start(0, None, None, [])
     copies = DecShare(INSTANCE, SLOT, provider.tpke_dec_share(2, pair[0]))
     for _ in range(10_000):
         inv.on_dec_share(2, copies, [])
@@ -187,6 +198,62 @@ def test_parked_dec_shares_keep_one_copy_per_sender():
     inv.record_pair(*pair, [])
     assert inv.plaintext == b"slot payload"
     assert inv._dec_pending == {} and inv._dec_shares == {}
+
+
+def decision_one(provider):
+    mv = mainvote_bytes(INSTANCE, SLOT, 1, 1)
+    sig = provider.combine_shares(mv, [provider.sig_share(i, mv) for i in range(3)])
+    return AbbaDecision(INSTANCE, SLOT, 1, 1, sig)
+
+
+def dec_shares(out):
+    return [m for m in out if type(m) is DecShare]
+
+
+def test_one_decryption_share_whether_decision_or_pair_comes_last():
+    """A holder sends its decryption share once, on whichever of the
+    decision 1 and the pair comes last, including a decision that the
+    pair's own evidence replay completes."""
+    provider, pair, invs = setup()
+    # the pair, then the decision
+    out = []
+    invs[0].record_pair(*pair, out)
+    invs[0].on_decision(1, decision_one(provider), out)
+    assert len(dec_shares(out)) == 1
+    invs[0].record_pair(*pair, out)
+    assert len(dec_shares(out)) == 1
+    # the decision, then the pair
+    out = []
+    invs[1].on_decision(2, decision_one(provider), out)
+    assert [type(m) for m in out] == [AbbaDecision, Recover]
+    invs[1].record_pair(*pair, out)
+    invs[1].record_pair(*pair, out)
+    assert len(dec_shares(out)) == 1
+    # the pair completes the decision: its 1-pre-votes waited for the evidence
+    inv, out = invs[2], []
+    inv.inv_start(0, None, None, out)
+    for sender in range(3):
+        inv.on_v(sender, VMsg(INSTANCE, SLOT, 0), out)
+    pp0 = preprocess_bytes(INSTANCE, SLOT, 0)
+    for sender in range(3):
+        inv.on_preprocess(sender, AbbaPreprocess(INSTANCE, SLOT, 0,
+                                                 provider.sig_share(sender, pp0)), out)
+    assert inv.abba.round == 1
+    pp1_share = provider.sig_share(3, preprocess_bytes(INSTANCE, SLOT, 1))
+    pv1, mv1 = prevote_bytes(INSTANCE, SLOT, 1, 1), mainvote_bytes(INSTANCE, SLOT, 1, 1)
+    pv1_sig = provider.combine_shares(pv1, [provider.sig_share(i, pv1) for i in range(3)])
+    for sender in (1, 3, 0):
+        inv.on_prevote(sender, AbbaPrevote(
+            INSTANCE, SLOT, 1, 1, Justification(JUST_PREPROCESS_ONE, signer=3, share=pp1_share),
+            provider.sig_share(sender, pv1)), out)
+        inv.on_mainvote(sender, AbbaMainvote(
+            INSTANCE, SLOT, 1, 1, Justification(JUST_PREVOTE_THRESHOLD, sig=pv1_sig),
+            provider.sig_share(sender, mv1)), out)
+    assert inv.decided is None and len(inv.abba._ev_pending) == 3
+    out.clear()
+    inv.record_pair(*pair, out)
+    assert inv.decided == (1, 1)
+    assert [type(m) for m in out] == [AbbaMainvote, AbbaDecision, DecShare]
 
 
 def test_dec_share_holder_must_match_sender():

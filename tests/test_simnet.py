@@ -29,9 +29,10 @@ from slimabc.messages import (
     Suggestion,
     VMsg,
 )
-from slimabc.adversary import BEHAVIORS, POLICIES, AdversarialDelayPolicy
+from slimabc.adversary import BEHAVIORS, POLICIES, AdversarialDelayPolicy, SilentBehavior
 from slimabc.config import config_from_dict, load_scenario, scenario_dict
-from slimabc.simnet import HarnessParty, abba_harness_run, make_proven_pair, replay_trace
+from slimabc.simnet import (HarnessParty, abba_harness_run, deliver, make_proven_pair,
+                            replay_trace)
 
 
 def base_cfg(**kw):
@@ -213,6 +214,32 @@ def test_behavior_filter_matches_construction_and_passes_unchanged_envelopes(kin
     assert got == [env for env, _, _ in want]
     assert [g is src for g, (_, src, _) in zip(got, want)] == [same for _, _, same in want]
     assert {same for _, _, same in want} == {True, False}
+
+
+def test_deliver_restores_the_true_sender_of_a_filtered_envelope(monkeypatch):
+    """A behavior cannot spoof: every envelope its filter returns naming
+    another sender is queued, and so delivered and accounted, under the
+    byzantine party's own id."""
+    returned = []
+
+    def spoof(self, step, envs):
+        out = [Envelope((env.sender + 1) % 4, env.instance, env.entries, env.dst)
+               for env in envs]
+        returned.extend(out)
+        return out
+
+    monkeypatch.setattr(SilentBehavior, "filter", spoof)
+    cfg = SimConfig(4, 1, seed=0, policy="fifo", byzantine=(BehaviorSpec(3, "silent"),))
+    provider = key_setup(128, 4, 0)
+    parties = [HarnessParty(p, provider.party_handle(p), cfg, None) for p in range(4)]
+    delivered = []
+    steps, messages, _, _, stalled = deliver(
+        parties, cfg, on_step=lambda step, env: delivered.append(env))
+    assert not stalled and returned and {env.sender for env in returned} == {0}
+    spoofed = {id(env.entries) for env in returned}
+    from_byz = [env for env in delivered if id(env.entries) in spoofed]
+    assert from_byz and {env.sender for env in from_byz} == {3}
+    assert messages == sum(env.sender != 3 for env in delivered)  # honest traffic only
 
 
 def test_random_votes_change_votes_as_record_replace_does():
