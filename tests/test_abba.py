@@ -657,3 +657,113 @@ def test_one_vote_per_sender_per_round_under_random_votes(monkeypatch):
             assert any(k[1] == "AbbaCoinShare" for k in counts), (seed, policy)
             decided_rounds |= {d[1] for d in result["decisions"].values()}
     assert decided_rounds >= {2, 3}
+
+
+# -- intake checks on values, repeats and justification kinds ---------------------
+
+def threshold_over(provider, data):
+    return provider.combine_shares(data, [sig_for(provider, i, data) for i in range(3)])
+
+
+def test_prevote_bit_must_be_zero_or_one():
+    """A pre-vote whose bit is not 0 or 1 is dropped, even when its share
+    signs the round string its bit would index and its justification holds."""
+    provider, machines = make_machines()
+    m = machines[0]
+    zeros = preprocess_bytes(INSTANCE, SLOT, 0)
+    just = Justification(JUST_PREPROCESS_ZERO, sig=threshold_over(provider, zeros))
+    for bit in (2, 3, 4):
+        share = sig_for(provider, 1, round_strings(INSTANCE, SLOT, 1)[bit])
+        out = []
+        m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, bit, just, share), out)
+        assert 1 not in m._prevotes.get(1, {}) and out == [], bit
+
+
+def test_mainvote_value_must_be_zero_one_or_abstain():
+    """A main-vote whose value is not 0, 1 or ABSTAIN is dropped: one past
+    ABSTAIN, and one whose offset reaches the pre-vote strings and carries a
+    valid conflict justification."""
+    provider, machines = make_machines()
+    m = machines[0]
+    pv0, pv1 = justified_prevotes(provider)
+    conflict = Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1)
+    for value, data in ((3, mainvote_bytes(INSTANCE, SLOT, 1, 3)),
+                        (-1, prevote_bytes(INSTANCE, SLOT, 1, 1))):
+        out = []
+        m.on_mainvote(1, AbbaMainvote(INSTANCE, SLOT, 1, value, conflict,
+                                      sig_for(provider, 1, data)), out)
+        assert 1 not in m._mainvotes.get(1, {}) and out == [], value
+
+
+def test_a_senders_second_vote_in_a_round_is_not_counted():
+    """Of two validly justified votes of one kind from one sender in one
+    round, the first stays counted and the second is dropped."""
+    provider, machines = make_machines()
+    m = machines[0]
+    pv0, pv1 = justified_prevotes(provider, signer0=2, signer1=2)
+    m.on_prevote(2, pv0, [])
+    m.on_prevote(2, pv1, [])
+    assert m._prevotes[1] == {2: pv0}
+    pv_one = prevote_bytes(INSTANCE, SLOT, 1, 1)
+    first = AbbaMainvote(
+        INSTANCE, SLOT, 1, 1, Justification(JUST_PREVOTE_THRESHOLD,
+                                            sig=threshold_over(provider, pv_one)),
+        sig_for(provider, 2, mainvote_bytes(INSTANCE, SLOT, 1, 1)))
+    second = AbbaMainvote(
+        INSTANCE, SLOT, 1, ABSTAIN, Justification(JUST_CONFLICT, prevote_zero=pv0,
+                                                  prevote_one=pv1),
+        sig_for(provider, 2, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN)))
+    m.on_mainvote(2, first, [])
+    m.on_mainvote(2, second, [])
+    assert m._mainvotes[1] == {2: first}
+
+
+def test_decision_bit_must_be_zero_or_one():
+    """A threshold signature over a main-vote string that is not a bit's,
+    such as a round's abstain main-votes, is no decision: it is neither
+    adopted nor forwarded."""
+    provider, machines = make_machines()
+    m = machines[0]
+    for r, bit in ((1, ABSTAIN), (7, ABSTAIN), (9, 3)):
+        sig = threshold_over(provider, mainvote_bytes(INSTANCE, SLOT, r, bit))
+        out = []
+        m.on_decision(1, AbbaDecision(INSTANCE, SLOT, r, bit, sig), out)
+        assert m.decided is None and out == [], (r, bit)
+
+
+def test_round_one_zero_prevote_needs_the_preprocess_zero_kind():
+    """A round-1 pre-vote for 0 is counted only under the pre-process-0
+    justification kind, even when another kind carries the valid n-f
+    pre-process-0 threshold signature."""
+    provider, machines = make_machines()
+    m = machines[0]
+    good = threshold_over(provider, preprocess_bytes(INSTANCE, SLOT, 0))
+    share = sig_for(provider, 1, prevote_bytes(INSTANCE, SLOT, 1, 0))
+    for kind in (JUST_PREVOTE_THRESHOLD, JUST_ABSTAIN_THRESHOLD, JUST_PREPROCESS_ONE,
+                 JUST_CONFLICT, JUST_NONE):
+        m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0, Justification(kind, sig=good),
+                                    share), [])
+        assert 1 not in m._prevotes.get(1, {}), kind
+    m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0, Justification(JUST_PREPROCESS_ZERO),
+                                share), [])
+    assert 1 not in m._prevotes.get(1, {})  # the right kind without its signature
+    m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0,
+                                Justification(JUST_PREPROCESS_ZERO, sig=good), share), [])
+    assert 1 in m._prevotes[1]
+
+
+def test_abstain_must_embed_two_prevotes_under_the_conflict_kind():
+    """An abstain main-vote is counted only under the conflict kind with both
+    pre-votes embedded."""
+    provider, machines = make_machines()
+    m = machines[0]
+    pv0, pv1 = justified_prevotes(provider)
+    share = sig_for(provider, 1, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN))
+    for just in (Justification(JUST_PREVOTE_THRESHOLD, prevote_zero=pv0, prevote_one=pv1),
+                 Justification(JUST_CONFLICT, prevote_zero=pv0),
+                 Justification(JUST_CONFLICT, prevote_one=pv1)):
+        m.on_mainvote(1, AbbaMainvote(INSTANCE, SLOT, 1, ABSTAIN, just, share), [])
+        assert 1 not in m._mainvotes.get(1, {}), just
+    m.on_mainvote(1, AbbaMainvote(INSTANCE, SLOT, 1, ABSTAIN, Justification(
+        JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1), share), [])
+    assert 1 in m._mainvotes[1]

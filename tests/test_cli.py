@@ -1,5 +1,6 @@
 """Drive the CLI in-process through main()."""
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -127,6 +128,27 @@ def test_sweep_exits_1_at_a_failing_point(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "run n=4 seed=0 failed\n"
     assert captured.out == "" and not csv_path.exists()  # no summary, no rows
+
+
+def test_sweep_exits_1_at_a_failing_request_size_point(capsys, monkeypatch):
+    """A failing `--l-list` point ends the sweep with exit 1 and no summary;
+    here every run with 320-byte requests is cut short."""
+    def short_at_320(cfg):
+        return sim_run(dataclasses.replace(cfg, max_steps=10) if cfg.request_size == 320
+                       else cfg)
+
+    monkeypatch.setattr(cli, "sim_run", short_at_320)
+    assert cli.main(["sweep", "--n-list", "4", "--l-list", "32,320", "--seeds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "run n=4 l=320 seed=0 failed\n" and captured.out == ""
+
+
+def test_run_out_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    scn = write_scenario(tmp_path, instances=1)
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("text, message", [

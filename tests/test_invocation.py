@@ -1,12 +1,22 @@
 """Slot invocation: claims, input trigger, recovery, decryption."""
 import pytest
 
-from slimabc.abba import AlreadyInputError, mainvote_bytes, preprocess_bytes, prevote_bytes
+from slimabc.abba import (
+    AlreadyInputError,
+    abba_coin_name,
+    mainvote_bytes,
+    preprocess_bytes,
+    prevote_bytes,
+)
 from slimabc.crypto import key_setup
-from slimabc.invocation import SLOT_HANDLERS, InvalidProofError, SlotInvocation
+from slimabc.invocation import SLOT_HANDLERS, InvalidProofError, SlotInvocation, SlotOwner
 from slimabc.messages import (
+    ABSTAIN,
+    JUST_CONFLICT,
     JUST_PREPROCESS_ONE,
+    JUST_PREPROCESS_ZERO,
     JUST_PREVOTE_THRESHOLD,
+    AbbaCoinShare,
     AbbaDecision,
     AbbaMainvote,
     AbbaPreprocess,
@@ -273,3 +283,123 @@ def test_record_pair_idempotent_and_validating():
     bad = make_proven_pair(provider, INSTANCE, SLOT + 3, b"x")
     assert not inv.record_pair(pair[0], bad[1], [])
     assert inv.pair == pair
+
+
+# -- a decision reached inside a vote handler -------------------------------------
+
+class Reports(SlotOwner):
+    """Logs each transition an invocation reports, in order."""
+
+    def __init__(self):
+        self.seen = []
+
+    def slot_input(self, inv):
+        self.seen.append("input")
+
+    def slot_decided(self, inv):
+        self.seen.append(("decided", inv.decided))
+
+    def slot_ready(self, inv):
+        self.seen.append("ready")
+
+
+def threshold(provider, data):
+    return provider.combine_shares(data, [provider.sig_share(i, data) for i in range(3)])
+
+
+def prevote(provider, sender, r, bit, just):
+    return AbbaPrevote(INSTANCE, SLOT, r, bit, just,
+                       provider.sig_share(sender, prevote_bytes(INSTANCE, SLOT, r, bit)))
+
+
+def mainvote(provider, sender, r, value, just):
+    return AbbaMainvote(INSTANCE, SLOT, r, value, just,
+                        provider.sig_share(sender, mainvote_bytes(INSTANCE, SLOT, r, value)))
+
+
+def started(holder):
+    """Party 0's invocation, holding the pair or not, with its input fixed by
+    three claims.  Returns the provider, the invocation and its owner's log."""
+    provider, pair, _ = setup()
+    owner = Reports()
+    inv = SlotInvocation(INSTANCE, SLOT, provider.party_handle(0), owner)
+    out = []
+    inv.inv_start(*((1, *pair) if holder else (0, None, None)), out)
+    for sender in range(3):
+        inv.on_v(sender, VMsg(INSTANCE, SLOT, inv.u), out)
+    assert inv.abba.input_given == inv.u and owner.seen == ["input"]
+    return provider, inv, owner
+
+
+@pytest.mark.parametrize("holder", [True, False])
+def test_decision_inside_on_preprocess_is_reported_once(holder):
+    """Round 1's votes are counted before the machine enters it, so the
+    pre-process that completes n-f can carry the machine through round 1 to
+    its decision in one call.  The slot reports the decision once and sends,
+    in the same call, its decryption share (pair held) or a recovery request
+    (pair missing).  The dealer signs what the test needs: without the pair,
+    1-pre-votes wait for the evidence, so the pre-votes counted here are 0s."""
+    provider, inv, owner = started(holder)
+    bit = 1 if holder else 0
+    pp = preprocess_bytes(INSTANCE, SLOT, bit)
+    if holder:
+        just = Justification(JUST_PREPROCESS_ONE, signer=3, share=provider.sig_share(3, pp))
+    else:
+        just = Justification(JUST_PREPROCESS_ZERO, sig=threshold(provider, pp))
+    mv_just = Justification(JUST_PREVOTE_THRESHOLD,
+                            sig=threshold(provider, prevote_bytes(INSTANCE, SLOT, 1, 1)))
+    out = []
+    for sender in (1, 2):
+        inv.on_preprocess(sender, AbbaPreprocess(INSTANCE, SLOT, bit,
+                                                 provider.sig_share(sender, pp)), out)
+    for sender in (1, 2, 3):
+        inv.on_prevote(sender, prevote(provider, sender, 1, bit, just), out)
+        inv.on_mainvote(sender, mainvote(provider, sender, 1, 1, mv_just), out)
+    assert inv.abba.round == 0 and out == []
+    inv.on_preprocess(3, AbbaPreprocess(INSTANCE, SLOT, bit, provider.sig_share(3, pp)), out)
+    assert inv.decided == (1, 1)
+    assert owner.seen == ["input", ("decided", (1, 1))]
+    last = DecShare if holder else Recover
+    assert [type(m) for m in out] == [AbbaPrevote, AbbaMainvote, AbbaDecision, last]
+    assert inv._recover_sent is not holder
+
+
+def test_decision_inside_on_coin_share_is_reported_once():
+    """The coin share that completes round 1's coin moves the machine to
+    round 2, whose parked votes replay and decide it in the same call: the
+    slot reports the decision once and sends its decryption share then."""
+    provider, inv, owner = started(True)
+    zeros = preprocess_bytes(INSTANCE, SLOT, 0)
+    out = []
+    for sender in (1, 2, 3):
+        inv.on_preprocess(sender, AbbaPreprocess(INSTANCE, SLOT, 0,
+                                                 provider.sig_share(sender, zeros)), out)
+    pp_one = provider.sig_share(1, preprocess_bytes(INSTANCE, SLOT, 1))
+    pv1 = prevote(provider, 1, 1, 1, Justification(JUST_PREPROCESS_ONE, signer=1, share=pp_one))
+    zero_just = Justification(JUST_PREPROCESS_ZERO, sig=threshold(provider, zeros))
+    pv0 = prevote(provider, 2, 1, 0, zero_just)
+    for sender, pv in ((1, pv1), (2, pv0), (3, prevote(provider, 3, 1, 0, zero_just))):
+        inv.on_prevote(sender, pv, out)
+    abstain = Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1)
+    for sender in (1, 2, 3):
+        inv.on_mainvote(sender, mainvote(provider, sender, 1, ABSTAIN, abstain), out)
+    assert [type(m) for m in out] == [AbbaPrevote, AbbaMainvote, AbbaCoinShare]
+    # round 2's votes for 1 arrive first and are parked
+    pv_just = Justification(JUST_PREVOTE_THRESHOLD,
+                            sig=threshold(provider, prevote_bytes(INSTANCE, SLOT, 1, 1)))
+    mv_just = Justification(JUST_PREVOTE_THRESHOLD,
+                            sig=threshold(provider, prevote_bytes(INSTANCE, SLOT, 2, 1)))
+    for sender in (1, 2, 3):
+        inv.on_prevote(sender, prevote(provider, sender, 2, 1, pv_just), out)
+    for sender in (1, 2, 3):
+        inv.on_mainvote(sender, mainvote(provider, sender, 2, 1, mv_just), out)
+    assert len(inv.abba._future[2]) == 6
+    coin = abba_coin_name(INSTANCE, SLOT, 1)
+    for sender in (1, 2):
+        inv.on_coin_share(sender, AbbaCoinShare(INSTANCE, SLOT, 1,
+                                                provider.coin_share(sender, coin)), out)
+    out.clear()
+    inv.on_coin_share(3, AbbaCoinShare(INSTANCE, SLOT, 1, provider.coin_share(3, coin)), out)
+    assert inv.decided == (1, 2)
+    assert owner.seen == ["input", ("decided", (1, 2))]
+    assert [type(m) for m in out] == [AbbaPrevote, AbbaMainvote, AbbaDecision, DecShare]

@@ -15,9 +15,12 @@ from slimabc.adversary import BEHAVIORS, POLICIES
 from slimabc.committee import CsState
 from slimabc.crypto import key_setup
 from slimabc.invocation import SLOT_HANDLERS, SlotInvocation
+from slimabc.abba import mainvote_bytes
 from slimabc.messages import (
     BROADCAST,
+    AbbaDecision,
     CsShare,
+    DecShare,
     Envelope,
     Message,
     PpbPayload,
@@ -31,7 +34,7 @@ from slimabc.messages import (
 from slimabc import protocol
 from slimabc.protocol import decode_shared, instance_pool, sample_batch
 from slimabc.recorder import RunRecorder
-from slimabc.simnet import HarnessParty, deliver
+from slimabc.simnet import HarnessParty, deliver, make_proven_pair
 
 
 def cfg(**kw):
@@ -537,3 +540,107 @@ def test_routing_rule(state, name, fate, monkeypatch):
     else:
         assert out == [] and not run.handled
         assert {k: list(v) for k, v in party._future.items()} == parked
+
+
+# -- party-level intake checks ------------------------------------------------------
+
+def at_committee(member: bool):
+    """A committee member (or a non-member) of a one-instance run that has
+    received one other coin share, so it knows instance 1's committee and
+    has handled nothing else.  Returns the provider, the party and the
+    committee's members."""
+    provider = key_setup(128, 4, 6)
+    members = elected(provider, 1)
+    pid = next(p for p in range(4) if (p in members) == member)
+    party = Party(pid, provider.party_handle(pid), cfg(instances=1))
+    party.begin()
+    other = (pid + 1) % 4
+    share = CsState(1, provider.party_handle(other)).own
+    party.handle(Envelope(other, 1, (CsShare(1, share),), dst=pid))
+    assert party.inst.committee.members == members
+    return provider, party, members
+
+
+def handle(party: Party, sender: int, *entries: Message) -> List[Envelope]:
+    return party.handle(Envelope(sender, 1, entries, dst=party.pid))
+
+
+def test_slot_entry_outside_the_committee_is_dropped():
+    """A slot-level entry for a slot outside the committee is dropped, not
+    parked: no later committee can make it handleable."""
+    _, party, members = at_committee(True)
+    outside = next(p for p in range(4) if p not in members)
+    assert handle(party, members[1], VMsg(1, outside, 1)) == []
+    assert party._future == {}
+
+
+def test_payload_is_countersigned_for_its_senders_slot_only():
+    """A payload that names another slot than its sender's is not
+    countersigned, and does not use up the sender's one countersignature."""
+    provider, party, (sender, other) = at_committee(False)
+    ct = provider.tpke_enc(b"payload")
+    assert handle(party, sender, PpbPayload(1, other, ct)) == []
+    (env,) = handle(party, sender, PpbPayload(1, sender, ct))
+    assert env.dst == sender and [type(m) for m in env.entries] == [PpbShare]
+
+
+def test_countersignature_reaching_a_non_member_is_dropped():
+    provider, party, members = at_committee(False)
+    assert party.inst.ppb_send is None
+    share = provider.sig_share(members[0], b"PPB")
+    assert handle(party, members[0], PpbShare(1, party.pid, share)) == []
+
+
+def test_proposal_names_its_senders_slot():
+    """A proven pair proposed by another party than its slot's is ignored:
+    the slot does not adopt it and the sender does not count as a
+    suggestion sender."""
+    provider, party, members = at_committee(False)
+    sender, slot = members
+    pair = make_proven_pair(provider, 1, slot, b"proposal")
+    assert handle(party, sender, Proposal(1, slot, *pair)) == []
+    assert party.inst.slots[slot].pair is None and party.inst.sugg_senders == set()
+
+
+def test_pair_for_a_non_member_slot_is_dropped():
+    provider, party, members = at_committee(True)
+    slot = next(p for p in range(4) if p not in members)
+    pair = make_proven_pair(provider, 1, slot, b"outside")
+    assert handle(party, members[1], Suggestion(1, slot, *pair)) == []
+    assert party.inst.sugg_senders == set() and slot not in party.inst.slots
+
+
+def test_pair_with_a_failing_proof_counts_no_suggestion_sender():
+    """A suggested pair whose proof fails is not adopted, its sender does
+    not count toward the 2f+1 suggestion senders, and the slot does not
+    start."""
+    provider, party, (slot, other) = at_committee(False)
+    ct, _ = make_proven_pair(provider, 1, slot, b"suggested")
+    _, wrong = make_proven_pair(provider, 1, other, b"another slot")
+    assert handle(party, other, Suggestion(1, slot, ct, wrong)) == []
+    inv = party.inst.slots[slot]
+    assert inv.pair is None and inv.u is None
+    assert party.inst.sugg_senders == set() and not party.inst.relayed
+
+
+@pytest.mark.parametrize("content", ["not a batch", "other proposer", "other instance"])
+def test_decided_plaintext_must_be_the_slots_batch(content):
+    """A slot decided 1 whose plaintext is not a batch, or is a batch that
+    names another proposer or instance, adds nothing to the output; the
+    instance still finalizes."""
+    provider, party, (slot, zero_slot) = at_committee(False)
+    plaintext = {
+        "not a batch": b"\x00not a batch",
+        "other proposer": RequestBatch(zero_slot, 1, (b"r",)).encode(),
+        "other instance": RequestBatch(slot, 2, (b"r",)).encode(),
+    }[content]
+    pair = make_proven_pair(provider, 1, slot, plaintext)
+    handle(party, slot, Suggestion(1, slot, *pair))
+    for s, bit in ((slot, 1), (zero_slot, 0)):
+        mv = mainvote_bytes(1, s, 1, bit)
+        sig = provider.combine_shares(mv, [provider.sig_share(i, mv) for i in range(3)])
+        handle(party, slot, AbbaDecision(1, s, 1, bit, sig))
+    assert party.inst.slots[slot].plaintext is None  # one decryption share so far
+    handle(party, slot, DecShare(1, slot, provider.tpke_dec_share(slot, pair[0])))
+    assert party.finished and party.outputs_by_instance[1] == {}
+    assert party.archive[1] == {slot: pair} and party.log == []
