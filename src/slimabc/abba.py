@@ -25,7 +25,12 @@ Cachin, Kursawe and Shoup (PODC 2000) gives them one accept rule: a vote
 with an invalid justification is never counted toward any threshold, the
 first from each sender per round is counted, and votes for rounds ahead of
 the local machine are buffered, the first of each kind from each sender
-only.  The decision is forwarded once, where `decided` is set.
+only.
+
+Every entry point appends what it emits to the caller's list `out`.  The
+decision is emitted once, in `_decide`, which sets `decided` and then hands
+the decision to the machine's owner (`owner.abba_decided(out)`), so the
+owner's reply follows the decision in the same `out`.
 
 What waits for the payload proof (pre-processes for 1 and votes justified
 by one) waits in one buffer, `_ev_pending`, which the proof replays.
@@ -107,10 +112,11 @@ def round_strings(instance: int, slot: int, r: int) -> Tuple[bytes, ...]:
 
 
 class AbbaMachine:
-    def __init__(self, instance: int, slot: int, crypto: PartyCrypto):
+    def __init__(self, instance: int, slot: int, crypto: PartyCrypto, owner=None):
         self.instance = instance
         self.slot = slot
         self.crypto = crypto
+        self.owner = owner  # told of the decision once, by _decide; None reports nothing
         self.n = crypto.n
         self.f = crypto.f
         self.quorum = 2 * self.f + 1
@@ -150,24 +156,20 @@ class AbbaMachine:
 
     # -- inputs ------------------------------------------------------------
 
-    def input(self, bit: int) -> List[Message]:
+    def input(self, bit: int, out: List[Message]) -> None:
         if self.input_given is not None:
             raise AlreadyInputError(f"slot {self.slot} already has input {self.input_given}")
         self.input_given = bit
         share = self.crypto.sig_share(self._pp_msgs[bit])
-        out: List[Message] = [AbbaPreprocess(self.instance, self.slot, bit, share)]
+        out.append(AbbaPreprocess(self.instance, self.slot, bit, share))
         self._pump(out)
-        return out
 
-    def set_evidence_known(self) -> List[Message]:
-        if self.evidence_known:
-            return []
+    def set_evidence_known(self, out: List[Message]) -> None:
+        """Replay what waited for the payload proof; call it once."""
         self.evidence_known = True
-        out: List[Message] = []
         replay, self._ev_pending = self._ev_pending, {}
         self._replay(replay.values(), out)
         self._pump(out)
-        return out
 
     # -- handlers ------------------------------------------------------------
 
@@ -244,14 +246,13 @@ class AbbaMachine:
         self._pump(out)
 
     def on_decision(self, sender: int, msg: AbbaDecision, out: List[Message]) -> None:
-        """Adopt a transferable decision; forward it exactly once."""
+        """Adopt a transferable decision; `_decide` forwards it once."""
         if msg.bit not in (0, 1):
             return
         if not self.crypto.verify_signature(self._mv_msg(msg.round, msg.bit), msg.sig):
             return
         if self.decided is None:
-            self._decide(msg.bit, msg.round, msg.sig)
-            out.append(AbbaDecision(self.instance, self.slot, msg.round, msg.bit, msg.sig))
+            self._decide(msg.bit, msg.round, msg.sig, out)
 
     # -- justification checks -----------------------------------------------
 
@@ -392,20 +393,23 @@ class AbbaMachine:
             (bit,) = values
             sig = self.crypto.combine_shares(self._round_msgs[r][2 + bit],
                                              [mv.share for mv in first])
-            self._decide(bit, r, sig)
-            out.append(AbbaDecision(self.instance, self.slot, r, bit, sig))
+            self._decide(bit, r, sig, out)
             return
         share = self.crypto.coin_share(abba_coin_name(self.instance, self.slot, r))
         out.append(AbbaCoinShare(self.instance, self.slot, r, share))
 
-    def _decide(self, bit: int, r: int, sig: ThresholdSignature) -> None:
-        """Record the decision and free what only an undecided machine reads."""
+    def _decide(self, bit: int, r: int, sig: ThresholdSignature, out: List[Message]) -> None:
+        """Record the decision, free what only an undecided machine reads,
+        emit the decision and hand it to the owner."""
         self.decided = (bit, r, sig)
         self._pp = {}
         self._prevotes = {}
         self._mainvotes = {}
         self._coin_shares = {}
         self._future = {}
+        out.append(AbbaDecision(self.instance, self.slot, r, bit, sig))
+        if self.owner is not None:
+            self.owner.abba_decided(out)
 
     def _advance(self, r: int, out: List[Message]) -> None:
         self._enter(r)

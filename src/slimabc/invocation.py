@@ -15,10 +15,13 @@ shares.
 
 The invocation reports its own transitions to its owner as they happen:
 input fixed, decided, and outcome ready (decided 0, or decided 1 and
-decrypted).
+decrypted).  The agreement machine reports its decision to the invocation
+the same way, once (`abba_decided`), so the agreement forwarders only pass
+traffic on, and `decided` is read off the machine.
 """
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from .abba import AbbaMachine, AlreadyInputError
@@ -78,12 +81,12 @@ class SlotInvocation:
         self.slot = slot
         self.crypto = crypto
         self.owner = owner
-        self.abba = AbbaMachine(instance, slot, crypto)
+        # A weak proxy, as the party's: a strong one would make a reference cycle.
+        self.abba = AbbaMachine(instance, slot, crypto, weakref.proxy(self))
         self._claim_quorum = 2 * crypto.f + 1  # claims that fix the input
         self._dec_quorum = crypto.f + 1  # decryption shares that recover the plaintext
         self.pair: Optional[Tuple[Ciphertext, ThresholdSignature]] = None
         self.u: Optional[int] = None  # the local claim, set when the slot starts
-        self.decided: Optional[Tuple[int, int]] = None  # (bit, round)
         self.plaintext: Optional[bytes] = None
         self._v_senders: Dict[int, None] = {}  # claim senders until the input is fixed
         # Decryption shares, verified ones and ones parked until the pair is
@@ -98,19 +101,18 @@ class SlotInvocation:
     def record_pair(self, ciphertext: Ciphertext, proof: ThresholdSignature,
                     out: List[Message]) -> bool:
         """Adopt a verified (ciphertext, proof) pair; idempotent.  A slot
-        decided 1 before the pair contributes its decryption share here, one
-        that decides meanwhile in `_after_abba`."""
+        decided 1 before the pair contributes its decryption share here; one
+        that the pair's evidence replay decides, in `abba_decided`."""
         if self.pair is not None:
             return verify_proof(self.crypto, self.instance, self.slot, ciphertext, proof)
         if not verify_proof(self.crypto, self.instance, self.slot, ciphertext, proof):
             return False
-        decided = self.decided
+        decided = self.abba.decided
         self.pair = (ciphertext, proof)
-        out.extend(self.abba.set_evidence_known())
+        self.abba.set_evidence_known(out)
         pending, self._dec_pending = self._dec_pending, {}
         for sender, share in pending.items():
             self.on_dec_share(sender, DecShare(self.instance, self.slot, share), out)
-        self._after_abba(out)
         if decided is not None and decided[0] == 1:
             self._share_and_decrypt(out)
         return True
@@ -140,55 +142,44 @@ class SlotInvocation:
         """Feed the local claim to the agreement machine, once 2f+1 claims are in."""
         self._v_senders.clear()
         self.owner.slot_input(self)
-        out.extend(self.abba.input(self.u))
-        self._after_abba(out)
+        self.abba.input(self.u, out)
 
     # -- agreement traffic ----------------------------------------------------
-    # Each forwarder runs _after_abba only when the machine's decision is new.
+    # Named pass-throughs, one per vote kind: a tracer wraps each by name.
 
     def on_preprocess(self, sender, msg, out: List[Message]) -> None:
-        abba = self.abba
-        abba.on_preprocess(sender, msg, out)
-        if abba.decided is not None and self.decided is None:
-            self._after_abba(out)
+        self.abba.on_preprocess(sender, msg, out)
 
     def on_prevote(self, sender, msg, out: List[Message]) -> None:
-        abba = self.abba
-        abba.on_prevote(sender, msg, out)
-        if abba.decided is not None and self.decided is None:
-            self._after_abba(out)
+        self.abba.on_prevote(sender, msg, out)
 
     def on_mainvote(self, sender, msg, out: List[Message]) -> None:
-        abba = self.abba
-        abba.on_mainvote(sender, msg, out)
-        if abba.decided is not None and self.decided is None:
-            self._after_abba(out)
+        self.abba.on_mainvote(sender, msg, out)
 
     def on_coin_share(self, sender, msg, out: List[Message]) -> None:
-        abba = self.abba
-        abba.on_coin_share(sender, msg, out)
-        if abba.decided is not None and self.decided is None:
-            self._after_abba(out)
+        self.abba.on_coin_share(sender, msg, out)
 
     def on_decision(self, sender, msg, out: List[Message]) -> None:
-        abba = self.abba
-        abba.on_decision(sender, msg, out)
-        if abba.decided is not None and self.decided is None:
-            self._after_abba(out)
+        self.abba.on_decision(sender, msg, out)
 
-    def _after_abba(self, out: List[Message]) -> None:
-        if self.abba.decided is None or self.decided is not None:
-            return
-        bit, round_, _sig = self.abba.decided
-        self.decided = (bit, round_)
+    def abba_decided(self, out: List[Message]) -> None:
+        """The machine's one report of its decision, just appended to `out`.
+        Decided 0 is the slot's outcome; after 1, a holder of the pair sends
+        its decryption share and a party without it a recovery request."""
         self.owner.slot_decided(self)
-        if bit == 0:
+        if self.abba.decided[0] == 0:
             self.owner.slot_ready(self)
         elif self.pair is not None:
             self._share_and_decrypt(out)
-        else:  # runs once: the decision is new
+        else:
             self._recover_sent = True
             out.append(Recover(self.instance, self.slot))
+
+    @property
+    def decided(self) -> Optional[Tuple[int, int]]:
+        """(bit, round) of the machine's decision, or None."""
+        decided = self.abba.decided
+        return None if decided is None else decided[:2]
 
     # -- decryption and recovery ----------------------------------------------
 

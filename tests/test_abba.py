@@ -49,7 +49,7 @@ def make_machines(n=4, seed=11, evidence=True):
     machines = [AbbaMachine(INSTANCE, SLOT, provider.party_handle(i)) for i in range(n)]
     if evidence:
         for m in machines:
-            m.set_evidence_known()
+            m.set_evidence_known([])
     return provider, machines
 
 
@@ -74,7 +74,9 @@ def pump(machines, queue, sent=None):
 def run_inputs(machines, bits):
     queue = []
     for m, bit in zip(machines, bits):
-        queue.extend((m.crypto.party, o) for o in m.input(bit))
+        out = []
+        m.input(bit, out)
+        queue.extend((m.crypto.party, o) for o in out)
     pump(machines, queue)
 
 
@@ -102,9 +104,9 @@ def test_one_bias_wins_mixed_inputs():
 
 def test_double_input_rejected():
     _, machines = make_machines()
-    machines[0].input(1)
+    machines[0].input(1, [])
     with pytest.raises(AlreadyInputError):
-        machines[0].input(0)
+        machines[0].input(0, [])
 
 
 def test_preprocess_one_gated_on_evidence():
@@ -115,7 +117,7 @@ def test_preprocess_one_gated_on_evidence():
     m.on_preprocess(1, pp_one, [])
     assert 1 not in m._pp  # parked until the payload proof is known
     assert m._ev_pending == {(AbbaPreprocess, 0, 1): (1, pp_one)}
-    m.set_evidence_known()
+    m.set_evidence_known([])
     assert m._pp == {1: pp_one} and m._ev_pending == {}
 
 
@@ -187,6 +189,15 @@ def test_prevote_zero_requires_preprocess_threshold():
     assert 1 not in m._prevotes.get(1, {})
     zeros = preprocess_bytes(INSTANCE, SLOT, 0)
     good = provider.combine_shares(zeros, [sig_for(provider, i, zeros) for i in range(3)])
+    # the valid threshold signature counts only under the pre-process-0 kind
+    for kind in (JUST_PREVOTE_THRESHOLD, JUST_ABSTAIN_THRESHOLD, JUST_PREPROCESS_ONE,
+                 JUST_CONFLICT, JUST_NONE):
+        m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0, Justification(kind, sig=good),
+                                    vote_share), [])
+        assert 1 not in m._prevotes.get(1, {}), kind
+    m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0, Justification(JUST_PREPROCESS_ZERO),
+                                vote_share), [])
+    assert 1 not in m._prevotes.get(1, {})
     m.on_prevote(
         1, AbbaPrevote(INSTANCE, SLOT, 1, 0, Justification(JUST_PREPROCESS_ZERO, sig=good),
                        vote_share), [],
@@ -268,8 +279,9 @@ def test_mainvote_needs_the_prevote_threshold_of_its_own_value():
 
 
 def test_abstain_rejects_unjustified_embedded_prevotes():
-    """A validly signed abstain main-vote is not counted when one of its two
-    embedded pre-votes carries a bad signature share or a bad justification."""
+    """A validly signed abstain main-vote is not counted unless it carries a
+    conflict justification with both pre-votes embedded, or when one of them
+    carries a bad signature share or a bad justification."""
     provider, machines = make_machines()
     m = machines[0]
     pv0, pv1 = justified_prevotes(provider)
@@ -279,12 +291,16 @@ def test_abstain_rejects_unjustified_embedded_prevotes():
         (pv0._replace(share=sig_for(provider, 2, b"other")), pv1),  # a share of other bytes
         (pv0, pv1._replace(justification=Justification(JUST_NONE))),
     ]
+    bad_justs = [Justification(JUST_CONFLICT, prevote_zero=zero, prevote_one=one)
+                 for zero, one in bad_pairs] + [
+        Justification(JUST_PREVOTE_THRESHOLD, prevote_zero=pv0, prevote_one=pv1),
+        Justification(JUST_CONFLICT, prevote_zero=pv0),
+        Justification(JUST_CONFLICT, prevote_one=pv1),
+    ]
     mv_share = sig_for(provider, 1, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN))
-    for zero, one in bad_pairs:
-        m.on_mainvote(1, AbbaMainvote(
-            INSTANCE, SLOT, 1, ABSTAIN,
-            Justification(JUST_CONFLICT, prevote_zero=zero, prevote_one=one), mv_share), [])
-        assert 1 not in m._mainvotes.get(1, {})
+    for just in bad_justs:
+        m.on_mainvote(1, AbbaMainvote(INSTANCE, SLOT, 1, ABSTAIN, just, mv_share), [])
+        assert 1 not in m._mainvotes.get(1, {}), just
     m.on_mainvote(1, AbbaMainvote(
         INSTANCE, SLOT, 1, ABSTAIN,
         Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1), mv_share), [])
@@ -296,7 +312,7 @@ def machine_in_round_two():
     undecided, with `coins[1]` known.  Returns the provider and the machine."""
     provider, machines = make_machines()
     m = machines[0]
-    m.input(0)
+    m.input(0, [])
     zeros = preprocess_bytes(INSTANCE, SLOT, 0)
     for i in (1, 2, 3):
         m.on_preprocess(i, AbbaPreprocess(INSTANCE, SLOT, 0, sig_for(provider, i, zeros)), [])
@@ -349,11 +365,21 @@ def test_decision_transferable_and_forwarded_once():
 
 
 def test_forged_decision_ignored():
+    """A decision is neither adopted nor forwarded when its signature is
+    over other bytes, or when its bit is not 0 or 1, even with a valid
+    threshold signature over the main-vote string it names, such as a
+    round's abstain main-votes."""
     provider, machines = make_machines()
     m = machines[0]
     wrong = provider.combine_shares(b"zz", [sig_for(provider, i, b"zz") for i in range(3)])
     m.on_decision(1, AbbaDecision(INSTANCE, SLOT, 1, 1, wrong), [])
     assert m.decided is None
+    for r, bit in ((1, ABSTAIN), (7, ABSTAIN), (9, 3)):
+        data = mainvote_bytes(INSTANCE, SLOT, r, bit)
+        sig = provider.combine_shares(data, [sig_for(provider, i, data) for i in range(3)])
+        out = []
+        m.on_decision(1, AbbaDecision(INSTANCE, SLOT, r, bit, sig), out)
+        assert m.decided is None and out == [], (r, bit)
 
 
 def test_future_round_votes_buffered():
@@ -392,7 +418,7 @@ def test_parked_votes_keep_one_copy_per_sender():
     assert len(m._future[5]) == 2
     assert list(m._ev_pending) == [(AbbaPreprocess, 0, 2), (AbbaPrevote, 1, 2)]
     # the parked copies still count once the payload proof is known
-    m.set_evidence_known()
+    m.set_evidence_known([])
     assert m._pp[2] == pp_one and m._prevotes[1][2] == pv_one
 
 
@@ -455,7 +481,9 @@ def test_decided_machine_still_replays_evidence_parked_votes(monkeypatch):
             handler(self, sender, msg, out)
 
         monkeypatch.setattr(AbbaMachine, name, counted)
-    assert m.set_evidence_known() == []
+    out = []
+    m.set_evidence_known(out)
+    assert out == []
     assert calls == [(2, pv_one)]
     assert m._ev_pending == {} and m._prevotes == {} and m._pp == {}
 
@@ -498,9 +526,10 @@ def engineered_split(sent=None):
                           sig_for(provider, i, preprocess_bytes(INSTANCE, SLOT, 0)))
         for i in (1, 2, 3)
     }
-    out0 = machines[0].input(1)
-    out1 = machines[1].input(0)
-    out2 = machines[2].input(0)
+    out0, out1, out2 = [], [], []
+    machines[0].input(1, out0)
+    machines[1].input(0, out1)
+    machines[2].input(0, out2)
     assert [type(m) for m in out0] == [AbbaPreprocess]
     machines[0].on_preprocess(0, out0[0], [])
     machines[0].on_preprocess(1, pp0[1], [])
@@ -548,7 +577,8 @@ def run_shuffled(seed, bits, sent=None):
     rng = random.Random(seed)
     queue = []
     for m, bit in zip(machines, bits):
-        out = m.input(bit)
+        out = []
+        m.input(bit, out)
         if sent is not None:
             sent.extend((m.crypto.party, o) for o in out)
         queue.extend((m.crypto.party, o, dst) for o in out for dst in range(4))
@@ -585,9 +615,12 @@ def test_signing_strings_cached_per_entered_round():
 def test_wire_rounds_never_grow_the_string_cache():
     provider, machines = make_machines()
     m = machines[0]
-    out = m.input(1)
+    out = []
+    m.input(1, out)
     for i in range(1, 4):  # n-f pre-processes: m enters round 1 and stays undecided
-        m.on_preprocess(i, machines[i].input(1)[0], out)
+        pp = []
+        machines[i].input(1, pp)
+        m.on_preprocess(i, pp[0], out)
     assert m.round == 1 and set(m._round_msgs) == {1}
     entered = dict(m._round_msgs)
     forged_sig = ThresholdSignature(bytes(8))
@@ -659,7 +692,7 @@ def test_one_vote_per_sender_per_round_under_random_votes(monkeypatch):
     assert decided_rounds >= {2, 3}
 
 
-# -- intake checks on values, repeats and justification kinds ---------------------
+# -- intake checks on values and repeats ------------------------------------------
 
 def threshold_over(provider, data):
     return provider.combine_shares(data, [sig_for(provider, i, data) for i in range(3)])
@@ -716,54 +749,3 @@ def test_a_senders_second_vote_in_a_round_is_not_counted():
     m.on_mainvote(2, first, [])
     m.on_mainvote(2, second, [])
     assert m._mainvotes[1] == {2: first}
-
-
-def test_decision_bit_must_be_zero_or_one():
-    """A threshold signature over a main-vote string that is not a bit's,
-    such as a round's abstain main-votes, is no decision: it is neither
-    adopted nor forwarded."""
-    provider, machines = make_machines()
-    m = machines[0]
-    for r, bit in ((1, ABSTAIN), (7, ABSTAIN), (9, 3)):
-        sig = threshold_over(provider, mainvote_bytes(INSTANCE, SLOT, r, bit))
-        out = []
-        m.on_decision(1, AbbaDecision(INSTANCE, SLOT, r, bit, sig), out)
-        assert m.decided is None and out == [], (r, bit)
-
-
-def test_round_one_zero_prevote_needs_the_preprocess_zero_kind():
-    """A round-1 pre-vote for 0 is counted only under the pre-process-0
-    justification kind, even when another kind carries the valid n-f
-    pre-process-0 threshold signature."""
-    provider, machines = make_machines()
-    m = machines[0]
-    good = threshold_over(provider, preprocess_bytes(INSTANCE, SLOT, 0))
-    share = sig_for(provider, 1, prevote_bytes(INSTANCE, SLOT, 1, 0))
-    for kind in (JUST_PREVOTE_THRESHOLD, JUST_ABSTAIN_THRESHOLD, JUST_PREPROCESS_ONE,
-                 JUST_CONFLICT, JUST_NONE):
-        m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0, Justification(kind, sig=good),
-                                    share), [])
-        assert 1 not in m._prevotes.get(1, {}), kind
-    m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0, Justification(JUST_PREPROCESS_ZERO),
-                                share), [])
-    assert 1 not in m._prevotes.get(1, {})  # the right kind without its signature
-    m.on_prevote(1, AbbaPrevote(INSTANCE, SLOT, 1, 0,
-                                Justification(JUST_PREPROCESS_ZERO, sig=good), share), [])
-    assert 1 in m._prevotes[1]
-
-
-def test_abstain_must_embed_two_prevotes_under_the_conflict_kind():
-    """An abstain main-vote is counted only under the conflict kind with both
-    pre-votes embedded."""
-    provider, machines = make_machines()
-    m = machines[0]
-    pv0, pv1 = justified_prevotes(provider)
-    share = sig_for(provider, 1, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN))
-    for just in (Justification(JUST_PREVOTE_THRESHOLD, prevote_zero=pv0, prevote_one=pv1),
-                 Justification(JUST_CONFLICT, prevote_zero=pv0),
-                 Justification(JUST_CONFLICT, prevote_one=pv1)):
-        m.on_mainvote(1, AbbaMainvote(INSTANCE, SLOT, 1, ABSTAIN, just, share), [])
-        assert 1 not in m._mainvotes.get(1, {}), just
-    m.on_mainvote(1, AbbaMainvote(INSTANCE, SLOT, 1, ABSTAIN, Justification(
-        JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1), share), [])
-    assert 1 in m._mainvotes[1]
