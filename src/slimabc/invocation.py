@@ -145,7 +145,7 @@ class SlotInvocation:
         self.abba.input(self.u, out)
 
     # -- agreement traffic ----------------------------------------------------
-    # Named pass-throughs, one per vote kind: a tracer wraps each by name.
+    # Named pass-throughs, one per agreement message kind: a tracer wraps each by name.
 
     def on_preprocess(self, sender, msg, out: List[Message]) -> None:
         self.abba.on_preprocess(sender, msg, out)
