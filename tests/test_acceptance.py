@@ -5,6 +5,7 @@ once and are shared by every criterion that reads them.
 """
 import hashlib
 import itertools
+import json
 import statistics
 import struct
 from itertools import combinations
@@ -23,6 +24,28 @@ SWEEP_SEEDS = 30
 # sha256 over every grid report's JSON, in grid order; moves only when some
 # run's observable behaviour does
 GRID_DIGEST = "58681f90dbc5a5ee8ef24b7a3b9e9081de967f02b1f4ab07ac221c7b08e188f2"
+# the same reports field by field: sha256 over one report field's JSON in each
+# grid report, in grid order, so a moved pin names the fields that moved
+GRID_FIELD_DIGESTS = {
+    "assertions": "92c47a6677f3e386fd40da148e7f72ae66950853c34e4945e7567da9dc269ee9",
+    "bytes": "630aea4f02d9fcea428e9998e8ca1265b4f619d2da936e216a0cfae1fc48316c",
+    "censorship": "4d0a3c5642020a3cb1ca8664627776ef69636acf823116fa4fa4e2fae293b007",
+    "config": "7cc7d2ed8508b5897ec58d76b6bf1f0dd9aaf235009de5c9821cb628ee188f63",
+    "decisions": "e55df0deb5a62e7c33d89b1b6d754ffacb93de69117717c8c24833c29ad9cdab",
+    "delivered_total": "1563b8be4a40d6cc7436123c00f60f83ef655b4a389e1f9c20009a67c1ebed9a",
+    "duplicate_ratios": "044851ccb1ff26824a415c1d6f4cb73cb31b1a7e7dbd5695481d50c48d4fe432",
+    "failures": "3b34ebae482751fdb596bd88a2854b5a815788f28e2f19451940b133280cd454",
+    "fairness_overrides": "794a5295e7708c62510caabb680030a2a0334e67edace2c1ee96c384010d6cc2",
+    "finalized_instances": "7828196ef6e329d662cd05b05f5ea1910c7165ca7d965efb21bf42c1b786e72c",
+    "lemma": "96f6b4898d7ce42b16a3852d020306d5aaae96afe96e68614122b807ae38cf04",
+    "log_digest": "e91a131d67cf7ba6c07661be1755ea823206e5214acda409b93f97fd62fe96b8",
+    "messages": "f7a1ad2d83e3fd0e3583e6c45c20edd1b47da7c8469582d9b4b6f986cdb4a7b8",
+    "ok": "33b271ad9aba4a0e225e89f385142984f8c9f2ebe7946cd423e08ca3f3df3ad4",
+    "phases": "fab0ac3645603e7b840b3040866f32b536df722c9472898d58663dcbc452b359",
+    "rounds": "8cf934d0e58b0ed0570dcfd7472f43ef89687a6173453398c3cc136e4f07daf1",
+    "stalled": "fe13cb2e112a91813fdee546761a3aa535525d64f1dc1375e903adca3003dd07",
+    "steps": "24c6a4e6f04fa26090b708e2e23399d78c40bf22c1003f8b3bd82473c53698b8",
+}
 
 _cache = {}
 
@@ -70,6 +93,18 @@ def test_grid_reports_pinned():
     for _, _, rep in grid_reports():
         h.update(rep.to_json().encode())
     assert h.hexdigest() == GRID_DIGEST
+
+
+def test_grid_report_fields_pinned():
+    hashes = {}
+    for _, _, rep in grid_reports():
+        for name, value in rep.to_dict().items():
+            blob = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+            hashes.setdefault(name, hashlib.sha256()).update(blob)
+    digests = {name: h.hexdigest() for name, h in hashes.items()}
+    moved = sorted(name for name in digests.keys() | GRID_FIELD_DIGESTS.keys()
+                   if digests.get(name) != GRID_FIELD_DIGESTS.get(name))
+    assert not moved, f"report fields moved: {moved}"
 
 
 def test_c01_agreement():
