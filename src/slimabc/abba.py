@@ -71,6 +71,11 @@ class AlreadyInputError(Exception):
     pass
 
 
+# The last round the signing strings can name (they pack it as ">H"): the
+# handlers drop a vote, coin share or decision outside 1..ROUND_MAX unread.
+ROUND_MAX = 0xFFFF
+
+
 def preprocess_bytes(instance: int, slot: int, bit: int) -> bytes:
     return b"ABBA-PP" + struct.pack(">QHB", instance, slot, bit)
 
@@ -209,7 +214,7 @@ class AbbaMachine:
         else:
             return
         r = msg.round
-        if self.decided or r < 1:
+        if self.decided or not 1 <= r <= ROUND_MAX:
             return
         if r > self.round and r > 1:
             self._future.setdefault(r, {}).setdefault((kind, sender), (sender, msg))
@@ -237,17 +242,18 @@ class AbbaMachine:
     on_mainvote = on_prevote
 
     def on_coin_share(self, sender: int, msg: AbbaCoinShare, out: List[Message]) -> None:
-        if self.decided or sender in self._coin_shares.get(msg.round, {}):
+        r = msg.round
+        if self.decided or not 1 <= r <= ROUND_MAX or sender in self._coin_shares.get(r, {}):
             return
-        name = abba_coin_name(self.instance, self.slot, msg.round)
+        name = abba_coin_name(self.instance, self.slot, r)
         if not self.crypto.coin_share_verify(name, sender, msg.share):
             return
-        self._coin_shares.setdefault(msg.round, {})[sender] = msg.share
+        self._coin_shares.setdefault(r, {})[sender] = msg.share
         self._pump(out)
 
     def on_decision(self, sender: int, msg: AbbaDecision, out: List[Message]) -> None:
         """Adopt a transferable decision; `_decide` forwards it once."""
-        if msg.bit not in (0, 1):
+        if msg.bit not in (0, 1) or not 1 <= msg.round <= ROUND_MAX:
             return
         if not self.crypto.verify_signature(self._mv_msg(msg.round, msg.bit), msg.sig):
             return

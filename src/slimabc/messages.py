@@ -10,6 +10,12 @@ in `tests/test_messages.py` pins that list.  A V-claim is its slot and bit
 alone: the bit is the paper's claim, though no receiver reads it (a receiver
 counts claims, and its own input is whether it holds the pair).
 
+Every integer in a body (slot, round, a pre-process signer, a length, a
+plaintext length) is a `VARINT`: canonical unsigned LEB128, seven bits a
+byte, low group first, so a value below 128 takes one byte.  Only the
+envelope's headers keep fixed widths: `HEADER`, and per entry a tag byte and
+a 4-byte body length (`ENTRY`).
+
 `WIDTH` gives each wire type's width, a number or a function of the value,
 and `body_size` walks the same tables with each kind's fixed widths summed
 once, so an envelope is sized without being encoded.
@@ -25,7 +31,7 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .crypto import Ciphertext, record
 
@@ -51,7 +57,8 @@ class Justification(record("kind signer share sig prevote_zero prevote_one", (No
 
 HEADER = struct.Struct(">HQH")  # envelope: sender, instance, entry count
 ENVELOPE_HEADER = HEADER.size
-ENTRY_HEADER = 5  # tag (1), body length (4)
+ENTRY = struct.Struct(">BI")  # each entry: tag, body length
+ENTRY_HEADER = ENTRY.size
 
 
 def _pack_fields(obj, wire) -> bytes:
@@ -59,17 +66,55 @@ def _pack_fields(obj, wire) -> bytes:
 
 
 # Wire types: each packs the value of one field.
-U8, U16, _U32 = (struct.Struct(">" + c).pack for c in "BHI")
+U8 = struct.Struct(">B").pack
 SHARE = operator.attrgetter("share_bytes")  # the tag alone; the signer is not on the wire
 SIG = operator.attrgetter("sig_bytes")
 
 
+def VARINT(v: int) -> bytes:
+    """`v` as canonical unsigned LEB128; struct.error, as `U8` raises, for a
+    negative or non-integer value."""
+    if not isinstance(v, int) or v < 0:
+        raise struct.error(f"varint of {v!r}")
+    out = bytearray()
+    while v > 0x7F:
+        out.append(v & 0x7F | 0x80)
+        v >>= 7
+    out.append(v)
+    return bytes(out)
+
+
+def varint_width(v: int) -> int:
+    return (v.bit_length() + 6) // 7 or 1
+
+
+def read_varint(data: bytes, off: int) -> Tuple[int, int]:
+    """(value, offset after it) of the varint at `data[off:]`; ValueError if
+    it is truncated or not the shortest encoding of its value."""
+    value = shift = 0
+    while True:
+        if off >= len(data):
+            raise ValueError("truncated varint")
+        b = data[off]
+        off += 1
+        value |= (b & 0x7F) << shift
+        if b < 0x80:
+            if b == 0 and shift:
+                raise ValueError("overlong varint")
+            return value, off
+        shift += 7
+
+
 def _blob(b: bytes) -> bytes:
-    return _U32(len(b)) + b
+    return VARINT(len(b)) + b
+
+
+def _blob_width(size: int) -> int:
+    return varint_width(size) + size
 
 
 def CIPHERTEXT(c: Ciphertext) -> bytes:
-    return _blob(c.payload) + _U32(c.length_plain)
+    return _blob(c.payload) + VARINT(c.length_plain)
 
 
 def JUSTIFICATION(j: Justification) -> bytes:
@@ -181,7 +226,7 @@ def carries_pair(m) -> bool:
 
 
 # The format: each kind's wire fields in order, as (field, wire type).
-_SLOT, _ROUND = ("slot", U16), ("round", U16)
+_SLOT, _ROUND = ("slot", VARINT), ("round", VARINT)
 _PAIR = (("ciphertext", CIPHERTEXT), ("proof", SIG))
 WIRE = {
     CsShare: (("share", SHARE),),
@@ -202,7 +247,7 @@ WIRE = {
 }
 JUSTIFICATION_WIRE = {  # after the kind byte
     JUST_NONE: (),
-    JUST_PREPROCESS_ONE: (("signer", U16), ("share", SHARE)),
+    JUST_PREPROCESS_ONE: (("signer", VARINT), ("share", SHARE)),
     JUST_PREPROCESS_ZERO: (("sig", SIG),),
     JUST_PREVOTE_THRESHOLD: (("sig", SIG),),
     JUST_ABSTAIN_THRESHOLD: (("sig", SIG),),
@@ -215,12 +260,12 @@ Message = Union[tuple(WIRE)]  # any message kind
 # of the value, which is what the type packs.
 WIDTH = {
     U8: 1,
-    U16: 2,
+    VARINT: varint_width,
     SHARE: lambda share: len(share.share_bytes),
     SIG: lambda sig: len(sig.sig_bytes),
-    CIPHERTEXT: lambda c: 8 + len(c.payload),
+    CIPHERTEXT: lambda c: _blob_width(len(c.payload)) + varint_width(c.length_plain),
     JUSTIFICATION: lambda j: 1 + _walk_size(j, _JUSTIFICATION_SIZES[j.kind]),
-    PREVOTE: lambda pv: 4 + body_size(pv),
+    PREVOTE: lambda pv: _blob_width(body_size(pv)),
 }
 
 
@@ -268,7 +313,7 @@ class Envelope:
         out = [HEADER.pack(self.sender, self.instance, len(self.entries))]
         for m in self.entries:
             body = m.encode_body()
-            out += (U8(m.TAG), _blob(body))
+            out += (ENTRY.pack(m.TAG, len(body)), body)
         return b"".join(out)
 
     def size(self) -> int:

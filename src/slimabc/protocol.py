@@ -46,12 +46,14 @@ from .messages import (
     Recover,
     RecoverResp,
     Suggestion,
+    VARINT,
     VMsg,
     entries_size,
+    read_varint,
 )
 from .ppb import PpbReceiver, PpbSender
 
-BATCH_MAGIC = b"RB1"
+BATCH_MAGIC = b"RB2"
 
 # One outbound item of a step: a bare message goes to every peer, a
 # `(dst, msg)` pair to peer dst only.
@@ -60,7 +62,12 @@ WireItem = Union[Message, Tuple[int, Message]]
 
 @dataclass(frozen=True)
 class RequestBatch:
-    """Canonical payload of one slot: proposer-bound, instance-bound."""
+    """Canonical payload of one slot: proposer-bound, instance-bound.
+
+    Its bytes are `BATCH_MAGIC`, then the proposer, the instance and the
+    request count, then each request's length and bytes, every integer a
+    `messages.VARINT`.  `decode` accepts only that encoding: no overlong
+    varint, no truncation, no trailing bytes."""
 
     proposer: int
     instance: int
@@ -74,24 +81,22 @@ class RequestBatch:
         return tuple((self.instance, self.proposer, r) for r in self.requests)
 
     def encode(self) -> bytes:
-        parts = [BATCH_MAGIC, struct.pack(">HQH", self.proposer, self.instance, len(self.requests))]
+        parts = [BATCH_MAGIC, VARINT(self.proposer), VARINT(self.instance),
+                 VARINT(len(self.requests))]
         for r in self.requests:
-            parts.append(struct.pack(">I", len(r)))
-            parts.append(r)
+            parts += (VARINT(len(r)), r)
         return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes) -> "RequestBatch":
-        if data[:3] != BATCH_MAGIC or len(data) < 15:
+        if data[:3] != BATCH_MAGIC:
             raise ValueError("bad batch header")
-        proposer, instance, count = struct.unpack(">HQH", data[3:15])
-        off = 15
+        proposer, off = read_varint(data, 3)
+        instance, off = read_varint(data, off)
+        count, off = read_varint(data, off)
         requests = []
-        for _ in range(count):
-            if off + 4 > len(data):
-                raise ValueError("truncated batch")
-            (ln,) = struct.unpack(">I", data[off : off + 4])
-            off += 4
+        for _ in range(count):  # each request takes at least its length byte
+            ln, off = read_varint(data, off)
             if off + ln > len(data):
                 raise ValueError("truncated request")
             requests.append(data[off : off + ln])

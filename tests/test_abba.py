@@ -7,11 +7,13 @@ forge both valid and invalid justifications at will.
 """
 import itertools
 import random
+import struct
 from collections import Counter
 
 import pytest
 
 from slimabc.abba import (
+    ROUND_MAX,
     AbbaMachine,
     AlreadyInputError,
     abba_coin_name,
@@ -636,6 +638,23 @@ def test_wire_rounds_never_grow_the_string_cache():
     sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
     m.on_decision(2, AbbaDecision(INSTANCE, SLOT, 70, 1, sig), [])
     assert m.decided[:2] == (1, 70) and m._round_msgs == entered
+
+
+@pytest.mark.parametrize("r", [0, ROUND_MAX + 1, 70_000])
+def test_rounds_the_signing_strings_cannot_name_are_ignored(r):
+    """A coin share and a decision for round 0, or for a round past what the
+    signing strings pack, are dropped unread, however validly signed: an
+    undecided machine stores nothing, emits nothing and does not decide."""
+    provider, machines = make_machines()
+    m = machines[0]
+    wide = struct.pack(">QHI", INSTANCE, SLOT, r)  # the strings' layout, widened to name r
+    coin_name = b"ABBA-COIN" + wide if r else abba_coin_name(INSTANCE, SLOT, r)
+    mv = b"ABBA-MV" + wide + b"\x01" if r else mainvote_bytes(INSTANCE, SLOT, r, 1)
+    sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
+    out = []
+    m.on_coin_share(1, AbbaCoinShare(INSTANCE, SLOT, r, provider.coin_share(1, coin_name)), out)
+    m.on_decision(2, AbbaDecision(INSTANCE, SLOT, r, 1, sig), out)
+    assert out == [] and m.decided is None and m._coin_shares == {}
 
 
 # -- one vote per sender per round -------------------------------------------

@@ -23,12 +23,12 @@ SEEDS_PER_CELL = 17  # 12 cells x 17 seeds = 204 >= 200 runs per (n, f)
 SWEEP_SEEDS = 30
 # sha256 over every grid report's JSON, in grid order; moves only when some
 # run's observable behaviour does
-GRID_DIGEST = "58681f90dbc5a5ee8ef24b7a3b9e9081de967f02b1f4ab07ac221c7b08e188f2"
+GRID_DIGEST = "edaa695bf20508ad7cbbcebf5f074ede06b806ac5c177130ba172ae69e3d180d"
 # the same reports field by field: sha256 over one report field's JSON in each
 # grid report, in grid order, so a moved pin names the fields that moved
 GRID_FIELD_DIGESTS = {
     "assertions": "92c47a6677f3e386fd40da148e7f72ae66950853c34e4945e7567da9dc269ee9",
-    "bytes": "630aea4f02d9fcea428e9998e8ca1265b4f619d2da936e216a0cfae1fc48316c",
+    "bytes": "b2d361dee36f5dd5db1f104cccc82f6c833cfbcb1340e8a7cd0fafcfe303c897",
     "censorship": "4d0a3c5642020a3cb1ca8664627776ef69636acf823116fa4fa4e2fae293b007",
     "config": "7cc7d2ed8508b5897ec58d76b6bf1f0dd9aaf235009de5c9821cb628ee188f63",
     "decisions": "e55df0deb5a62e7c33d89b1b6d754ffacb93de69117717c8c24833c29ad9cdab",

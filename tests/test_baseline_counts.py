@@ -18,7 +18,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # sha256 of the canonical JSON of {workload: {metric: value}}, seed 7.
-TRACED_COUNTS_DIGEST = "94cdf9c98e8fa5c8933c90953e89e0fd14fd4847418d59096ca68c3a0643c770"
+TRACED_COUNTS_DIGEST = "a59740e628e11a85b3a1f09c5494c73fe69011444e93a9045312ca96deeeca27"
 TIMES = ("simnet.us_per_step", "trace.overhead_ratio")
 
 

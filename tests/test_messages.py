@@ -2,10 +2,12 @@
 and the bytes themselves are pinned."""
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import itertools
 import struct
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,8 @@ from slimabc.messages import (
     AbbaPrevote,
     CsShare,
     DecShare,
+    ENTRY_HEADER,
+    ENVELOPE_HEADER,
     Envelope,
     JUSTIFICATION_WIRE,
     Justification,
@@ -47,6 +51,7 @@ from slimabc.messages import (
     Recover,
     RecoverResp,
     Suggestion,
+    VARINT,
     VMsg,
     WIDTH,
     WIRE,
@@ -54,8 +59,11 @@ from slimabc.messages import (
     body_size,
     carries_pair,
     entries_size,
+    read_varint,
 )
 from slimabc.protocol import Party
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def one_of_each():
@@ -119,10 +127,10 @@ def test_coin_shares_claims_and_suggestions_carry_no_extra_bytes():
     msgs = {type(m): m for m in one_of_each()}
     coin, sugg = msgs[CsShare], msgs[Suggestion]
     assert coin.encode_body() == coin.share.share_bytes
-    assert VMsg(1, 2, 1).encode_body() == b"\x00\x02\x01"
+    assert VMsg(1, 2, 1).encode_body() == b"\x02\x01"  # varint slot 2 (1 B), then bit 1 (1 B)
     assert sugg.encode_body() == Proposal(*sugg).encode_body()
     assert [body_size(m) for m in (coin, VMsg(1, 2, 1), sugg)] \
-        == [len(coin.share.share_bytes), 3, body_size(Proposal(*sugg))]
+        == [len(coin.share.share_bytes), 2, body_size(Proposal(*sugg))]
 
 
 def test_size_equals_encoded_length_for_every_kind():
@@ -198,6 +206,64 @@ def test_every_wire_type_has_a_width():
     for t in used:
         if type(WIDTH[t]) is int:
             assert len(t(0)) == WIDTH[t]
+
+
+def split_varints(data: bytes) -> list:
+    """The values of a run of LEB128 varints, read here apart from the codec."""
+    values, value, shift = [], 0, 0
+    for b in data:
+        value |= (b & 0x7F) << shift
+        shift += 7
+        if b < 0x80:
+            values.append(value)
+            value = shift = 0
+    assert shift == 0, "the last varint is cut short"
+    return values
+
+
+varints = st.integers(0, 2**70) | st.integers(0, 300)
+
+
+@given(varints)
+def test_varint_round_trips_and_is_minimal(v):
+    b = VARINT(v)
+    assert split_varints(b) == [v]
+    assert len(b) == WIDTH[VARINT](v)
+    assert v < 128 ** len(b) and (len(b) == 1 or v >= 128 ** (len(b) - 1))
+    assert all(c & 0x80 for c in b[:-1]) and b[-1] < 0x80
+
+
+@given(st.lists(varints, max_size=8))
+def test_varints_split_back_into_their_values(values):
+    data = b"".join(VARINT(v) for v in values)
+    assert split_varints(data) == values
+    read, off = [], 0
+    while off < len(data):
+        v, off = read_varint(data, off)
+        read.append(v)
+    assert read == values
+
+
+@pytest.mark.parametrize("data", [b"", b"\x80", b"\xff\xff", b"\x80\x00", b"\x81\x80\x00"])
+def test_read_varint_rejects_truncated_and_overlong(data):
+    with pytest.raises(ValueError):
+        read_varint(data, 0)
+
+
+@pytest.mark.parametrize("value", [-1, None, 1.5, b"\x01"])
+def test_varint_refuses_what_is_not_a_non_negative_int(value):
+    with pytest.raises(struct.error):
+        VARINT(value)
+
+
+def test_header_sizes_match_the_benchmarks_copies(monkeypatch):
+    """perfbench adds the header bytes to the entries' body bytes with its own
+    copy of the two header sizes; they must be the ones the encoder writes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    assert (tracer.ENTRY_HEADER, tracer.ENVELOPE_HEADER) == (ENTRY_HEADER, ENVELOPE_HEADER)
+    env = Envelope(0, 1, (VMsg(1, 2, 1), Recover(1, 3)))
+    assert len(env.encode()) == ENVELOPE_HEADER + 2 * ENTRY_HEADER + 2 + 1
 
 
 def test_runs_size_envelopes_without_encoding(monkeypatch):
@@ -350,7 +416,7 @@ def test_off_wire_fields_pinned():
 # sha256 over the encoded envelope of each `one_of_each()` message, then over
 # every envelope an honest party sent in the runs of `test_wire_bytes_pinned`,
 # in delivery order.  The size checks above see lengths only; this sees content.
-WIRE_DIGEST = "afab5e2e971f76e4d464d722106dbbabb216cb016be8eeacb8be7b678f0d5333"
+WIRE_DIGEST = "030726416e7404aff15ee2840df3b749dc7e127c71e2391d0a22d904042155ca"
 
 
 def test_wire_bytes_pinned(monkeypatch):

@@ -29,10 +29,11 @@ from slimabc.messages import (
     Recover,
     RecoverResp,
     Suggestion,
+    VARINT,
     VMsg,
 )
 from slimabc import protocol
-from slimabc.protocol import decode_shared, instance_pool, sample_batch
+from slimabc.protocol import BATCH_MAGIC, decode_shared, instance_pool, sample_batch
 from slimabc.recorder import RunRecorder
 from slimabc.simnet import HarnessParty, deliver, make_proven_pair
 
@@ -85,6 +86,38 @@ def test_batch_encoding_is_the_only_decodable_one(batch, extra):
             RequestBatch.decode(data[:cut])
     with pytest.raises(ValueError):
         RequestBatch.decode(data + extra)
+
+
+def overlong(v: int) -> bytes:
+    """`v` as a varint one byte longer than its canonical encoding."""
+    b = VARINT(v)
+    return b[:-1] + bytes([b[-1] | 0x80, 0])
+
+
+def test_batch_decode_rejects_an_overlong_varint():
+    good = RequestBatch(0, 1, (b"x",)).encode()
+    assert good == BATCH_MAGIC + b"\x00\x01\x01\x01x"  # proposer, instance, count, length
+    with pytest.raises(ValueError):
+        RequestBatch.decode(BATCH_MAGIC + b"\x80\x00\x01\x01\x01x")
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_batches, st.data())
+def test_batch_decode_rejects_each_overlong_integer(batch, data):
+    """Each integer of a batch, the proposer, the instance, the count or a
+    request length, is refused when encoded one byte too long."""
+    ints = [batch.proposer, batch.instance, len(batch.requests)]
+    ints += [len(r) for r in batch.requests]
+    k = data.draw(st.integers(0, len(ints) - 1))
+
+    def encoded(long_at):
+        parts = [overlong(v) if i == long_at else VARINT(v) for i, v in enumerate(ints)]
+        head, lengths = parts[:3], parts[3:]
+        return BATCH_MAGIC + b"".join(head + [b + r for b, r in zip(lengths, batch.requests)])
+
+    assert encoded(None) == batch.encode()
+    with pytest.raises(ValueError):
+        RequestBatch.decode(encoded(k))
 
 
 def test_a_run_shares_its_decoded_batches():

@@ -197,7 +197,7 @@ CASES = {
 }
 
 # sha256 over every case's report JSON, finished then stalled, in CASES order.
-PLANTED_DIGEST = "81e3ac6b5d20c4ecffb4e4e55e8b94eeb3588f947b518f0fab0af92f981a8ba4"
+PLANTED_DIGEST = "f564ef974547abdcb13e7e1cdc07acb81cde98f804fc98735138082fb9475c2e"
 
 
 def honest_run():
