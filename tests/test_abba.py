@@ -644,7 +644,8 @@ def test_wire_rounds_never_grow_the_string_cache():
 def test_rounds_the_signing_strings_cannot_name_are_ignored(r):
     """A coin share and a decision for round 0, or for a round past what the
     signing strings pack, are dropped unread, however validly signed: an
-    undecided machine stores nothing, emits nothing and does not decide."""
+    undecided machine stores nothing, emits nothing and does not decide.
+    Votes for such a round are not parked either."""
     provider, machines = make_machines()
     m = machines[0]
     wide = struct.pack(">QHI", INSTANCE, SLOT, r)  # the strings' layout, widened to name r
@@ -654,7 +655,10 @@ def test_rounds_the_signing_strings_cannot_name_are_ignored(r):
     out = []
     m.on_coin_share(1, AbbaCoinShare(INSTANCE, SLOT, r, provider.coin_share(1, coin_name)), out)
     m.on_decision(2, AbbaDecision(INSTANCE, SLOT, r, 1, sig), out)
-    assert out == [] and m.decided is None and m._coin_shares == {}
+    share = sig_for(provider, 3, mv)
+    m.on_prevote(3, AbbaPrevote(INSTANCE, SLOT, r, 1, Justification(JUST_NONE), share), out)
+    m.on_mainvote(3, AbbaMainvote(INSTANCE, SLOT, r, 1, Justification(JUST_NONE), share), out)
+    assert out == [] and m.decided is None and m._coin_shares == {} and m._future == {}
 
 
 # -- one vote per sender per round -------------------------------------------
