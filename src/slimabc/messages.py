@@ -85,7 +85,7 @@ def VARINT(v: int) -> bytes:
 
 
 def varint_width(v: int) -> int:
-    return (v.bit_length() + 6) // 7 or 1
+    return 1 if v < 0x80 else (v.bit_length() + 6) // 7
 
 
 def read_varint(data: bytes, off: int) -> Tuple[int, int]:
