@@ -1,7 +1,8 @@
-"""Command-line front end: run, sweep, check, replay.
+"""Command-line front end: run, sweep, check, replay, grid, diff.
 
 Exit codes: 0 success, 1 a run stalled or a property assertion failed
-(the report is still written), 2 configuration problems.
+(the report is still written) or `diff` found a report field outside
+`--allow` that differs, 2 configuration problems.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import sys
 from typing import List, Optional
 
 from .config import ConfigError, SimConfig, load_scenario
+from .grid import diff_runs, read_runs, write_grid
 from .metrics import RunReport, scaling_fit, write_csv
 from .simnet import replay_trace, sim_run
 
@@ -163,6 +165,22 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
+def cmd_grid(args: argparse.Namespace) -> int:
+    runs = write_grid(args.out)
+    print(f"wrote {runs} runs to {args.out}")
+    return 0
+
+
+def cmd_diff(args: argparse.Namespace) -> int:
+    try:
+        lines, ok = diff_runs(read_runs(args.a), read_runs(args.b), args.allow)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"not a grid file: {e!r}") from e
+    for line in lines:
+        print(line)
+    return 0 if ok else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slimabc",
@@ -196,6 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="re-execute a trace and verify it matches")
     p_rep.add_argument("--trace", required=True)
     p_rep.set_defaults(fn=cmd_replay)
+
+    p_grid = sub.add_parser("grid", help="run the acceptance grid, one {config, report} "
+                                         "JSON line per run")
+    p_grid.add_argument("--out", required=True)
+    p_grid.set_defaults(fn=cmd_grid)
+
+    p_diff = sub.add_parser("diff", help="name the report fields that differ between two "
+                                         "grid files, run by run; exit 1 on a field not "
+                                         "allowed to move")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    p_diff.add_argument("--allow", nargs="+", action="extend", default=[], metavar="FIELD")
+    p_diff.set_defaults(fn=cmd_diff)
     return parser
 
 

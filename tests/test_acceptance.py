@@ -12,14 +12,11 @@ from itertools import combinations
 
 from slimabc import BehaviorSpec, SimConfig, key_setup, sim_run
 from slimabc.committee import committee_coin_name
+from slimabc.grid import FAIR_POLICIES, GRID, grid_config, grid_runs
 from slimabc.metrics import scaling_fit
 from slimabc.simnet import abba_harness_run
 
-GRID = ((4, 1), (7, 2), (10, 3))
 SWEEP = ((4, 1), (7, 2), (10, 3), (13, 4))
-FAIR_POLICIES = ("fifo", "random", "adversarial-delay")
-FAULTS = ("honest", "crash", "equivocate-ppb", "corrupt-shares")
-SEEDS_PER_CELL = 17  # 12 cells x 17 seeds = 204 >= 200 runs per (n, f)
 SWEEP_SEEDS = 30
 # sha256 over every grid report's JSON, in grid order; moves only when some
 # run's observable behaviour does
@@ -56,24 +53,13 @@ def verdict(num, name, ok, detail):
 
 
 def run_one(n, f, seed, policy, fault, instances=1, request_size=32):
-    byz = ()
-    if fault != "honest":
-        # exactly f faulty parties; crash times staggered across seeds
-        byz = tuple(BehaviorSpec(p, fault, at_step=(seed * 7) % 40) for p in range(f))
-    cfg = SimConfig(n=n, f=f, seed=seed, instances=instances, policy=policy,
-                    pool_size=16, batch_size=8, request_size=request_size,
-                    byzantine=byz)
+    cfg = grid_config(n, f, seed, policy, fault, instances, request_size)
     return cfg, sim_run(cfg)
 
 
 def grid_reports():
     if "grid" not in _cache:
-        rows = []
-        for (n, f), fault, policy in itertools.product(GRID, FAULTS, FAIR_POLICIES):
-            for seed in range(SEEDS_PER_CELL):
-                cfg, rep = run_one(n, f, seed, policy, fault)
-                rows.append((cfg, fault, rep))
-        _cache["grid"] = rows
+        _cache["grid"] = list(grid_runs())
     return _cache["grid"]
 
 

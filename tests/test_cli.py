@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from slimabc import SimConfig, cli, key_setup, sim_run
-from slimabc.config import scenario_dict
+from slimabc import SimConfig, cli, grid, key_setup, sim_run
+from slimabc.config import config_from_dict, scenario_dict
 from slimabc.simnet import TRACE_FORMAT
 
 
@@ -275,3 +275,73 @@ def test_replay_rejects_malformed_trace(tmp_path, capsys, damage):
     trace.write_text("\n".join(lines) + "\n")
     assert cli.main(["replay", "--trace", str(trace)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_grid(tmp_path_factory):
+    """A grid file written by `slimabc grid` with one seed per cell (36 runs)."""
+    path = tmp_path_factory.mktemp("grid") / "grid.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "SEEDS_PER_CELL", 1)
+        assert cli.main(["grid", "--out", str(path)]) == 0
+    return path
+
+
+def test_grid_writes_one_config_and_report_line_per_run(small_grid):
+    runs = [json.loads(line) for line in small_grid.read_text().splitlines()]
+    assert len(runs) == len(grid.GRID) * len(grid.FAULTS) * len(grid.FAIR_POLICIES)
+    assert all(set(r) == {"config", "report"} for r in runs)
+    assert {r["config"]["policy"] for r in runs} == set(grid.FAIR_POLICIES)
+    for r in runs[::7]:
+        assert sim_run(config_from_dict(r["config"])).to_dict() == r["report"]
+
+
+def test_diff_of_a_grid_file_with_itself_is_empty(small_grid, capsys):
+    capsys.readouterr()
+    assert cli.main(["diff", str(small_grid), str(small_grid)]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def _planted(small_grid, tmp_path, run, field, change):
+    runs = [json.loads(line) for line in small_grid.read_text().splitlines()]
+    runs[run]["report"][field] = change(runs[run]["report"][field])
+    path = tmp_path / "planted.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    return runs, path
+
+
+def test_diff_names_a_planted_change_with_its_run(small_grid, tmp_path, capsys):
+    runs, planted = _planted(small_grid, tmp_path, 5, "steps", lambda v: v + 7)
+    capsys.readouterr()
+    assert cli.main(["diff", str(small_grid), str(planted), "--allow", "bytes"]) == 1
+    old = runs[5]["report"]["steps"] - 7
+    label = grid.run_label(5, runs[5]["config"])
+    assert capsys.readouterr().out.splitlines() == [
+        f"steps: 1 of {len(runs)} runs differ, delta +7 .. +7 (not allowed)",
+        f"  {label}: {old} -> {old + 7} (+7)"]
+    assert label.startswith("run 5 (n=4 seed=0 ")
+    # a field that is not an int is named with its run, without a delta
+    _, planted = _planted(small_grid, tmp_path, 30, "decisions", lambda v: {})
+    assert cli.main(["diff", str(small_grid), str(planted)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"decisions: 1 of {len(runs)} runs differ (not allowed)",
+        f"  {grid.run_label(30, runs[30]['config'])}"]
+
+
+def test_diff_allowing_the_planted_field_exits_0(small_grid, tmp_path, capsys):
+    _, planted = _planted(small_grid, tmp_path, 5, "steps", lambda v: v + 7)
+    assert cli.main(["diff", str(small_grid), str(planted), "--allow", "bytes", "steps"]) == 0
+    assert capsys.readouterr().out.startswith("steps: 1 of ")
+    assert cli.main(["diff", str(small_grid), str(planted), "--allow", "bytes",
+                     "--allow", "steps"]) == 0
+
+
+def test_diff_of_different_run_lists_exits_1(small_grid, tmp_path, capsys):
+    lines = small_grid.read_text().splitlines()
+    shorter = tmp_path / "shorter.jsonl"
+    shorter.write_text("\n".join(lines[:-1]) + "\n")
+    assert cli.main(["diff", str(small_grid), str(shorter), "--allow", "steps"]) == 1
+    assert capsys.readouterr().out.startswith(f"run lists differ: {len(lines)} runs against ")
+    assert cli.main(["diff", str(small_grid), str(tmp_path / "missing.jsonl")]) == 2
+    shorter.write_text("[1, 2]\n")
+    assert cli.main(["diff", str(small_grid), str(shorter)]) == 2

@@ -1,8 +1,8 @@
 """The simulator's module layout: one concern per module, imports one way.
 
 The protocol layers never import the simulator; `config`, `adversary` and
-`recorder` never import the event loop, which only `cli` and the package
-import; and the names the benchmark reads as `simnet.X` are the objects
+`recorder` never import the event loop, which only `cli`, the acceptance
+grid and the package import; and the names the benchmark reads as `simnet.X` are the objects
 their home modules define.
 """
 import ast
@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "slimabc"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 PROTOCOL_LAYERS = ("protocol", "invocation", "abba", "ppb", "committee", "crypto", "messages")
-SIMULATOR = ("config", "adversary", "recorder", "simnet")
+SIMULATOR = ("config", "adversary", "recorder", "simnet", "grid")
 SIMNET_DEFINES = {"TRACE_FORMAT", "deliver", "sim_run", "replay_trace", "make_proven_pair",
                   "HarnessParty", "abba_harness_run"}
 
@@ -47,8 +47,10 @@ def package_imports(name: str) -> set:
 GRAPH = {name: package_imports(name) for name in MODULES}
 
 
-def test_only_cli_and_the_package_import_the_event_loop():
-    assert {name for name, deps in GRAPH.items() if "simnet" in deps} == {"cli", "__init__"}
+def test_only_cli_grid_and_the_package_import_the_event_loop():
+    assert {name for name, deps in GRAPH.items() if "simnet" in deps} \
+        == {"cli", "grid", "__init__"}
+    assert GRAPH["grid"] == {"config", "metrics", "simnet"}
 
 
 @pytest.mark.parametrize("name", PROTOCOL_LAYERS)
