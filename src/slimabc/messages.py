@@ -33,7 +33,15 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from .crypto import Ciphertext, record
+from .crypto import (
+    TAG_LEN,
+    Ciphertext,
+    CoinShare,
+    DecryptionShare,
+    SignatureShare,
+    ThresholdSignature,
+    record,
+)
 
 BROADCAST = -1
 
@@ -65,9 +73,12 @@ def _pack_fields(obj, wire) -> bytes:
     return b"".join([pack(getattr(obj, name)) for name, pack in wire])
 
 
-# Wire types: each packs the value of one field.
+# Wire types: each packs the value of one field.  A share travels as its tag
+# alone; `READ` restores its signer or holder.
 U8 = struct.Struct(">B").pack
-SHARE = operator.attrgetter("share_bytes")  # the tag alone; the signer is not on the wire
+SHARE = operator.attrgetter("share_bytes")  # a SignatureShare
+COIN_SHARE = operator.attrgetter("share_bytes")
+DEC_SHARE = operator.attrgetter("share_bytes")
 SIG = operator.attrgetter("sig_bytes")
 
 
@@ -229,7 +240,7 @@ def carries_pair(m) -> bool:
 _SLOT, _ROUND = ("slot", VARINT), ("round", VARINT)
 _PAIR = (("ciphertext", CIPHERTEXT), ("proof", SIG))
 WIRE = {
-    CsShare: (("share", SHARE),),
+    CsShare: (("share", COIN_SHARE),),
     PpbPayload: (_SLOT, ("ciphertext", CIPHERTEXT)),
     PpbShare: (_SLOT, ("share", SHARE)),
     Proposal: (_SLOT, *_PAIR),
@@ -239,11 +250,11 @@ WIRE = {
     AbbaPrevote: (_SLOT, _ROUND, ("bit", U8), ("justification", JUSTIFICATION), ("share", SHARE)),
     AbbaMainvote: (_SLOT, _ROUND, ("value", U8), ("justification", JUSTIFICATION),
                    ("share", SHARE)),
-    AbbaCoinShare: (_SLOT, _ROUND, ("share", SHARE)),
+    AbbaCoinShare: (_SLOT, _ROUND, ("share", COIN_SHARE)),
     AbbaDecision: (_SLOT, _ROUND, ("bit", U8), ("sig", SIG)),
     Recover: (_SLOT,),
     RecoverResp: (_SLOT, *_PAIR),
-    DecShare: (_SLOT, ("share", SHARE)),
+    DecShare: (_SLOT, ("share", DEC_SHARE)),
 }
 JUSTIFICATION_WIRE = {  # after the kind byte
     JUST_NONE: (),
@@ -262,6 +273,8 @@ WIDTH = {
     U8: 1,
     VARINT: varint_width,
     SHARE: lambda share: len(share.share_bytes),
+    COIN_SHARE: lambda share: len(share.share_bytes),
+    DEC_SHARE: lambda share: len(share.share_bytes),
     SIG: lambda sig: len(sig.sig_bytes),
     CIPHERTEXT: lambda c: _blob_width(len(c.payload)) + varint_width(c.length_plain),
     JUSTIFICATION: lambda j: 1 + _walk_size(j, _JUSTIFICATION_SIZES[j.kind]),
@@ -290,6 +303,122 @@ _JUSTIFICATION_SIZES = {kind: _fold(wire) for kind, wire in JUSTIFICATION_WIRE.i
 def body_size(m) -> int:
     """len(m.encode_body()), from the widths of the fields `WIRE` lists."""
     return _walk_size(m, _BODY_SIZES[type(m)])
+
+
+# -- decoding ------------------------------------------------------------------
+#
+# `READ` gives each wire type's reader, read(data, off, ctx, name) -> (value,
+# offset after it), which refuses what the type's packer cannot have written
+# with ValueError.  `ctx` holds the envelope's sender and instance and the
+# fields read so far at this level; `name` is the field being read.  A share's
+# signer is the `signer` read before it at its level, else the envelope
+# sender, and a coin or decryption share's holder the envelope sender.
+
+
+def _read_bytes(data: bytes, off: int, size: int) -> Tuple[bytes, int]:
+    end = off + size
+    if end > len(data):
+        raise ValueError("truncated field")
+    return data[off:end], end
+
+
+def _read_u8(data, off, ctx, name):
+    if off >= len(data):
+        raise ValueError("truncated field")
+    return data[off], off + 1
+
+
+def _read_tag(kind, holder):
+    def read(data, off, ctx, name):
+        tag, off = _read_bytes(data, off, TAG_LEN)
+        return kind(holder(ctx), tag), off
+    return read
+
+
+def _read_sig(data, off, ctx, name):
+    tag, off = _read_bytes(data, off, TAG_LEN)
+    return ThresholdSignature(tag), off
+
+
+def _read_blob(data, off):
+    size, off = read_varint(data, off)
+    return _read_bytes(data, off, size)
+
+
+def _read_ciphertext(data, off, ctx, name):
+    payload, off = _read_blob(data, off)
+    length_plain, off = read_varint(data, off)
+    return Ciphertext(payload, length_plain), off
+
+
+def _read_justification(data, off, ctx, name):
+    kind, off = _read_u8(data, off, ctx, name)
+    if kind not in JUSTIFICATION_WIRE:
+        raise ValueError(f"unknown justification kind {kind}")
+    values, off = _read_fields(JUSTIFICATION_WIRE[kind], data, off, ctx)
+    return Justification(kind, **values), off
+
+
+def _read_prevote(data, off, ctx, name):
+    body, off = _read_blob(data, off)
+    return decode_body(AbbaPrevote.TAG, ctx["sender"], ctx["instance"], body), off
+
+
+READ = {
+    U8: _read_u8,
+    VARINT: lambda data, off, ctx, name: read_varint(data, off),
+    SHARE: _read_tag(SignatureShare, lambda ctx: ctx.get("signer", ctx["sender"])),
+    COIN_SHARE: _read_tag(CoinShare, lambda ctx: ctx["sender"]),
+    DEC_SHARE: _read_tag(DecryptionShare, lambda ctx: ctx["sender"]),
+    SIG: _read_sig,
+    CIPHERTEXT: _read_ciphertext,
+    JUSTIFICATION: _read_justification,
+    PREVOTE: _read_prevote,
+}
+
+
+def _read_fields(wire, data: bytes, off: int, outer: dict) -> Tuple[dict, int]:
+    """The fields `wire` lists, read from data[off:], and the offset after
+    them; each reader sees `outer`'s context and the fields before its own."""
+    ctx, values = dict(outer), {}
+    for name, t in wire:
+        values[name], off = READ[t](data, off, ctx, name)
+        ctx[name] = values[name]
+    return values, off
+
+
+KINDS = {kind.TAG: kind for kind in WIRE}
+
+
+def decode_body(tag: int, sender: int, instance: int, body: bytes):
+    """The message of kind `tag` whose body is `body`, sent by `sender` in
+    `instance`; ValueError if `body` is not exactly one such body."""
+    kind = KINDS.get(tag)
+    if kind is None:
+        raise ValueError(f"unknown tag {tag}")
+    values, off = _read_fields(WIRE[kind], body, 0, {"sender": sender, "instance": instance})
+    if off != len(body):
+        raise ValueError("trailing bytes after the body")
+    return kind(instance=instance, **values)
+
+
+def decode(data: bytes) -> "Envelope":
+    """The envelope `data` encodes, addressed to no one in particular (the
+    destination is not on the wire); ValueError if `data` is not exactly
+    one envelope."""
+    if len(data) < ENVELOPE_HEADER:
+        raise ValueError("truncated envelope header")
+    sender, instance, count = HEADER.unpack_from(data)
+    off, entries = ENVELOPE_HEADER, []
+    for _ in range(count):
+        if off + ENTRY_HEADER > len(data):
+            raise ValueError("truncated entry header")
+        tag, length = ENTRY.unpack_from(data, off)
+        body, off = _read_bytes(data, off + ENTRY_HEADER, length)
+        entries.append(decode_body(tag, sender, instance, body))
+    if off != len(data):
+        raise ValueError("trailing bytes after the envelope")
+    return Envelope(sender, instance, tuple(entries))
 
 
 @dataclass(slots=True)

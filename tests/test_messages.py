@@ -48,6 +48,7 @@ from slimabc.messages import (
     PpbPayload,
     PpbShare,
     Proposal,
+    READ,
     Recover,
     RecoverResp,
     Suggestion,
@@ -58,6 +59,7 @@ from slimabc.messages import (
     _Message,
     body_size,
     carries_pair,
+    decode,
     entries_size,
     read_varint,
 )
@@ -200,9 +202,9 @@ def test_size_equals_encoded_length_of_drawn_entries(sender, instance, entries):
     assert entries_size(entries) == len(Envelope(sender, instance, tuple(entries)).encode())
 
 
-def test_every_wire_type_has_a_width():
+def test_every_wire_type_has_a_width_and_a_reader():
     used = {t for table in (*WIRE.values(), *JUSTIFICATION_WIRE.values()) for _, t in table}
-    assert used <= set(WIDTH)
+    assert used <= set(WIDTH) and used <= set(READ)
     for t in used:
         if type(WIDTH[t]) is int:
             assert len(t(0)) == WIDTH[t]
@@ -442,3 +444,46 @@ def test_wire_bytes_pinned(monkeypatch):
         runs += 1
     assert runs == 48
     assert h.hexdigest() == WIRE_DIGEST
+
+
+def canonical_sender(m):
+    """The envelope sender whose envelope carries `m` as `m` was built: the
+    signer or holder of its own share (0 for a kind without one)."""
+    share = getattr(m, "share", None)
+    return 0 if share is None else share[0]
+
+
+def round_trip(m, sender=None):
+    sender = canonical_sender(m) if sender is None else sender
+    env = Envelope(sender, m.instance, (m,))
+    back = decode(env.encode())
+    assert (back.sender, back.instance) == (sender, m.instance)
+    return back.entries[0]
+
+
+def test_decode_inverts_encode_for_every_kind():
+    for m in one_of_each():
+        if getattr(m, "justification", None) is None or m.justification.kind != JUST_CONFLICT:
+            assert round_trip(m) == m, type(m).__name__
+    msgs = tuple(one_of_each())
+    env = Envelope(2, 1, tuple(m for m in msgs if canonical_sender(m) == 2))
+    assert decode(env.encode()) == env and len(env.entries) > 10
+
+
+def test_conflict_mainvote_round_trips():
+    """An abstain embeds two pre-votes signed by parties other than its own
+    sender; a receiver checks each with its own signer, so the wire must
+    carry them."""
+    p = key_setup(128, 4, 1)
+    sig = p.combine_shares(b"m", [p.sig_share(i, b"m") for i in range(3)])
+    pv0 = AbbaPrevote(1, 3, 2, 0, Justification(JUST_PREVOTE_THRESHOLD, sig=sig),
+                      p.sig_share(0, b"pv0"))
+    pv1 = AbbaPrevote(1, 3, 2, 1, Justification(JUST_ABSTAIN_THRESHOLD, sig=sig),
+                      p.sig_share(3, b"pv1"))
+    mv = AbbaMainvote(1, 3, 2, ABSTAIN,
+                      Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1),
+                      p.sig_share(1, b"mv"))
+    back = round_trip(mv)
+    assert back.justification.prevote_zero.share.signer == 0
+    assert back.justification.prevote_one.share.signer == 3
+    assert back == mv
