@@ -1,24 +1,48 @@
-"""Wire messages and their binary encoding.
+"""Wire messages and their binary encoding and decoding.
 
 `WIRE` lists each message kind's wire fields in order, with their wire types,
-and `JUSTIFICATION_WIRE` each justification kind's; the one `encode_body`
-walks them, so every message has exactly one byte representation.  The bytes
-hold every field but the instance (the envelope header carries it), a share's
-signer or holder (the envelope sender) and the share signer of each pre-vote
-a conflict main-vote embeds (ROADMAP item 1); `test_off_wire_fields_pinned`
-in `tests/test_messages.py` pins that list.  A V-claim is its slot and bit
-alone: the bit is the paper's claim, though no receiver reads it (a receiver
-counts claims, and its own input is whether it holds the pair).
+and `JUSTIFICATION_WIRE` each justification kind's.  The one `encode_body`
+walks them and `decode` walks them back, so every message has exactly one
+byte representation and reads back as itself.  The bytes hold every field
+but these, which `decode` restores:
 
-Every integer in a body (slot, round, a pre-process signer, a length, a
-plaintext length) is a `VARINT`: canonical unsigned LEB128, seven bits a
-byte, low group first, so a value below 128 takes one byte.  Only the
-envelope's headers keep fixed widths: `HEADER`, and per entry a tag byte and
-a 4-byte body length (`ENTRY`).
+* the instance, from the envelope header;
+* the signer or holder of a message's own share: the envelope sender;
+* the share signer of a pre-process-one justification: its `signer`;
+* the instance, slot, round and bit of each pre-vote a conflict
+  justification embeds: the first three are the carrying vote's, and the
+  bit is the pre-vote's place (`prevote_zero` 0, `prevote_one` 1).
+
+`test_off_wire_fields_pinned` in `tests/test_messages.py` pins that list.  A
+V-claim is its slot and bit alone: the bit is the paper's claim, though no
+receiver reads it (a receiver counts claims, and its own input is whether it
+holds the pair).
+
+Every integer in a body (slot, a vote head, a signer, a length, a plaintext
+length) is a `VARINT`: canonical unsigned LEB128, seven bits a byte, low
+group first, so a value below 128 takes one byte.  Two heads pack a vote's
+small fields into one varint:
+
+* a pre-vote or main-vote's `VOTE` head is `round << 5 | value << 3 | kind`:
+  the round, the bit or value (0, 1, or `ABSTAIN` for a main-vote) and the
+  justification's kind, whose fields follow it.  Rounds 1-3 take one byte;
+* a decision's `DECISION` head is `round << 1 | bit`, one byte to round 63.
+
+An embedded pre-vote (`PREVOTE`) is its justification, a kind byte then the
+kind's fields, and its share: the signer as a `VARINT`, then the tag.  Every
+share and signature tag is `TAG_LEN` bytes.  Encoding raises struct.error for
+what the wire cannot carry: a tag of another length, a head bit, value or
+kind out of range, a negative integer.  Only the envelope's headers keep
+fixed widths: `HEADER`, and per entry a tag byte and a 4-byte body length
+(`ENTRY`).
 
 `WIDTH` gives each wire type's width, a number or a function of the value,
 and `body_size` walks the same tables with each kind's fixed widths summed
-once, so an envelope is sized without being encoded.
+once, so an envelope is sized without being encoded.  `READ` gives each
+wire type's reader; `decode` (an envelope) and `decode_body` (one entry)
+raise ValueError on bytes no encoding writes: truncated or trailing bytes,
+an overlong varint, an unknown tag or justification kind, or a head with
+value 3.
 
 Each message kind and `Justification` is a `crypto.Record`: an immutable
 named tuple that equals only a message of its own kind.  Messages one party
@@ -69,17 +93,23 @@ ENTRY = struct.Struct(">BI")  # each entry: tag, body length
 ENTRY_HEADER = ENTRY.size
 
 
-def _pack_fields(obj, wire) -> bytes:
-    return b"".join([pack(getattr(obj, name)) for name, pack in wire])
+def _getter(name):
+    """The value a table entry packs: one field, or a tuple of several."""
+    return operator.attrgetter(*name) if type(name) is tuple else operator.attrgetter(name)
 
 
-# Wire types: each packs the value of one field.  A share travels as its tag
-# alone; `READ` restores its signer or holder.
+def _packers(wire) -> tuple:
+    return tuple((_getter(name), pack) for name, pack in wire)
+
+
+def _pack_fields(obj, packers) -> bytes:
+    return b"".join([pack(get(obj)) for get, pack in packers])
+
+
+# Wire types: each packs the value of one table entry.
+
+
 U8 = struct.Struct(">B").pack
-SHARE = operator.attrgetter("share_bytes")  # a SignatureShare
-COIN_SHARE = operator.attrgetter("share_bytes")
-DEC_SHARE = operator.attrgetter("share_bytes")
-SIG = operator.attrgetter("sig_bytes")
 
 
 def VARINT(v: int) -> bytes:
@@ -116,6 +146,34 @@ def read_varint(data: bytes, off: int) -> Tuple[int, int]:
         shift += 7
 
 
+def _tag(b: bytes) -> bytes:
+    if len(b) != TAG_LEN:
+        raise struct.error(f"a {len(b)}-byte tag; the wire carries {TAG_LEN}")
+    return b
+
+
+# A share travels as its tag alone (`READ` restores its signer or holder),
+# except an embedded pre-vote's, whose signer no envelope field names.
+def SHARE(share: SignatureShare) -> bytes:
+    return _tag(share.share_bytes)
+
+
+def COIN_SHARE(share: CoinShare) -> bytes:
+    return _tag(share.share_bytes)
+
+
+def DEC_SHARE(share: DecryptionShare) -> bytes:
+    return _tag(share.share_bytes)
+
+
+def SIGNED_SHARE(share: SignatureShare) -> bytes:
+    return VARINT(share.signer) + _tag(share.share_bytes)
+
+
+def SIG(sig: ThresholdSignature) -> bytes:
+    return _tag(sig.sig_bytes)
+
+
 def _blob(b: bytes) -> bytes:
     return VARINT(len(b)) + b
 
@@ -128,12 +186,32 @@ def CIPHERTEXT(c: Ciphertext) -> bytes:
     return _blob(c.payload) + VARINT(c.length_plain)
 
 
+def VOTE(fields: tuple) -> bytes:
+    """A vote's (round, bit or value, justification): the head, then the
+    justification's fields."""
+    r, value, j = fields
+    if value not in (0, 1, ABSTAIN) or j.kind not in JUSTIFICATION_WIRE:
+        raise struct.error(f"a vote head cannot carry value {value!r}, kind {j.kind!r}")
+    return VARINT(r << 5 | value << 3 | j.kind) + _pack_fields(j, _JUSTIFICATION_PACKERS[j.kind])
+
+
+def DECISION(fields: tuple) -> bytes:
+    """A decision's (round, bit) as one head."""
+    r, bit = fields
+    if bit not in (0, 1):
+        raise struct.error(f"a decision head cannot carry bit {bit!r}")
+    return VARINT(r << 1 | bit)
+
+
 def JUSTIFICATION(j: Justification) -> bytes:
-    return U8(j.kind) + _pack_fields(j, JUSTIFICATION_WIRE[j.kind])
+    """An embedded pre-vote's justification: its kind byte, then its fields."""
+    if j.kind not in JUSTIFICATION_WIRE:
+        raise struct.error(f"justification kind {j.kind!r}")
+    return U8(j.kind) + _pack_fields(j, _JUSTIFICATION_PACKERS[j.kind])
 
 
-def PREVOTE(pv: "AbbaPrevote") -> bytes:  # embedded, so its share signer is off the wire
-    return _blob(pv.encode_body())
+def PREVOTE(pv: "AbbaPrevote") -> bytes:
+    return _pack_fields(pv, _EMBEDDED_PREVOTE_PACKERS)
 
 
 class _Message:
@@ -144,7 +222,7 @@ class _Message:
     __slots__ = ()
 
     def encode_body(self) -> bytes:
-        return _pack_fields(self, WIRE[type(self)])
+        return _pack_fields(self, _BODY_PACKERS[type(self)])
 
 
 class CsShare(_Message, record("instance share")):
@@ -236,8 +314,9 @@ def carries_pair(m) -> bool:
     return isinstance(m, (Proposal, Suggestion, RecoverResp))
 
 
-# The format: each kind's wire fields in order, as (field, wire type).
-_SLOT, _ROUND = ("slot", VARINT), ("round", VARINT)
+# The format: each kind's wire fields in order, as (field, wire type); a head
+# packs a tuple of fields.
+_SLOT = ("slot", VARINT)
 _PAIR = (("ciphertext", CIPHERTEXT), ("proof", SIG))
 WIRE = {
     CsShare: (("share", COIN_SHARE),),
@@ -247,16 +326,15 @@ WIRE = {
     Suggestion: (_SLOT, *_PAIR),
     VMsg: (_SLOT, ("u", U8)),
     AbbaPreprocess: (_SLOT, ("bit", U8), ("share", SHARE)),
-    AbbaPrevote: (_SLOT, _ROUND, ("bit", U8), ("justification", JUSTIFICATION), ("share", SHARE)),
-    AbbaMainvote: (_SLOT, _ROUND, ("value", U8), ("justification", JUSTIFICATION),
-                   ("share", SHARE)),
-    AbbaCoinShare: (_SLOT, _ROUND, ("share", COIN_SHARE)),
-    AbbaDecision: (_SLOT, _ROUND, ("bit", U8), ("sig", SIG)),
+    AbbaPrevote: (_SLOT, (("round", "bit", "justification"), VOTE), ("share", SHARE)),
+    AbbaMainvote: (_SLOT, (("round", "value", "justification"), VOTE), ("share", SHARE)),
+    AbbaCoinShare: (_SLOT, ("round", VARINT), ("share", COIN_SHARE)),
+    AbbaDecision: (_SLOT, (("round", "bit"), DECISION), ("sig", SIG)),
     Recover: (_SLOT,),
     RecoverResp: (_SLOT, *_PAIR),
     DecShare: (_SLOT, ("share", DEC_SHARE)),
 }
-JUSTIFICATION_WIRE = {  # after the kind byte
+JUSTIFICATION_WIRE = {  # after the kind, which a vote head or a kind byte holds
     JUST_NONE: (),
     JUST_PREPROCESS_ONE: (("signer", VARINT), ("share", SHARE)),
     JUST_PREPROCESS_ZERO: (("sig", SIG),),
@@ -264,40 +342,52 @@ JUSTIFICATION_WIRE = {  # after the kind byte
     JUST_ABSTAIN_THRESHOLD: (("sig", SIG),),
     JUST_CONFLICT: (("prevote_zero", PREVOTE), ("prevote_one", PREVOTE)),
 }
+EMBEDDED_PREVOTE_WIRE = (("justification", JUSTIFICATION), ("share", SIGNED_SHARE))
 
 Message = Union[tuple(WIRE)]  # any message kind
 
+_BODY_PACKERS = {kind: _packers(wire) for kind, wire in WIRE.items()}
+_JUSTIFICATION_PACKERS = {kind: _packers(wire) for kind, wire in JUSTIFICATION_WIRE.items()}
+_EMBEDDED_PREVOTE_PACKERS = _packers(EMBEDDED_PREVOTE_WIRE)
+
 # Each wire type's width in bytes: a number for a fixed width, else a function
-# of the value, which is what the type packs.
+# of the value, which is what the type packs.  A vote head's value and kind
+# take its low five bits, so only its round decides whether it fits one byte.
 WIDTH = {
     U8: 1,
     VARINT: varint_width,
-    SHARE: lambda share: len(share.share_bytes),
-    COIN_SHARE: lambda share: len(share.share_bytes),
-    DEC_SHARE: lambda share: len(share.share_bytes),
-    SIG: lambda sig: len(sig.sig_bytes),
+    SHARE: TAG_LEN,
+    COIN_SHARE: TAG_LEN,
+    DEC_SHARE: TAG_LEN,
+    SIGNED_SHARE: lambda share: varint_width(share.signer) + TAG_LEN,
+    SIG: TAG_LEN,
     CIPHERTEXT: lambda c: _blob_width(len(c.payload)) + varint_width(c.length_plain),
+    VOTE: lambda v: ((1 if v[0] < 4 else varint_width(v[0] << 5))
+                     + _walk_size(v[2], _JUSTIFICATION_SIZES[v[2].kind])),
+    DECISION: lambda d: 1 if d[0] < 64 else varint_width(d[0] << 1),
     JUSTIFICATION: lambda j: 1 + _walk_size(j, _JUSTIFICATION_SIZES[j.kind]),
-    PREVOTE: lambda pv: _blob_width(body_size(pv)),
+    PREVOTE: lambda pv: _walk_size(pv, _EMBEDDED_PREVOTE_SIZES),
 }
 
 
 def _fold(wire) -> tuple:
-    """A field table as (the sum of its fixed widths, (field, width function)
-    of each other field)."""
+    """A field table as (the sum of its fixed widths, (getter, width
+    function) of each other entry)."""
     fixed = sum(WIDTH[t] for _, t in wire if type(WIDTH[t]) is int)
-    return fixed, tuple((name, WIDTH[t]) for name, t in wire if type(WIDTH[t]) is not int)
+    return fixed, tuple((_getter(name), WIDTH[t]) for name, t in wire
+                        if type(WIDTH[t]) is not int)
 
 
 def _walk_size(obj, folded) -> int:
     fixed, variable = folded
-    for name, width in variable:
-        fixed += width(getattr(obj, name))
+    for get, width in variable:
+        fixed += width(get(obj))
     return fixed
 
 
 _BODY_SIZES = {kind: _fold(wire) for kind, wire in WIRE.items()}
 _JUSTIFICATION_SIZES = {kind: _fold(wire) for kind, wire in JUSTIFICATION_WIRE.items()}
+_EMBEDDED_PREVOTE_SIZES = _fold(EMBEDDED_PREVOTE_WIRE)
 
 
 def body_size(m) -> int:
@@ -308,11 +398,11 @@ def body_size(m) -> int:
 # -- decoding ------------------------------------------------------------------
 #
 # `READ` gives each wire type's reader, read(data, off, ctx, name) -> (value,
-# offset after it), which refuses what the type's packer cannot have written
-# with ValueError.  `ctx` holds the envelope's sender and instance and the
-# fields read so far at this level; `name` is the field being read.  A share's
-# signer is the `signer` read before it at its level, else the envelope
-# sender, and a coin or decryption share's holder the envelope sender.
+# offset after it), which raises ValueError on bytes the type's packer never
+# writes.  `ctx` holds the envelope's sender and instance and every field read
+# so far at this level and the levels that hold it; `name` is the entry's
+# field.  A share's signer is the `signer` read before it at its level, else
+# the envelope sender; a coin or decryption share's holder is the sender.
 
 
 def _read_bytes(data: bytes, off: int, size: int) -> Tuple[bytes, int]:
@@ -328,6 +418,10 @@ def _read_u8(data, off, ctx, name):
     return data[off], off + 1
 
 
+def _read_varint(data, off, ctx, name):
+    return read_varint(data, off)
+
+
 def _read_tag(kind, holder):
     def read(data, off, ctx, name):
         tag, off = _read_bytes(data, off, TAG_LEN)
@@ -335,43 +429,70 @@ def _read_tag(kind, holder):
     return read
 
 
+def _read_signed_share(data, off, ctx, name):
+    signer, off = read_varint(data, off)
+    tag, off = _read_bytes(data, off, TAG_LEN)
+    return SignatureShare(signer, tag), off
+
+
 def _read_sig(data, off, ctx, name):
     tag, off = _read_bytes(data, off, TAG_LEN)
     return ThresholdSignature(tag), off
 
 
-def _read_blob(data, off):
-    size, off = read_varint(data, off)
-    return _read_bytes(data, off, size)
-
-
 def _read_ciphertext(data, off, ctx, name):
-    payload, off = _read_blob(data, off)
+    size, off = read_varint(data, off)
+    payload, off = _read_bytes(data, off, size)
     length_plain, off = read_varint(data, off)
     return Ciphertext(payload, length_plain), off
 
 
-def _read_justification(data, off, ctx, name):
-    kind, off = _read_u8(data, off, ctx, name)
+def _read_justification_fields(kind, data, off, ctx):
     if kind not in JUSTIFICATION_WIRE:
         raise ValueError(f"unknown justification kind {kind}")
     values, off = _read_fields(JUSTIFICATION_WIRE[kind], data, off, ctx)
     return Justification(kind, **values), off
 
 
+def _read_vote(data, off, ctx, name):
+    head, off = read_varint(data, off)
+    r, value = head >> 5, head >> 3 & 3
+    if value > ABSTAIN:
+        raise ValueError(f"vote head with value {value}")
+    j, off = _read_justification_fields(head & 7, data, off, {**ctx, "round": r})
+    return (r, value, j), off
+
+
+def _read_decision(data, off, ctx, name):
+    head, off = read_varint(data, off)
+    return (head >> 1, head & 1), off
+
+
+def _read_justification(data, off, ctx, name):
+    kind, off = _read_u8(data, off, ctx, name)
+    return _read_justification_fields(kind, data, off, ctx)
+
+
+_PLACE_BIT = {"prevote_zero": 0, "prevote_one": 1}
+
+
 def _read_prevote(data, off, ctx, name):
-    body, off = _read_blob(data, off)
-    return decode_body(AbbaPrevote.TAG, ctx["sender"], ctx["instance"], body), off
+    values, off = _read_fields(EMBEDDED_PREVOTE_WIRE, data, off, ctx)
+    return AbbaPrevote(ctx["instance"], ctx["slot"], ctx["round"], _PLACE_BIT[name],
+                       **values), off
 
 
 READ = {
     U8: _read_u8,
-    VARINT: lambda data, off, ctx, name: read_varint(data, off),
+    VARINT: _read_varint,
     SHARE: _read_tag(SignatureShare, lambda ctx: ctx.get("signer", ctx["sender"])),
     COIN_SHARE: _read_tag(CoinShare, lambda ctx: ctx["sender"]),
     DEC_SHARE: _read_tag(DecryptionShare, lambda ctx: ctx["sender"]),
+    SIGNED_SHARE: _read_signed_share,
     SIG: _read_sig,
     CIPHERTEXT: _read_ciphertext,
+    VOTE: _read_vote,
+    DECISION: _read_decision,
     JUSTIFICATION: _read_justification,
     PREVOTE: _read_prevote,
 }
@@ -379,11 +500,15 @@ READ = {
 
 def _read_fields(wire, data: bytes, off: int, outer: dict) -> Tuple[dict, int]:
     """The fields `wire` lists, read from data[off:], and the offset after
-    them; each reader sees `outer`'s context and the fields before its own."""
+    them; each reader sees `outer` and the fields read before its own."""
     ctx, values = dict(outer), {}
     for name, t in wire:
-        values[name], off = READ[t](data, off, ctx, name)
-        ctx[name] = values[name]
+        value, off = READ[t](data, off, ctx, name)
+        if type(name) is tuple:
+            values.update(zip(name, value))
+        else:
+            values[name] = value
+        ctx.update(values)
     return values, off
 
 

@@ -265,6 +265,20 @@ def test_abstain_embeds_two_justified_prevotes():
     assert 1 not in m2._mainvotes.get(1, {})
 
 
+def test_abstain_embedded_prevotes_must_be_of_its_round():
+    """The wire gives an embedded pre-vote its main-vote's round, but a
+    message built in memory can hold another: it is not counted."""
+    provider, machines = make_machines()
+    m = machines[0]
+    pv0, pv1 = justified_prevotes(provider)
+    mv_share = sig_for(provider, 1, mainvote_bytes(INSTANCE, SLOT, 1, ABSTAIN))
+    for zero, one in ((pv0._replace(round=2), pv1), (pv0, pv1._replace(round=0))):
+        m.on_mainvote(1, AbbaMainvote(
+            INSTANCE, SLOT, 1, ABSTAIN,
+            Justification(JUST_CONFLICT, prevote_zero=zero, prevote_one=one), mv_share), [])
+        assert 1 not in m._mainvotes.get(1, {})
+
+
 def test_mainvote_needs_the_prevote_threshold_of_its_own_value():
     """A validly signed 0/1 main-vote whose pre-vote threshold signature is
     over other bytes (the other bit's pre-votes, or another round's) is not

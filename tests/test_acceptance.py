@@ -20,12 +20,12 @@ SWEEP = ((4, 1), (7, 2), (10, 3), (13, 4))
 SWEEP_SEEDS = 30
 # sha256 over every grid report's JSON, in grid order; moves only when some
 # run's observable behaviour does
-GRID_DIGEST = "edaa695bf20508ad7cbbcebf5f074ede06b806ac5c177130ba172ae69e3d180d"
+GRID_DIGEST = "b0b9a361f960a0f7515205cfb7766e9c3859b7a13f2cf4ed1d64b70f5942834e"
 # the same reports field by field: sha256 over one report field's JSON in each
 # grid report, in grid order, so a moved pin names the fields that moved
 GRID_FIELD_DIGESTS = {
     "assertions": "92c47a6677f3e386fd40da148e7f72ae66950853c34e4945e7567da9dc269ee9",
-    "bytes": "b2d361dee36f5dd5db1f104cccc82f6c833cfbcb1340e8a7cd0fafcfe303c897",
+    "bytes": "0d77de9f6708fa1b668d04e9a9edb2c9ccf6aab81b7d1bb46d5819759ca31272",
     "censorship": "4d0a3c5642020a3cb1ca8664627776ef69636acf823116fa4fa4e2fae293b007",
     "config": "7cc7d2ed8508b5897ec58d76b6bf1f0dd9aaf235009de5c9821cb628ee188f63",
     "decisions": "e55df0deb5a62e7c33d89b1b6d754ffacb93de69117717c8c24833c29ad9cdab",

@@ -18,7 +18,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # sha256 of the canonical JSON of {workload: {metric: value}}, seed 7.
-TRACED_COUNTS_DIGEST = "a59740e628e11a85b3a1f09c5494c73fe69011444e93a9045312ca96deeeca27"
+TRACED_COUNTS_DIGEST = "a7ec7268d9bc18261f739c2d869ad5753e7cdffd2753f84634db881127013e54"
 TIMES = ("simnet.us_per_step", "trace.overhead_ratio")
 
 

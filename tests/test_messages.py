@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from slimabc import BehaviorSpec, SimConfig, sim_run
 from slimabc.adversary import BEHAVIORS, POLICIES
 from slimabc.crypto import (
+    TAG_LEN,
     Ciphertext,
     CoinShare,
     DecryptionShare,
@@ -26,6 +27,11 @@ from slimabc.crypto import (
 )
 from slimabc.messages import (
     ABSTAIN,
+    COIN_SHARE,
+    DEC_SHARE,
+    EMBEDDED_PREVOTE_WIRE,
+    ENTRY,
+    HEADER,
     JUST_ABSTAIN_THRESHOLD,
     JUST_CONFLICT,
     JUST_NONE,
@@ -51,7 +57,10 @@ from slimabc.messages import (
     READ,
     Recover,
     RecoverResp,
+    SHARE,
+    SIG,
     Suggestion,
+    U8,
     VARINT,
     VMsg,
     WIDTH,
@@ -60,6 +69,7 @@ from slimabc.messages import (
     body_size,
     carries_pair,
     decode,
+    decode_body,
     entries_size,
     read_varint,
 )
@@ -149,65 +159,142 @@ def test_size_equals_encoded_length_for_every_kind():
     assert Envelope(0, 1, ()).size() == len(Envelope(0, 1, ()).encode())
 
 
-# Drawn messages: every kind and every justification kind, with shares,
-# signatures and payloads of any length (byzantine traffic need not carry
-# TAG_LEN-byte tags).
+# Drawn messages: every kind and every justification kind, with every field
+# the wire carries drawn (bits, values and rounds that receivers reject
+# included), and the fields it does not carry set as `decode` restores them
+# for an envelope from `sender` in `instance`.  Rounds are drawn at the head
+# widths' edges: a vote head fits one byte to round 3, a decision head to 63.
 u8, u16, u64 = (st.integers(0, 2**bits - 1) for bits in (8, 16, 64))
-tags = st.binary(max_size=40)
-shares = st.builds(SignatureShare, u16, tags)
-coin_shares = st.builds(CoinShare, u16, tags)
+ints = u16 | st.integers(0, 2**40)
+rounds = st.sampled_from((0, 1, 3, 4, 63, 64, 511, 512, 65535)) | ints
+tags = st.binary(min_size=TAG_LEN, max_size=TAG_LEN)
 sigs = st.builds(ThresholdSignature, tags)
 payloads = st.binary(max_size=64) | st.integers(0, 4096).map(bytes)
-cts = st.builds(Ciphertext, payloads, st.integers(0, 2**32 - 1))
+cts = st.builds(Ciphertext, payloads, ints)
 
 
-def _conflict(inner):
-    prevotes = st.builds(AbbaPrevote, u64, u16, u16, u8, inner, shares)
-    return st.builds(lambda zero, one: Justification(JUST_CONFLICT, prevote_zero=zero,
-                                                     prevote_one=one), prevotes, prevotes)
+@st.composite
+def justifications(draw, instance, slot, r, depth=0):
+    """A justification of any kind for a vote in (instance, slot, round r);
+    a conflict embeds two pre-votes of that slot and round, of bits 0 and 1."""
+    kind = draw(st.integers(JUST_NONE, JUST_CONFLICT if depth < 2 else JUST_ABSTAIN_THRESHOLD))
+    if kind == JUST_NONE:
+        return Justification(kind)
+    if kind == JUST_PREPROCESS_ONE:
+        signer = draw(ints)
+        return Justification(kind, signer=signer, share=SignatureShare(signer, draw(tags)))
+    if kind == JUST_CONFLICT:
+        zero, one = (AbbaPrevote(instance, slot, r, bit,
+                                 draw(justifications(instance, slot, r, depth + 1)),
+                                 SignatureShare(draw(ints), draw(tags))) for bit in (0, 1))
+        return Justification(kind, prevote_zero=zero, prevote_one=one)
+    return Justification(kind, sig=draw(sigs))
 
 
-justifications = st.recursive(
-    st.one_of(
-        st.just(Justification(JUST_NONE)),
-        st.builds(lambda signer, share: Justification(JUST_PREPROCESS_ONE, signer=signer,
-                                                      share=share), u16, shares),
-        st.builds(lambda kind, sig: Justification(kind, sig=sig),
-                  st.sampled_from((JUST_PREPROCESS_ZERO, JUST_PREVOTE_THRESHOLD,
-                                   JUST_ABSTAIN_THRESHOLD)), sigs)),
-    _conflict, max_leaves=4)
-DRAWN = {
-    CsShare: st.builds(CsShare, u64, coin_shares),
-    PpbPayload: st.builds(PpbPayload, u64, u16, cts),
-    PpbShare: st.builds(PpbShare, u64, u16, shares),
-    Proposal: st.builds(Proposal, u64, u16, cts, sigs),
-    Suggestion: st.builds(Suggestion, u64, u16, cts, sigs),
-    VMsg: st.builds(VMsg, u64, u16, u8),
-    AbbaPreprocess: st.builds(AbbaPreprocess, u64, u16, u8, shares),
-    AbbaPrevote: st.builds(AbbaPrevote, u64, u16, u16, u8, justifications, shares),
-    AbbaMainvote: st.builds(AbbaMainvote, u64, u16, u16, u8, justifications, shares),
-    AbbaCoinShare: st.builds(AbbaCoinShare, u64, u16, u16, coin_shares),
-    AbbaDecision: st.builds(AbbaDecision, u64, u16, u16, u8, sigs),
-    Recover: st.builds(Recover, u64, u16),
-    RecoverResp: st.builds(RecoverResp, u64, u16, cts, sigs),
-    DecShare: st.builds(DecShare, u64, u16, st.builds(DecryptionShare, u16, tags)),
-}
-messages = st.one_of(*DRAWN.values())
+@st.composite
+def votes(draw, kind, instance, share):
+    slot, r = draw(ints), draw(rounds)
+    return kind(instance, slot, r, draw(st.integers(0, ABSTAIN)),
+                draw(justifications(instance, slot, r)), draw(share))
 
 
-@settings(max_examples=300, deadline=None)
-@given(u16, u64, st.lists(messages, max_size=6))
-def test_size_equals_encoded_length_of_drawn_entries(sender, instance, entries):
-    assert set(DRAWN) == set(WIRE)
-    assert entries_size(entries) == len(Envelope(sender, instance, tuple(entries)).encode())
+def drawn(sender, instance):
+    """A strategy per kind for the messages an envelope from `sender` in
+    `instance` carries."""
+    i = st.just(instance)
+    share = st.builds(SignatureShare, st.just(sender), tags)
+    coin = st.builds(CoinShare, st.just(sender), tags)
+    return {
+        CsShare: st.builds(CsShare, i, coin),
+        PpbPayload: st.builds(PpbPayload, i, ints, cts),
+        PpbShare: st.builds(PpbShare, i, ints, share),
+        Proposal: st.builds(Proposal, i, ints, cts, sigs),
+        Suggestion: st.builds(Suggestion, i, ints, cts, sigs),
+        VMsg: st.builds(VMsg, i, ints, u8),
+        AbbaPreprocess: st.builds(AbbaPreprocess, i, ints, u8, share),
+        AbbaPrevote: votes(AbbaPrevote, instance, share),
+        AbbaMainvote: votes(AbbaMainvote, instance, share),
+        AbbaCoinShare: st.builds(AbbaCoinShare, i, ints, rounds, coin),
+        AbbaDecision: st.builds(AbbaDecision, i, ints, rounds, st.integers(0, 1), sigs),
+        Recover: st.builds(Recover, i, ints),
+        RecoverResp: st.builds(RecoverResp, i, ints, cts, sigs),
+        DecShare: st.builds(DecShare, i, ints, st.builds(DecryptionShare, st.just(sender), tags)),
+    }
+
+
+@st.composite
+def envelopes(draw, max_size=6):
+    sender, instance = draw(u16), draw(u64)
+    kinds = drawn(sender, instance)
+    entries = draw(st.lists(st.one_of(*kinds.values()), max_size=max_size))
+    return Envelope(sender, instance, tuple(entries))
+
+
+def test_drawn_messages_cover_every_kind():
+    assert set(drawn(0, 1)) == set(WIRE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(envelopes(), u16)
+def test_size_equals_encoded_length_of_drawn_entries(env, other):
+    assert entries_size(env.entries) == len(env.encode())
+    for m in env.entries:
+        assert body_size(m) == len(m.encode_body())
+    # the size does not hang on the sender being the entries' signer
+    assert Envelope(other, 7, env.entries).size() == len(env.encode())
+
+
+@settings(max_examples=150, deadline=None)
+@given(envelopes())
+def test_decode_inverts_encode_of_drawn_envelopes(env):
+    assert decode(env.encode()) == env
+    for m in env.entries:
+        assert decode_body(m.TAG, env.sender, env.instance, m.encode_body()) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(envelopes(max_size=12))
+def test_encoding_is_injective_on_drawn_messages(env):
+    by_bytes = {}
+    for m in env.entries:
+        by_bytes.setdefault((m.TAG, m.encode_body()), set()).add(m)
+    assert all(len(found) == 1 for found in by_bytes.values())
+
+
+def vote_of(kind, r, value=0, just=Justification(JUST_NONE)):
+    return kind(1, 2, r, value, just, SignatureShare(0, bytes(TAG_LEN)))
+
+
+@pytest.mark.parametrize("r, width", [(0, 1), (1, 1), (3, 1), (4, 2), (511, 2), (512, 3),
+                                      (65535, 3)])
+def test_a_vote_head_is_one_byte_to_round_3(r, width):
+    for kind in (AbbaPrevote, AbbaMainvote):
+        for value, just_kind in ((0, JUST_NONE), (ABSTAIN, JUST_ABSTAIN_THRESHOLD)):
+            just = Justification(just_kind, sig=ThresholdSignature(bytes(TAG_LEN)))
+            m = vote_of(kind, r, value, just if just_kind else Justification(JUST_NONE))
+            body = m.encode_body()
+            assert body[1:1 + width] == VARINT(r << 5 | value << 3 | just_kind)
+            assert len(body) == body_size(m) == 1 + width + 8 * bool(just_kind) + TAG_LEN
+
+
+@pytest.mark.parametrize("r, width", [(0, 1), (1, 1), (63, 1), (64, 2), (8191, 2), (8192, 3),
+                                      (65535, 3)])
+def test_a_decision_head_is_one_byte_to_round_63(r, width):
+    m = AbbaDecision(1, 2, r, 1, ThresholdSignature(bytes(TAG_LEN)))
+    assert m.encode_body() == b"\x02" + VARINT(r << 1 | 1) + bytes(TAG_LEN)
+    assert body_size(m) == 1 + width + TAG_LEN
 
 
 def test_every_wire_type_has_a_width_and_a_reader():
-    used = {t for table in (*WIRE.values(), *JUSTIFICATION_WIRE.values()) for _, t in table}
-    assert used <= set(WIDTH) and used <= set(READ)
-    for t in used:
-        if type(WIDTH[t]) is int:
-            assert len(t(0)) == WIDTH[t]
+    used = {t for table in (*WIRE.values(), *JUSTIFICATION_WIRE.values(),
+                            EMBEDDED_PREVOTE_WIRE) for _, t in table}
+    assert used == set(WIDTH) == set(READ)
+    tag = bytes(TAG_LEN)
+    sample = {U8: 7, SHARE: SignatureShare(3, tag), COIN_SHARE: CoinShare(3, tag),
+              DEC_SHARE: DecryptionShare(3, tag), SIG: ThresholdSignature(tag)}
+    assert {t for t in used if type(WIDTH[t]) is int} == set(sample)
+    for t, value in sample.items():
+        assert len(t(value)) == WIDTH[t]
 
 
 def split_varints(data: bytes) -> list:
@@ -383,24 +470,21 @@ def off_wire(m):
 
 
 # Every field a message holds that its bytes do not, derived from `WIRE`
-# through the encoder.  Each is one of three kinds:
+# through the encoder.  Each is one of two kinds, and `decode` restores each:
 OFF_WIRE = sorted(
-    # the instance, which the envelope header carries (an embedded pre-vote's is
-    # its main-vote's: receivers check it under their own instance);
+    # the instance, which the envelope header carries, and the instance, slot,
+    # round and bit of each pre-vote a conflict main-vote embeds, which are the
+    # main-vote's (the bit is the pre-vote's place);
     [f"{kind}.instance" for kind in (
         "AbbaCoinShare", "AbbaDecision", "AbbaMainvote", "AbbaPreprocess", "AbbaPrevote",
         "CsShare", "DecShare", "PpbPayload", "PpbShare", "Proposal", "Recover",
         "RecoverResp", "Suggestion", "VMsg")]
-    + ["AbbaMainvote.justification.prevote_zero.instance",
-       "AbbaMainvote.justification.prevote_one.instance"]
-    # the signer or holder of a message's own share, which is the envelope sender;
+    + [f"AbbaMainvote.justification.{place}.{name}" for place in ("prevote_zero", "prevote_one")
+       for name in ("instance", "slot", "round", "bit")]
+    # and the signer or holder of a message's own share, which is the envelope sender.
     + ["AbbaCoinShare.share.holder", "CsShare.share.holder", "DecShare.share.holder",
        "AbbaMainvote.share.signer", "AbbaPreprocess.share.signer",
-       "AbbaPrevote.share.signer", "PpbShare.share.signer"]
-    # and the share signer of each pre-vote a conflict main-vote embeds, which
-    # nothing restores (ROADMAP item 1).
-    + ["AbbaMainvote.justification.prevote_zero.share.signer",
-       "AbbaMainvote.justification.prevote_one.share.signer"])
+       "AbbaPrevote.share.signer", "PpbShare.share.signer"])
 
 
 def test_off_wire_fields_pinned():
@@ -418,7 +502,7 @@ def test_off_wire_fields_pinned():
 # sha256 over the encoded envelope of each `one_of_each()` message, then over
 # every envelope an honest party sent in the runs of `test_wire_bytes_pinned`,
 # in delivery order.  The size checks above see lengths only; this sees content.
-WIRE_DIGEST = "030726416e7404aff15ee2840df3b749dc7e127c71e2391d0a22d904042155ca"
+WIRE_DIGEST = "769f339e53b0417c347b33845ae6b2392fea0f69196ff875df6c8e5d041c2898"
 
 
 def test_wire_bytes_pinned(monkeypatch):
@@ -487,3 +571,166 @@ def test_conflict_mainvote_round_trips():
     assert back.justification.prevote_zero.share.signer == 0
     assert back.justification.prevote_one.share.signer == 3
     assert back == mv
+
+
+def test_embedded_prevotes_read_back_with_their_votes_slot_round_and_place():
+    """The wire cannot say that an embedded pre-vote is of another slot, round
+    or bit than its place in its main-vote: those are read back from the
+    main-vote, so `abba._validate_mainvote`'s checks of them guard only
+    messages built in memory."""
+    mv = next(m for m in one_of_each() if type(m) is AbbaMainvote
+              and m.justification.kind == JUST_CONFLICT)
+    j = mv.justification
+    odd = mv._replace(justification=j._replace(
+        prevote_zero=j.prevote_zero._replace(slot=9, round=4, bit=1, instance=5),
+        prevote_one=j.prevote_one._replace(bit=0)))
+    assert odd.encode_body() == mv.encode_body()
+    assert round_trip(odd) == mv
+
+
+def test_body_of_one_byte_heads_and_embedded_signers():
+    """Layout of a conflict main-vote: slot, the head, then per embedded
+    pre-vote its justification's kind byte and fields, its signer and tag;
+    then the main-vote's own tag."""
+    tag = bytes(range(TAG_LEN))
+    sig = ThresholdSignature(tag)
+    pv0 = AbbaPrevote(1, 3, 2, 0, Justification(JUST_PREVOTE_THRESHOLD, sig=sig),
+                      SignatureShare(200, tag))
+    pv1 = AbbaPrevote(1, 3, 2, 1, Justification(JUST_PREPROCESS_ONE, signer=4,
+                                                 share=SignatureShare(4, tag)),
+                      SignatureShare(5, tag))
+    mv = AbbaMainvote(1, 3, 2, ABSTAIN,
+                      Justification(JUST_CONFLICT, prevote_zero=pv0, prevote_one=pv1),
+                      SignatureShare(1, tag))
+    assert mv.encode_body() == (b"\x03" + bytes([2 << 5 | ABSTAIN << 3 | JUST_CONFLICT])
+                                + bytes([JUST_PREVOTE_THRESHOLD]) + tag + b"\xc8\x01" + tag
+                                + bytes([JUST_PREPROCESS_ONE, 4]) + tag + b"\x05" + tag
+                                + tag)
+
+
+def body_of(m):
+    return m.encode_body()
+
+
+def test_decode_refuses_every_truncated_body_and_trailing_bytes():
+    for m in one_of_each():
+        body, sender = body_of(m), canonical_sender(m)
+        assert decode_body(m.TAG, sender, m.instance, body) == m
+        for cut in range(len(body)):
+            with pytest.raises(ValueError):
+                decode_body(m.TAG, sender, m.instance, body[:cut])
+        with pytest.raises(ValueError):
+            decode_body(m.TAG, sender, m.instance, body + b"\x00")
+
+
+def test_decode_refuses_truncated_and_trailing_envelopes():
+    data = Envelope(2, 1, (VMsg(1, 2, 1), Recover(1, 3))).encode()
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            decode(data[:cut])
+    with pytest.raises(ValueError):
+        decode(data + b"\x00")
+
+
+def vote_body(head: bytes, rest: bytes = bytes(TAG_LEN)) -> bytes:
+    return b"\x02" + head + rest
+
+
+@pytest.mark.parametrize("tag, body", [
+    (AbbaPrevote.TAG, vote_body(b"\xa0\x00")),  # head 32 (round 1) in two bytes
+    (AbbaMainvote.TAG, vote_body(b"\xb0\x80\x00")),  # head 48 in three bytes
+    (AbbaDecision.TAG, vote_body(b"\x83\x00")),  # decision head 3 in two bytes
+    (AbbaPrevote.TAG, vote_body(bytes([1 << 5 | 3 << 3]))),  # value 3
+    (AbbaMainvote.TAG, vote_body(bytes([1 << 5 | 3 << 3 | JUST_NONE]))),
+    (AbbaPrevote.TAG, vote_body(bytes([1 << 5 | 6]))),  # justification kind 6
+    (AbbaMainvote.TAG, vote_body(bytes([1 << 5 | 1 << 3 | 7]))),  # kind 7
+    (AbbaMainvote.TAG, vote_body(bytes([1 << 5 | ABSTAIN << 3 | JUST_CONFLICT]),
+                                 b"\x06" + bytes(TAG_LEN) + b"\x00" + bytes(TAG_LEN))),
+    (0, b""),  # unknown tags
+    (15, vote_body(b"\x20")),
+    (255, b"\x01"),
+])
+def test_decode_refuses_what_no_encoding_writes(tag, body):
+    with pytest.raises(ValueError):
+        decode_body(tag, 0, 1, body)
+    env = ENVELOPE_HEADER_OF(1) + ENTRY.pack(tag, len(body)) + body
+    with pytest.raises(ValueError):
+        decode(env)
+
+
+def ENVELOPE_HEADER_OF(count):
+    return HEADER.pack(0, 1, count)
+
+
+def test_the_refused_heads_are_the_only_bad_ones():
+    """Every vote head with value 0-2 and kind 0-5 reads back, and so does every
+    decision head: the refusals above are exactly value 3 and kinds 6, 7."""
+    sig = bytes(TAG_LEN)
+    for head in range(4 << 5):
+        value, kind = head >> 3 & 3, head & 7
+        fields = {JUST_PREPROCESS_ONE: b"\x00" + sig, JUST_CONFLICT: (b"\x00" + b"\x00" + sig) * 2
+                  }.get(kind, b"" if kind == JUST_NONE else sig)
+        body = vote_body(VARINT(head), fields + sig)
+        if value == 3 or kind > JUST_CONFLICT:
+            with pytest.raises(ValueError):
+                decode_body(AbbaMainvote.TAG, 0, 1, body)
+        else:
+            m = decode_body(AbbaMainvote.TAG, 0, 1, body)
+            assert (m.round, m.value, m.justification.kind) == (head >> 5, value, kind)
+            assert m.encode_body() == body
+    for head in range(300):
+        m = decode_body(AbbaDecision.TAG, 0, 1, VARINT(1) + VARINT(head) + sig)
+        assert (m.round, m.bit) == (head >> 1, head & 1)
+
+
+def short(b: bytes) -> bytes:
+    return b[:-1]
+
+
+def with_share(m, share):
+    return m._replace(share=share)
+
+
+@pytest.mark.parametrize("length", [0, TAG_LEN - 1, TAG_LEN + 1, 32])
+def test_encoder_refuses_tags_of_another_length(length):
+    tag = bytes(length)
+    msgs = {type(m): m for m in one_of_each()}
+    pv0 = msgs[AbbaMainvote].justification.prevote_zero
+    bad = [
+        msgs[CsShare]._replace(share=CoinShare(1, tag)),
+        msgs[PpbShare]._replace(share=SignatureShare(2, tag)),
+        msgs[DecShare]._replace(share=DecryptionShare(0, tag)),
+        msgs[AbbaCoinShare]._replace(share=CoinShare(1, tag)),
+        msgs[Proposal]._replace(proof=ThresholdSignature(tag)),
+        msgs[AbbaDecision]._replace(sig=ThresholdSignature(tag)),
+        AbbaPrevote(1, 3, 1, 1, Justification(JUST_PREPROCESS_ONE, signer=2,
+                                              share=SignatureShare(2, tag)), pv0.share),
+        AbbaMainvote(1, 3, 1, ABSTAIN, Justification(
+            JUST_CONFLICT, prevote_zero=pv0._replace(share=SignatureShare(2, tag)),
+            prevote_one=pv0), pv0.share),
+    ]
+    for m in bad:
+        with pytest.raises(struct.error):
+            m.encode_body()
+
+
+def test_encoder_refuses_what_a_head_cannot_carry():
+    share, sig = SignatureShare(0, bytes(TAG_LEN)), ThresholdSignature(bytes(TAG_LEN))
+    pv = AbbaPrevote(1, 2, 1, 0, Justification(JUST_NONE), share)
+    bad = [
+        AbbaPrevote(1, 2, 1, 3, Justification(JUST_NONE), share),
+        AbbaMainvote(1, 2, 1, 3, Justification(JUST_NONE), share),
+        AbbaMainvote(1, 2, 1, -1, Justification(JUST_NONE), share),
+        AbbaPrevote(1, 2, 1, 0, Justification(6), share),
+        AbbaMainvote(1, 2, -1, 0, Justification(JUST_NONE), share),
+        AbbaMainvote(1, 2, 1, ABSTAIN, Justification(JUST_CONFLICT, prevote_zero=pv,
+                                                     prevote_one=pv._replace(
+                                                         justification=Justification(9))),
+                     share),
+        AbbaDecision(1, 2, 1, 2, sig),
+        AbbaDecision(1, 2, 1, -1, sig),
+        AbbaDecision(1, 2, -1, 1, sig),
+    ]
+    for m in bad:
+        with pytest.raises(struct.error):
+            m.encode_body()

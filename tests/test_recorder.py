@@ -197,7 +197,7 @@ CASES = {
 }
 
 # sha256 over every case's report JSON, finished then stalled, in CASES order.
-PLANTED_DIGEST = "f564ef974547abdcb13e7e1cdc07acb81cde98f804fc98735138082fb9475c2e"
+PLANTED_DIGEST = "30a281a2dc41b6d70ed156583de737e90b61390c146f8b71114ba16e9c642286"
 
 
 def honest_run():
