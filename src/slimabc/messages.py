@@ -107,8 +107,6 @@ def _pack_fields(obj, packers) -> bytes:
 
 
 # Wire types: each packs the value of one table entry.
-
-
 U8 = struct.Struct(">B").pack
 
 
