@@ -43,17 +43,13 @@ def grid_runs() -> Iterator[Tuple[SimConfig, str, RunReport]]:
             yield cfg, fault, sim_run(cfg)
 
 
-def grid_line(cfg: SimConfig, report: RunReport) -> str:
-    return json.dumps({"config": scenario_dict(cfg), "report": report.to_dict()},
-                      sort_keys=True, separators=(",", ":"))
-
-
 def write_grid(path: str) -> int:
     """Write one `{config, report}` line per grid run; the number of runs."""
     runs = 0
     with open(path, "w") as fh:
         for cfg, _, report in grid_runs():
-            fh.write(grid_line(cfg, report) + "\n")
+            line = {"config": scenario_dict(cfg), "report": report.to_dict()}
+            fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
             runs += 1
     return runs
 
