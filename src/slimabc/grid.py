@@ -24,15 +24,14 @@ FAULTS = ("honest", "crash", "equivocate-ppb", "corrupt-shares")
 SEEDS_PER_CELL = 17  # 12 cells x 17 seeds = 204 >= 200 runs per (n, f)
 
 
-def grid_config(n: int, f: int, seed: int, policy: str, fault: str, instances: int = 1,
-                request_size: int = 32) -> SimConfig:
+def grid_config(n: int, f: int, seed: int, policy: str, fault: str) -> SimConfig:
     """One grid-style run: f parties with behavior `fault` ("honest" for
     none), crashing at a step that moves with the seed."""
     byz = ()
     if fault != "honest":
         byz = tuple(BehaviorSpec(p, fault, at_step=(seed * 7) % 40) for p in range(f))
-    return SimConfig(n=n, f=f, seed=seed, instances=instances, policy=policy,
-                     pool_size=16, batch_size=8, request_size=request_size, byzantine=byz)
+    return SimConfig(n=n, f=f, seed=seed, instances=1, policy=policy,
+                     pool_size=16, batch_size=8, request_size=32, byzantine=byz)
 
 
 def grid_runs() -> Iterator[Tuple[SimConfig, str, RunReport]]:

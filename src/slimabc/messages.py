@@ -150,26 +150,37 @@ def _tag(b: bytes) -> bytes:
     return b
 
 
-# A share travels as its tag alone (`READ` restores its signer or holder),
-# except an embedded pre-vote's, whose signer no envelope field names.
-def SHARE(share: SignatureShare) -> bytes:
-    return _tag(share.share_bytes)
+# A share or signature travels as its tag alone, `TAG_LEN` bytes wide; its
+# reader restores a share's signer or holder.  `_TAG_READERS` gives each
+# such wire type's reader.
+_TAG_READERS = {}
 
 
-def COIN_SHARE(share: CoinShare) -> bytes:
-    return _tag(share.share_bytes)
+def _tag_type(kind, holder=None):
+    """The wire type of a `kind` record as its tag (its last field) alone; the
+    reader rebuilds it with `holder(ctx)` as its signer or holder."""
+    tag_of = operator.attrgetter(kind._fields[-1])
+
+    def pack(x) -> bytes:
+        return _tag(tag_of(x))
+
+    def read(data, off, ctx, name):
+        tag, off = _read_bytes(data, off, TAG_LEN)
+        return (kind(tag) if holder is None else kind(holder(ctx), tag)), off
+
+    _TAG_READERS[pack] = read
+    return pack
 
 
-def DEC_SHARE(share: DecryptionShare) -> bytes:
-    return _tag(share.share_bytes)
+SHARE = _tag_type(SignatureShare, lambda ctx: ctx.get("signer", ctx["sender"]))
+COIN_SHARE = _tag_type(CoinShare, lambda ctx: ctx["sender"])
+DEC_SHARE = _tag_type(DecryptionShare, lambda ctx: ctx["sender"])
+SIG = _tag_type(ThresholdSignature)
 
 
 def SIGNED_SHARE(share: SignatureShare) -> bytes:
+    """An embedded pre-vote's share, whose signer no envelope field names."""
     return VARINT(share.signer) + _tag(share.share_bytes)
-
-
-def SIG(sig: ThresholdSignature) -> bytes:
-    return _tag(sig.sig_bytes)
 
 
 def _blob(b: bytes) -> bytes:
@@ -354,11 +365,8 @@ _EMBEDDED_PREVOTE_PACKERS = _packers(EMBEDDED_PREVOTE_WIRE)
 WIDTH = {
     U8: 1,
     VARINT: varint_width,
-    SHARE: TAG_LEN,
-    COIN_SHARE: TAG_LEN,
-    DEC_SHARE: TAG_LEN,
+    **dict.fromkeys(_TAG_READERS, TAG_LEN),
     SIGNED_SHARE: lambda share: varint_width(share.signer) + TAG_LEN,
-    SIG: TAG_LEN,
     CIPHERTEXT: lambda c: _blob_width(len(c.payload)) + varint_width(c.length_plain),
     VOTE: lambda v: ((1 if v[0] < 4 else varint_width(v[0] << 5))
                      + _walk_size(v[2], _JUSTIFICATION_SIZES[v[2].kind])),
@@ -420,22 +428,10 @@ def _read_varint(data, off, ctx, name):
     return read_varint(data, off)
 
 
-def _read_tag(kind, holder):
-    def read(data, off, ctx, name):
-        tag, off = _read_bytes(data, off, TAG_LEN)
-        return kind(holder(ctx), tag), off
-    return read
-
-
 def _read_signed_share(data, off, ctx, name):
     signer, off = read_varint(data, off)
     tag, off = _read_bytes(data, off, TAG_LEN)
     return SignatureShare(signer, tag), off
-
-
-def _read_sig(data, off, ctx, name):
-    tag, off = _read_bytes(data, off, TAG_LEN)
-    return ThresholdSignature(tag), off
 
 
 def _read_ciphertext(data, off, ctx, name):
@@ -483,11 +479,8 @@ def _read_prevote(data, off, ctx, name):
 READ = {
     U8: _read_u8,
     VARINT: _read_varint,
-    SHARE: _read_tag(SignatureShare, lambda ctx: ctx.get("signer", ctx["sender"])),
-    COIN_SHARE: _read_tag(CoinShare, lambda ctx: ctx["sender"]),
-    DEC_SHARE: _read_tag(DecryptionShare, lambda ctx: ctx["sender"]),
+    **_TAG_READERS,
     SIGNED_SHARE: _read_signed_share,
-    SIG: _read_sig,
     CIPHERTEXT: _read_ciphertext,
     VOTE: _read_vote,
     DECISION: _read_decision,

@@ -3,6 +3,7 @@
 The adversarial grid and the fifo scaling sweep are expensive, so they run
 once and are shared by every criterion that reads them.
 """
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -53,7 +54,8 @@ def verdict(num, name, ok, detail):
 
 
 def run_one(n, f, seed, policy, fault, instances=1, request_size=32):
-    cfg = grid_config(n, f, seed, policy, fault, instances, request_size)
+    cfg = dataclasses.replace(grid_config(n, f, seed, policy, fault), instances=instances,
+                              request_size=request_size)
     return cfg, sim_run(cfg)
 
 

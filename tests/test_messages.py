@@ -174,9 +174,11 @@ cts = st.builds(Ciphertext, payloads, ints)
 
 
 @st.composite
-def justifications(draw, instance, slot, r, depth=0):
-    """A justification of any kind for a vote in (instance, slot, round r);
-    a conflict embeds two pre-votes of that slot and round, of bits 0 and 1."""
+def justifications(draw, instance, slot, r, aligned, depth=0):
+    """A justification of any kind for a vote in (instance, slot, round r).
+    A conflict embeds two pre-votes: if `aligned`, of that instance, slot and
+    round, of bits 0 and 1, as `decode` restores them; else with those four
+    fields drawn apart from the carrying vote's, which the wire omits."""
     kind = draw(st.integers(JUST_NONE, JUST_CONFLICT if depth < 2 else JUST_ABSTAIN_THRESHOLD))
     if kind == JUST_NONE:
         return Justification(kind)
@@ -184,23 +186,26 @@ def justifications(draw, instance, slot, r, depth=0):
         signer = draw(ints)
         return Justification(kind, signer=signer, share=SignatureShare(signer, draw(tags)))
     if kind == JUST_CONFLICT:
-        zero, one = (AbbaPrevote(instance, slot, r, bit,
-                                 draw(justifications(instance, slot, r, depth + 1)),
-                                 SignatureShare(draw(ints), draw(tags))) for bit in (0, 1))
+        zero, one = (
+            AbbaPrevote(*((instance, slot, r, bit) if aligned
+                          else (draw(u64), draw(ints), draw(rounds), draw(u8))),
+                        draw(justifications(instance, slot, r, aligned, depth + 1)),
+                        SignatureShare(draw(ints), draw(tags)))
+            for bit in (0, 1))
         return Justification(kind, prevote_zero=zero, prevote_one=one)
     return Justification(kind, sig=draw(sigs))
 
 
 @st.composite
-def votes(draw, kind, instance, share):
+def votes(draw, kind, instance, share, aligned):
     slot, r = draw(ints), draw(rounds)
     return kind(instance, slot, r, draw(st.integers(0, ABSTAIN)),
-                draw(justifications(instance, slot, r)), draw(share))
+                draw(justifications(instance, slot, r, aligned)), draw(share))
 
 
-def drawn(sender, instance):
+def drawn(sender, instance, aligned=True):
     """A strategy per kind for the messages an envelope from `sender` in
-    `instance` carries."""
+    `instance` carries; `aligned` as for `justifications`."""
     i = st.just(instance)
     share = st.builds(SignatureShare, st.just(sender), tags)
     coin = st.builds(CoinShare, st.just(sender), tags)
@@ -212,8 +217,8 @@ def drawn(sender, instance):
         Suggestion: st.builds(Suggestion, i, ints, cts, sigs),
         VMsg: st.builds(VMsg, i, ints, u8),
         AbbaPreprocess: st.builds(AbbaPreprocess, i, ints, u8, share),
-        AbbaPrevote: votes(AbbaPrevote, instance, share),
-        AbbaMainvote: votes(AbbaMainvote, instance, share),
+        AbbaPrevote: votes(AbbaPrevote, instance, share, aligned),
+        AbbaMainvote: votes(AbbaMainvote, instance, share, aligned),
         AbbaCoinShare: st.builds(AbbaCoinShare, i, ints, rounds, coin),
         AbbaDecision: st.builds(AbbaDecision, i, ints, rounds, st.integers(0, 1), sigs),
         Recover: st.builds(Recover, i, ints),
@@ -223,9 +228,9 @@ def drawn(sender, instance):
 
 
 @st.composite
-def envelopes(draw, max_size=6):
+def envelopes(draw, max_size=6, aligned=True):
     sender, instance = draw(u16), draw(u64)
-    kinds = drawn(sender, instance)
+    kinds = drawn(sender, instance, aligned)
     entries = draw(st.lists(st.one_of(*kinds.values()), max_size=max_size))
     return Envelope(sender, instance, tuple(entries))
 
@@ -234,8 +239,8 @@ def test_drawn_messages_cover_every_kind():
     assert set(drawn(0, 1)) == set(WIRE)
 
 
-@settings(max_examples=150, deadline=None)
-@given(envelopes(), u16)
+@settings(max_examples=300, deadline=None)
+@given(envelopes(aligned=False), u16)
 def test_size_equals_encoded_length_of_drawn_entries(env, other):
     assert entries_size(env.entries) == len(env.encode())
     for m in env.entries:
