@@ -8,7 +8,7 @@ from slimabc.abba import (
     preprocess_bytes,
     prevote_bytes,
 )
-from slimabc.crypto import key_setup
+from slimabc.crypto import Ciphertext, key_setup
 from slimabc.invocation import SLOT_HANDLERS, InvalidProofError, SlotInvocation, SlotOwner
 from slimabc.messages import (
     ABSTAIN,
@@ -283,6 +283,25 @@ def test_record_pair_idempotent_and_validating():
     bad = make_proven_pair(provider, INSTANCE, SLOT + 3, b"x")
     assert not inv.record_pair(pair[0], bad[1], [])
     assert inv.pair == pair
+
+
+def test_record_pair_refuses_a_malformed_ciphertext_under_a_valid_proof():
+    """The proof binds only the payload's digest, so a ciphertext with the
+    proven payload and another plaintext length carries a valid proof.  A
+    slot decided 1 must not adopt it (decrypting it would raise), whether it
+    comes before the proven pair or after."""
+    provider, pair, invs = setup()
+    ct, proof = pair
+    malformed = Ciphertext(ct.payload, ct.length_plain + 1)
+    assert not provider.ciphertext_wellformed(malformed)
+    inv, out = invs[0], []
+    inv.on_decision(1, decision_one(provider), out)
+    assert [type(m) for m in out] == [AbbaDecision, Recover]
+    assert not inv.record_pair(malformed, proof, out)
+    assert inv.pair is None and not dec_shares(out)
+    assert inv.record_pair(ct, proof, out)
+    assert not inv.record_pair(malformed, proof, out)
+    assert inv.pair == pair and len(dec_shares(out)) == 1
 
 
 # -- a decision reached inside a vote handler -------------------------------------
