@@ -100,13 +100,15 @@ class SlotInvocation:
 
     def record_pair(self, ciphertext: Ciphertext, proof: ThresholdSignature,
                     out: List[Message]) -> bool:
-        """Adopt a verified (ciphertext, proof) pair; idempotent.  A slot
-        decided 1 before the pair contributes its decryption share here; one
-        that the pair's evidence replay decides, in `abba_decided`."""
-        if self.pair is not None:
-            return verify_proof(self.crypto, self.instance, self.slot, ciphertext, proof)
-        if not verify_proof(self.crypto, self.instance, self.slot, ciphertext, proof):
-            return False
+        """Adopt a verified (ciphertext, proof) pair; idempotent.  The proof
+        binds only the payload's digest, so a ciphertext that is not
+        well-formed is refused whatever its proof.  A slot decided 1 before
+        the pair contributes its decryption share here; one that the pair's
+        evidence replay decides, in `abba_decided`."""
+        verified = (self.crypto.ciphertext_wellformed(ciphertext)
+                    and verify_proof(self.crypto, self.instance, self.slot, ciphertext, proof))
+        if self.pair is not None or not verified:
+            return verified
         decided = self.abba.decided
         self.pair = (ciphertext, proof)
         self.abba.set_evidence_known(out)
