@@ -92,6 +92,10 @@ def diff_runs(a: Sequence[dict], b: Sequence[dict], allow=()) -> Tuple[List[str]
         deltas = [y - x for _, x, y in moved if _is_int(x) and _is_int(y)]
         if len(deltas) == len(moved):
             head += f", delta {min(deltas):+d} .. {max(deltas):+d}"
+        totals = [[r["report"].get(name) for r in runs] for runs in (a, b)]
+        if all(_is_int(v) for values in totals for v in values):
+            ta, tb = sum(totals[0]), sum(totals[1])
+            head += f", total {ta} -> {tb} ({f'{tb / ta:.4f}' if ta else '-'})"
         lines.append(head + ("" if allowed else " (not allowed)"))
         for i, x, y in moved:
             line = f"  {run_label(i, a[i]['config'])}"

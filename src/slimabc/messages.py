@@ -195,6 +195,15 @@ def CIPHERTEXT(c: Ciphertext) -> bytes:
     return _blob(c.payload) + VARINT(c.length_plain)
 
 
+def PAIR_CIPHERTEXT(c: Optional[Ciphertext]) -> bytes:
+    """A pair message's ciphertext, or None for a proof-only one: the
+    payload's length plus one as a `VARINT` (0 for None), then the payload
+    and the plaintext length."""
+    if c is None:
+        return b"\x00"
+    return VARINT(len(c.payload) + 1) + c.payload + VARINT(c.length_plain)
+
+
 def VOTE(fields: tuple) -> bytes:
     """A vote's (round, bit or value, justification): the head, then the
     justification's fields."""
@@ -326,7 +335,7 @@ def carries_pair(m) -> bool:
 # The format: each kind's wire fields in order, as (field, wire type); a head
 # packs a tuple of fields.
 _SLOT = ("slot", VARINT)
-_PAIR = (("ciphertext", CIPHERTEXT), ("proof", SIG))
+_PAIR = (("ciphertext", PAIR_CIPHERTEXT), ("proof", SIG))
 WIRE = {
     CsShare: (("share", COIN_SHARE),),
     PpbPayload: (_SLOT, ("ciphertext", CIPHERTEXT)),
@@ -340,7 +349,7 @@ WIRE = {
     AbbaCoinShare: (_SLOT, ("round", VARINT), ("share", COIN_SHARE)),
     AbbaDecision: (_SLOT, (("round", "bit"), DECISION), ("sig", SIG)),
     Recover: (_SLOT,),
-    RecoverResp: (_SLOT, *_PAIR),
+    RecoverResp: (_SLOT, ("ciphertext", CIPHERTEXT), ("proof", SIG)),
     DecShare: (_SLOT, ("share", DEC_SHARE)),
 }
 JUSTIFICATION_WIRE = {  # after the kind, which a vote head or a kind byte holds
@@ -368,6 +377,8 @@ WIDTH = {
     **dict.fromkeys(_TAG_READERS, TAG_LEN),
     SIGNED_SHARE: lambda share: varint_width(share.signer) + TAG_LEN,
     CIPHERTEXT: lambda c: _blob_width(len(c.payload)) + varint_width(c.length_plain),
+    PAIR_CIPHERTEXT: lambda c: 1 if c is None else (varint_width(len(c.payload) + 1)
+                                                    + len(c.payload) + varint_width(c.length_plain)),
     VOTE: lambda v: ((1 if v[0] < 4 else varint_width(v[0] << 5))
                      + _walk_size(v[2], _JUSTIFICATION_SIZES[v[2].kind])),
     DECISION: lambda d: 1 if d[0] < 64 else varint_width(d[0] << 1),
@@ -434,11 +445,21 @@ def _read_signed_share(data, off, ctx, name):
     return SignatureShare(signer, tag), off
 
 
-def _read_ciphertext(data, off, ctx, name):
-    size, off = read_varint(data, off)
+def _read_payload(size, data, off):
+    """The ciphertext whose `size`-byte payload starts at data[off:]."""
     payload, off = _read_bytes(data, off, size)
     length_plain, off = read_varint(data, off)
     return Ciphertext(payload, length_plain), off
+
+
+def _read_ciphertext(data, off, ctx, name):
+    size, off = read_varint(data, off)
+    return _read_payload(size, data, off)
+
+
+def _read_pair_ciphertext(data, off, ctx, name):
+    size, off = read_varint(data, off)
+    return (None, off) if size == 0 else _read_payload(size - 1, data, off)
 
 
 def _read_justification_fields(kind, data, off, ctx):
@@ -482,6 +503,7 @@ READ = {
     **_TAG_READERS,
     SIGNED_SHARE: _read_signed_share,
     CIPHERTEXT: _read_ciphertext,
+    PAIR_CIPHERTEXT: _read_pair_ciphertext,
     VOTE: _read_vote,
     DECISION: _read_decision,
     JUSTIFICATION: _read_justification,

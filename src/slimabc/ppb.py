@@ -4,12 +4,13 @@ Only committee members broadcast.  Receivers countersign the first
 payload per committee member, binding (instance, slot, payload digest)
 under the signature so a second diverging payload from the same sender
 can never assemble a proof.  The sender combines n-f countersignatures
-into the transferable proof.
+into the transferable proof.  Its signers hold the ciphertext already, so a
+pair message to one of them may leave the ciphertext out.
 """
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Set
+from typing import Dict, KeysView, Optional
 
 from .committee import Committee
 from .crypto import (
@@ -60,6 +61,12 @@ class PpbSender:
             return self.proof
         return None
 
+    @property
+    def signers(self) -> KeysView[int]:
+        """The parties whose countersignatures formed the proof (each signed
+        this ciphertext's digest); fixed once the proof is."""
+        return self._shares.keys()
+
 
 class PpbReceiver:
     """Countersigning ledger for one instance; one signature per sender."""
@@ -68,7 +75,8 @@ class PpbReceiver:
         self.instance = instance
         self.crypto = crypto
         self.committee = committee
-        self.countersigned: Set[int] = set()  # slots whose first payload was signed
+        # Slot -> the payload countersigned for it, the slot's first well-formed one.
+        self.countersigned: Dict[int, Ciphertext] = {}
 
     def on_payload(self, sender: int, ciphertext: Ciphertext) -> Optional[SignatureShare]:
         """Countersign the first well-formed payload from a committee member,
@@ -77,5 +85,5 @@ class PpbReceiver:
             return None
         if not self.crypto.ciphertext_wellformed(ciphertext):
             return None
-        self.countersigned.add(sender)
+        self.countersigned[sender] = ciphertext
         return self.crypto.sig_share(ppb_sign_bytes(self.instance, sender, ciphertext.ct_digest()))

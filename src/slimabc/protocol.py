@@ -291,6 +291,26 @@ class Party(SlotOwner):
             self._selfq += out
             out.clear()
 
+    def _multicast_pair(self, msg: Union[Proposal, Suggestion], holders) -> None:
+        """Broadcast pair message `msg`, leaving its ciphertext out for the
+        peers in `holders`, which hold it already: one item per peer, in
+        ascending order, so the envelopes are those of a plain broadcast."""
+        self._selfq.append(msg)
+        proof_only = msg._replace(ciphertext=None)
+        wire = self._wire
+        for q in range(self.n):
+            if q != self.pid:
+                wire.append((q, proof_only if q in holders else msg))
+
+    def _held_ciphertext(self, slot: int) -> Optional[Ciphertext]:
+        """The ciphertext this party holds for `slot` of the current instance,
+        to fill in a proof-only pair message: the held pair's, else the
+        payload it countersigned; None if neither."""
+        inv = self.inst.slots.get(slot)
+        if inv is not None and inv.pair is not None:
+            return inv.pair[0]
+        return self.inst.ppb_recv.countersigned.get(slot)
+
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
         return wire_envelopes(self.pid, self.n, wire, sized=True)
@@ -360,19 +380,18 @@ class Party(SlotOwner):
         elif kind is PpbShare:
             if inst.ppb_send is None or msg.slot != self.pid:
                 return
-            proof = inst.ppb_send.on_share(sender, msg.share)
+            send = inst.ppb_send
+            proof = send.on_share(sender, msg.share)
             if proof is not None:
                 inst.relayed = True  # own proposal doubles as this party's relay
-                self._emit(
-                    BROADCAST,
-                    Proposal(self.instance, self.pid, inst.ppb_send.ciphertext, proof),
-                )
-        elif kind is Proposal:
-            if msg.slot != sender:
+                self._multicast_pair(Proposal(self.instance, self.pid, send.ciphertext, proof),
+                                     send.signers)
+        elif kind is Proposal or kind is Suggestion:
+            if kind is Proposal and msg.slot != sender:
                 return
-            self._on_pair(sender, msg.slot, msg.ciphertext, msg.proof)
-        elif kind is Suggestion:
-            self._on_pair(sender, msg.slot, msg.ciphertext, msg.proof)
+            ciphertext = msg.ciphertext or self._held_ciphertext(msg.slot)
+            if ciphertext is not None:
+                self._on_pair(sender, msg.slot, ciphertext, msg.proof)
 
     # -- slot transitions, reported by each SlotInvocation as they happen -----------
 
@@ -420,7 +439,8 @@ class Party(SlotOwner):
         inst.sugg_senders.add(sender)
         if not inst.relayed:
             inst.relayed = True
-            self._emit(BROADCAST, Suggestion(self.instance, slot, ciphertext, proof))
+            self._multicast_pair(Suggestion(self.instance, slot, ciphertext, proof),
+                                 (slot, sender))
         if inv.u is None:
             inv.inv_start(1, ciphertext, proof, out)
             self._multicast(out)

@@ -18,7 +18,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # sha256 of the canonical JSON of {workload: {metric: value}}, seed 7.
-TRACED_COUNTS_DIGEST = "a7ec7268d9bc18261f739c2d869ad5753e7cdffd2753f84634db881127013e54"
+TRACED_COUNTS_DIGEST = "6204697e893bcb3bb244e5afa34626c1fa174c300832a69a59162aff780237ed"
 TIMES = ("simnet.us_per_step", "trace.overhead_ratio")
 
 

@@ -315,9 +315,11 @@ def test_diff_names_a_planted_change_with_its_run(small_grid, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["diff", str(small_grid), str(planted), "--allow", "bytes"]) == 1
     old = runs[5]["report"]["steps"] - 7
+    total = sum(r["report"]["steps"] for r in runs) - 7
     label = grid.run_label(5, runs[5]["config"])
     assert capsys.readouterr().out.splitlines() == [
-        f"steps: 1 of {len(runs)} runs differ, delta +7 .. +7 (not allowed)",
+        f"steps: 1 of {len(runs)} runs differ, delta +7 .. +7, "
+        f"total {total} -> {total + 7} ({(total + 7) / total:.4f}) (not allowed)",
         f"  {label}: {old} -> {old + 7} (+7)"]
     assert label.startswith("run 5 (n=4 seed=0 ")
     # a field that is not an int is named with its run, without a delta
@@ -326,6 +328,30 @@ def test_diff_names_a_planted_change_with_its_run(small_grid, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"decisions: 1 of {len(runs)} runs differ (not allowed)",
         f"  {grid.run_label(30, runs[30]['config'])}"]
+
+
+def test_diff_totals_every_run_of_an_int_field(small_grid, tmp_path, capsys):
+    """The head line sums the field over all runs on each side, the runs that
+    did not move included; a total of 0 on the first side has no ratio."""
+    runs = [json.loads(line) for line in small_grid.read_text().splitlines()]
+    for r in runs:
+        r["report"]["fairness_overrides"] = 0
+    before = tmp_path / "before.jsonl"
+    before.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    total = sum(r["report"]["bytes"] for r in runs)
+    for r in runs[:3]:
+        r["report"]["bytes"] -= 10
+        r["report"]["fairness_overrides"] = 2
+    after = tmp_path / "after.jsonl"
+    after.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    capsys.readouterr()
+    assert cli.main(["diff", str(before), str(after), "--allow", "bytes"]) == 1
+    heads = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert heads == [
+        f"bytes: 3 of {len(runs)} runs differ, delta -10 .. -10, "
+        f"total {total} -> {total - 30} ({(total - 30) / total:.4f})",
+        f"fairness_overrides: 3 of {len(runs)} runs differ, delta +2 .. +2, total 0 -> 6 (-) "
+        "(not allowed)"]
 
 
 def test_diff_allowing_the_planted_field_exits_0(small_grid, tmp_path, capsys):

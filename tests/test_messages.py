@@ -7,10 +7,11 @@ import inspect
 import itertools
 import struct
 import typing
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from slimabc import BehaviorSpec, SimConfig, sim_run
@@ -73,6 +74,7 @@ from slimabc.messages import (
     entries_size,
     read_varint,
 )
+from slimabc.grid import grid_config
 from slimabc.protocol import Party
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -119,6 +121,8 @@ def one_of_each():
         msgs[1]._replace(ciphertext=p.tpke_enc(b"EQV")),
         msgs[2]._replace(share=flipped),
     ]
+    # a proposal and a suggestion to a party that holds the ciphertext: the proof alone
+    msgs += [msgs[3]._replace(ciphertext=None), msgs[4]._replace(ciphertext=None)]
     return msgs
 
 
@@ -145,6 +149,30 @@ def test_coin_shares_claims_and_suggestions_carry_no_extra_bytes():
         == [len(coin.share.share_bytes), 2, body_size(Proposal(*sugg))]
 
 
+def test_a_proof_only_pair_message_is_its_slot_a_zero_byte_and_its_proof():
+    """A proposal or suggestion carries its payload's length plus one, so 0
+    marks one without a ciphertext; a recovery answer and a payload always
+    carry one, under the plain length."""
+    msgs = {type(m): m for m in one_of_each()[:19]}
+    ct, sig = msgs[Proposal].ciphertext, msgs[Proposal].proof
+    for kind in (Proposal, Suggestion):
+        assert kind(1, 2, None, sig).encode_body() == b"\x02\x00" + sig.sig_bytes
+        full = kind(1, 2, ct, sig).encode_body()
+        assert full == b"\x02" + VARINT(len(ct.payload) + 1) + ct.payload \
+            + VARINT(ct.length_plain) + sig.sig_bytes
+    assert RecoverResp(1, 2, ct, sig).encode_body() == b"\x02" + VARINT(len(ct.payload)) \
+        + ct.payload + VARINT(ct.length_plain) + sig.sig_bytes
+    assert PpbPayload(1, 2, ct).encode_body()[1:] == RecoverResp(1, 2, ct, sig).encode_body()[1:-TAG_LEN]
+
+
+@pytest.mark.parametrize("size, width", [(0, 1), (126, 1), (127, 2), (16382, 2), (16383, 3)])
+def test_a_pair_message_payload_length_takes_its_varint_width_plus_one(size, width):
+    sig = ThresholdSignature(bytes(TAG_LEN))
+    m = Suggestion(1, 2, Ciphertext(bytes(size), 0), sig)
+    assert len(m.encode_body()) == body_size(m) == 1 + width + size + 1 + TAG_LEN
+    assert round_trip(m) == m
+
+
 def test_size_equals_encoded_length_for_every_kind():
     msgs = one_of_each()
     assert len({type(m) for m in msgs}) == 14
@@ -169,8 +197,10 @@ ints = u16 | st.integers(0, 2**40)
 rounds = st.sampled_from((0, 1, 3, 4, 63, 64, 511, 512, 65535)) | ints
 tags = st.binary(min_size=TAG_LEN, max_size=TAG_LEN)
 sigs = st.builds(ThresholdSignature, tags)
-payloads = st.binary(max_size=64) | st.integers(0, 4096).map(bytes)
+payloads = (st.binary(max_size=64) | st.integers(0, 4096).map(bytes)
+            | st.sampled_from((126, 127, 128, 16382, 16383, 16384)).map(bytes))
 cts = st.builds(Ciphertext, payloads, ints)
+pair_cts = cts | st.none()  # None: a proof-only proposal or suggestion
 
 
 @st.composite
@@ -213,8 +243,8 @@ def drawn(sender, instance, aligned=True):
         CsShare: st.builds(CsShare, i, coin),
         PpbPayload: st.builds(PpbPayload, i, ints, cts),
         PpbShare: st.builds(PpbShare, i, ints, share),
-        Proposal: st.builds(Proposal, i, ints, cts, sigs),
-        Suggestion: st.builds(Suggestion, i, ints, cts, sigs),
+        Proposal: st.builds(Proposal, i, ints, pair_cts, sigs),
+        Suggestion: st.builds(Suggestion, i, ints, pair_cts, sigs),
         VMsg: st.builds(VMsg, i, ints, u8),
         AbbaPreprocess: st.builds(AbbaPreprocess, i, ints, u8, share),
         AbbaPrevote: votes(AbbaPrevote, instance, share, aligned),
@@ -236,7 +266,12 @@ def envelopes(draw, max_size=6, aligned=True):
 
 
 def test_drawn_messages_cover_every_kind():
-    assert set(drawn(0, 1)) == set(WIRE)
+    kinds = drawn(0, 1)
+    assert set(kinds) == set(WIRE)
+    for kind in (Proposal, Suggestion):  # drawn in full and proof-only
+        for proof_only in (False, True):
+            find(kinds[kind], lambda m: (m.ciphertext is None) is proof_only,
+                 settings=settings(phases=[Phase.generate], database=None))
 
 
 @settings(max_examples=300, deadline=None)
@@ -507,7 +542,7 @@ def test_off_wire_fields_pinned():
 # sha256 over the encoded envelope of each `one_of_each()` message, then over
 # every envelope an honest party sent in the runs of `test_wire_bytes_pinned`,
 # in delivery order.  The size checks above see lengths only; this sees content.
-WIRE_DIGEST = "769f339e53b0417c347b33845ae6b2392fea0f69196ff875df6c8e5d041c2898"
+WIRE_DIGEST = "eaf8e95e5b23dd337085286aacfd4da0e71ef10cabae030779e13b91f5e04c98"
 
 
 def test_wire_bytes_pinned(monkeypatch):
@@ -533,6 +568,34 @@ def test_wire_bytes_pinned(monkeypatch):
         runs += 1
     assert runs == 48
     assert h.hexdigest() == WIRE_DIGEST
+
+
+# Every behavior, fault-free included, under every policy at n = 4 and 7, over
+# two instances, so entries parked for the next instance are decoded too.
+DECODED_SLICE = [dataclasses.replace(grid_config(n, f, seed, policy, fault), instances=2)
+                 for (n, f) in ((4, 1), (7, 2)) for fault in ("honest", *BEHAVIORS)
+                 for policy in POLICIES for seed in range(3)]
+
+
+def test_decoded_delivery_gives_the_reports_of_direct_delivery(monkeypatch):
+    """Every receiver handles each envelope as its bytes read back, with its
+    destination kept, and every run reports exactly as under direct
+    delivery: what the protocol reads is what is on the wire.  The runs
+    carry proof-only proposals and suggestions, which receivers fill in."""
+    direct = [sim_run(cfg).to_json() for cfg in DECODED_SLICE]
+    handle, proof_only = Party.handle, Counter()
+
+    def decoded(self, env):
+        back = decode(env.encode())
+        assert back == Envelope(env.sender, env.instance, env.entries)
+        back.dst = env.dst
+        proof_only.update(type(m) for m in back.entries
+                          if carries_pair(m) and m.ciphertext is None)
+        return handle(self, back)
+
+    monkeypatch.setattr(Party, "handle", decoded)
+    assert [sim_run(cfg).to_json() for cfg in DECODED_SLICE] == direct
+    assert proof_only[Proposal] and proof_only[Suggestion] and not proof_only[RecoverResp]
 
 
 def canonical_sender(m):

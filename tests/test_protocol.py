@@ -1,9 +1,11 @@
 """Batches, pools, and the orchestrated full stack at small n."""
+import dataclasses
 import gc
 import hashlib
 import itertools
 import typing
 import weakref
+from collections import Counter
 from typing import Dict, List, Tuple
 
 import pytest
@@ -14,6 +16,7 @@ from slimabc import BehaviorSpec, Party, RequestBatch, SimConfig, sim_run
 from slimabc.adversary import BEHAVIORS, POLICIES
 from slimabc.committee import CsState
 from slimabc.crypto import key_setup
+from slimabc.grid import GRID, grid_config
 from slimabc.invocation import SLOT_HANDLERS, SlotInvocation
 from slimabc.abba import mainvote_bytes
 from slimabc.messages import (
@@ -34,6 +37,7 @@ from slimabc.messages import (
 )
 from slimabc import protocol
 from slimabc.protocol import BATCH_MAGIC, decode_shared, instance_pool, sample_batch
+from slimabc.ppb import ppb_sign_bytes
 from slimabc.recorder import RunRecorder
 from slimabc.simnet import HarnessParty, deliver, make_proven_pair
 
@@ -654,6 +658,107 @@ def test_pair_with_a_failing_proof_counts_no_suggestion_sender():
     inv = party.inst.slots[slot]
     assert inv.pair is None and inv.u is None
     assert party.inst.sugg_senders == set() and not party.inst.relayed
+
+
+def sent_pairs(envs) -> Dict[int, Tuple[bool, ...]]:
+    """Destination -> whether each pair message sent there carries its ciphertext."""
+    return {env.dst: tuple(m.ciphertext is not None for m in env.entries
+                           if type(m) in (Proposal, Suggestion)) for env in envs}
+
+
+def test_a_proposal_leaves_its_ciphertext_out_for_the_signers_of_its_proof():
+    """The proposer's own countersignature and two others form the proof;
+    those two get the proof alone, the remaining peer the full pair, and the
+    proposer's own copy is full."""
+    provider, party, members = at_committee(True)
+    send = party.inst.ppb_send
+    assert list(send.signers) == [party.pid]
+    signers = [p for p in range(4) if p != party.pid][:2]
+    msg = ppb_sign_bytes(1, party.pid, send.ciphertext.ct_digest())
+    envs = [env for q in signers
+            for env in handle(party, q, PpbShare(1, party.pid, provider.sig_share(q, msg)))]
+    assert sorted(send.signers) == sorted([party.pid, *signers])
+    assert [env.dst for env in envs] == [q for q in range(4) if q != party.pid]
+    assert sent_pairs(envs) == {q: ((False,) if q in signers else (True,))
+                                for q in range(4) if q != party.pid}
+    assert party.inst.slots[party.pid].pair == (send.ciphertext, send.proof)
+
+
+def test_a_proof_only_proposal_is_filled_in_from_the_countersigned_payload():
+    """A signer adopts the pair, counts the proposer as a pair sender and
+    relays a suggestion: proof-only back to the proposer, full to the rest."""
+    provider, party, (slot, _) = at_committee(False)
+    ct, proof = make_proven_pair(provider, 1, slot, b"countersigned")
+    handle(party, slot, PpbPayload(1, slot, ct))
+    assert party.inst.ppb_recv.countersigned == {slot: ct}
+    envs = handle(party, slot, Proposal(1, slot, None, proof))
+    assert party.inst.slots[slot].pair == (ct, proof)
+    assert party.inst.sugg_senders == {slot, party.pid}  # the proposer, and its own relay
+    assert sent_pairs(envs) == {q: ((q != slot),) for q in range(4) if q != party.pid}
+
+
+def test_a_proof_only_suggestion_is_filled_in_from_the_held_pair():
+    """A party that holds the pair counts a proof-only suggestion's sender,
+    here the third pair sender, which starts the sweep."""
+    provider, party, (slot, other) = at_committee(False)
+    pair = make_proven_pair(provider, 1, slot, b"held")
+    relay = handle(party, other, Suggestion(1, slot, *pair))
+    assert sent_pairs(relay) == {q: ((q not in (slot, other)),)
+                                 for q in range(4) if q != party.pid}
+    third = next(q for q in range(4) if q not in (party.pid, slot, other))
+    assert not party.inst.swept
+    handle(party, third, Suggestion(1, slot, None, pair[1]))
+    assert party.inst.sugg_senders == {other, party.pid, third} and party.inst.swept
+
+
+def test_a_proof_only_pair_message_to_a_party_without_the_ciphertext_is_dropped():
+    """A proof alone, to a party that neither holds the pair nor countersigned
+    the payload, adopts nothing, counts no sender and relays nothing."""
+    provider, party, (slot, other) = at_committee(False)
+    _, proof = make_proven_pair(provider, 1, slot, b"never seen")
+    assert handle(party, slot, Proposal(1, slot, None, proof)) == []
+    assert handle(party, other, Suggestion(1, slot, None, proof)) == []
+    assert party.inst.slots[slot].pair is None
+    assert party.inst.sugg_senders == set() and not party.inst.relayed
+
+
+# Every behavior, fault-free included, under every policy at the grid's sizes,
+# over two instances.
+PAIR_SLICE = [dataclasses.replace(grid_config(n, f, seed, policy, fault), instances=2)
+              for (n, f) in GRID for fault in ("honest", *BEHAVIORS)
+              for policy in POLICIES for seed in range(2)]
+
+
+def test_proof_only_pair_messages_reach_only_parties_that_fill_them_in(monkeypatch):
+    """No receiver meets a proof-only proposal or suggestion it cannot fill
+    in, and under fifo a fault-free instance sends exactly (f+1)(n-f-1)
+    proof-only proposals: each proposer's n-f-1 other signers."""
+    held, handle_env = Party._held_ciphertext, Party.handle
+    fills, misses, sent = [0], [], Counter()
+
+    def filling(self, slot):
+        ct = held(self, slot)
+        fills[0] += 1
+        if ct is None:
+            misses.append((self.pid, self.instance, slot))
+        return ct
+
+    def sending(self, env):
+        envs = handle_env(self, env)
+        for out in envs:
+            sent[out.instance] += sum(type(m) is Proposal and m.ciphertext is None
+                                      for m in out.entries)
+        return envs
+
+    monkeypatch.setattr(Party, "_held_ciphertext", filling)
+    monkeypatch.setattr(Party, "handle", sending)
+    for run in PAIR_SLICE:
+        sent.clear()
+        sim_run(run)
+        if run.policy == "fifo" and not run.byzantine:
+            per_instance = (run.f + 1) * (run.n - run.f - 1)
+            assert sent == {1: per_instance, 2: per_instance}, run
+    assert fills[0] and misses == []
 
 
 @pytest.mark.parametrize("content", ["not a batch", "other proposer", "other instance"])

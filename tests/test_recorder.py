@@ -197,7 +197,7 @@ CASES = {
 }
 
 # sha256 over every case's report JSON, finished then stalled, in CASES order.
-PLANTED_DIGEST = "30a281a2dc41b6d70ed156583de737e90b61390c146f8b71114ba16e9c642286"
+PLANTED_DIGEST = "b6f97a65e283cccef2679119c8af13be4c329263f74d5ffb86cc9dd494f79103"
 
 
 def honest_run():
