@@ -36,6 +36,16 @@ kind out of range, a negative integer.  Only the envelope's headers keep
 fixed widths: `HEADER`, and per entry a tag byte and a 4-byte body length
 (`ENTRY`).
 
+A proposal's or suggestion's ciphertext is a `PAIR_CIPHERTEXT`: the payload's
+length plus one, then the payload and the plaintext length, or one 0 byte for
+a proof-only message, whose `ciphertext` is None.  A party sends one to each
+peer known to hold the ciphertext: a proposal to the signers of its proof, a
+suggestion to the slot's proposer and to the party it got the pair from.
+`decode` reads it back with no ciphertext; the receiver fills it in from
+what it holds, not `decode`.  A payload and a recovery answer always carry
+theirs, as a `CIPHERTEXT`: the payload's length, the payload, the plaintext
+length.
+
 `WIDTH` gives each wire type's width, a number or a function of the value,
 and `body_size` walks the same tables with each kind's fixed widths summed
 once, so an envelope is sized without being encoded.  `READ` gives each
@@ -328,7 +338,8 @@ class DecShare(_Message, record("instance slot share")):
 
 
 def carries_pair(m) -> bool:
-    """Whether entry `m` carries a slot's (ciphertext, proof) pair."""
+    """Whether entry `m` carries a slot's (ciphertext, proof) pair, or its
+    proof alone to a party that holds the ciphertext."""
     return isinstance(m, (Proposal, Suggestion, RecoverResp))
 
 

@@ -4,7 +4,8 @@ Instances run sequentially.  Per instance: every party contributes a
 committee-selection coin share; the f+1 elected members encrypt a batch
 sampled from their pending pool and run provable broadcast for it; a
 member holding its proof multicasts the (ciphertext, proof) pair, every
-party relays the first valid pair it sees (once), and after 2f+1
+party relays the first valid pair it sees (once), each leaving the
+ciphertext out for the peers known to hold it, and after 2f+1
 distinct pair senders each party fixes a 1-bit claim per slot and runs
 one binary agreement per slot.  Slots decided 1 are threshold-decrypted
 and their batches delivered in slot order, deduplicated byte-exactly
