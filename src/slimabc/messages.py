@@ -388,8 +388,8 @@ WIDTH = {
     **dict.fromkeys(_TAG_READERS, TAG_LEN),
     SIGNED_SHARE: lambda share: varint_width(share.signer) + TAG_LEN,
     CIPHERTEXT: lambda c: _blob_width(len(c.payload)) + varint_width(c.length_plain),
-    PAIR_CIPHERTEXT: lambda c: 1 if c is None else (varint_width(len(c.payload) + 1)
-                                                    + len(c.payload) + varint_width(c.length_plain)),
+    PAIR_CIPHERTEXT: lambda c: 1 if c is None else (
+        varint_width(len(c.payload) + 1) + len(c.payload) + varint_width(c.length_plain)),
     VOTE: lambda v: ((1 if v[0] < 4 else varint_width(v[0] << 5))
                      + _walk_size(v[2], _JUSTIFICATION_SIZES[v[2].kind])),
     DECISION: lambda d: 1 if d[0] < 64 else varint_width(d[0] << 1),
