@@ -410,6 +410,21 @@ def test_harness_party_answers_recover_with_its_pair():
     assert other.handle(Envelope(2, 1, (Recover(1, 0),), dst=1)) == []
 
 
+def test_harness_party_drops_pair_traffic_it_cannot_fill_in():
+    """The harness runs no provable broadcast: a payload, and a proof-only
+    proposal or suggestion for a slot whose pair the party lacks, are
+    dropped, not raised on."""
+    provider = key_setup(128, 4, 2)
+    ct, proof = make_proven_pair(provider, 1, 0, b"payload")
+    for entry in (PpbPayload(1, 2, ct), Proposal(1, 0, None, proof),
+                  Suggestion(1, 0, None, proof)):
+        party = HarnessParty(1, provider.party_handle(1), SimConfig(n=4, f=1), None)
+        party.begin()
+        sender = entry.slot
+        assert party.handle(Envelope(sender, 1, (entry,), dst=1)) == []
+        assert party.inv.pair is None
+
+
 def test_stalled_and_crash_runs_keep_stop_and_step_counts():
     """The stop check ends a run at the same step whether it finishes or
     runs out of steps (values recorded before the O(1) unfinished set)."""
