@@ -306,11 +306,13 @@ class Party(SlotOwner):
     def _held_ciphertext(self, slot: int) -> Optional[Ciphertext]:
         """The ciphertext this party holds for `slot` of the current instance,
         to fill in a proof-only pair message: the held pair's, else the
-        payload it countersigned; None if neither."""
+        payload it countersigned; None if neither, or if the instance runs
+        no provable broadcast (the agreement harness)."""
         inv = self.inst.slots.get(slot)
         if inv is not None and inv.pair is not None:
             return inv.pair[0]
-        return self.inst.ppb_recv.countersigned.get(slot)
+        recv = self.inst.ppb_recv
+        return None if recv is None else recv.countersigned.get(slot)
 
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
@@ -373,7 +375,7 @@ class Party(SlotOwner):
             self._serve_recover(sender, msg)
             return
         if kind is PpbPayload:
-            if msg.slot != sender:
+            if msg.slot != sender or inst.ppb_recv is None:
                 return
             share = inst.ppb_recv.on_payload(sender, msg.ciphertext)
             if share is not None:
