@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .crypto import (
@@ -570,22 +570,54 @@ def decode(data: bytes) -> "Envelope":
     return Envelope(sender, instance, tuple(entries))
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class Envelope:
     """One delivery unit: all messages one party sent one peer in one step.
-    It waits in the simulator's queue as itself: the last three fields are
-    the queue's bookkeeping (the step it was queued at, how often a policy
-    deferred it, and whether it touches a targeting policy's target, once
-    the policy has looked)."""
+    It waits in the simulator's queue as itself.  Equality is on the four
+    fields below; the class attributes after them are per-envelope
+    bookkeeping that a new envelope reads from the class until first
+    written: its wire size once computed, and the queue's (the step it was
+    queued at, how often a policy deferred it, and whether it touches a
+    targeting policy's target, once the policy has looked)."""
 
     sender: int
     instance: int
     entries: tuple
-    dst: int = BROADCAST  # transport metadata; not part of the wire bytes
-    _size: Optional[int] = field(default=None, repr=False, compare=False)
-    enqueued: int = field(default=0, repr=False, compare=False)
-    deferrals: int = field(default=0, repr=False, compare=False)
-    targeted: Optional[bool] = field(default=None, repr=False, compare=False)
+    dst: int  # transport metadata; not part of the wire bytes
+
+    _size = None
+    enqueued = 0
+    deferrals = 0
+    targeted = None
+
+    def __init__(self, sender: int, instance: int, entries: tuple, dst: int = BROADCAST,
+                 size: Optional[int] = None):
+        """`size`, when given, is `len(self.encode())`, computed by the sender."""
+        self.sender = sender
+        self.instance = instance
+        self.entries = entries
+        self.dst = dst
+        if size is not None:
+            self._size = size
+
+    @classmethod
+    def fanout(cls, sender: int, instance: int, entries: tuple, dsts,
+               size: Optional[int] = None) -> list:
+        """One envelope per destination in `dsts`, all sharing `entries` and
+        `size`, each built as the constructor builds it, without a call to
+        `__init__` per envelope: a broadcast step sends n-1 of them."""
+        new = object.__new__
+        envs = []
+        for dst in dsts:
+            env = new(cls)
+            env.sender = sender
+            env.instance = instance
+            env.entries = entries
+            env.dst = dst
+            if size is not None:
+                env._size = size
+            envs.append(env)
+        return envs
 
     def encode(self) -> bytes:
         out = [HEADER.pack(self.sender, self.instance, len(self.entries))]

@@ -147,31 +147,47 @@ def sample_batch(cfg: SimConfig, party: int, instance: int,
     return tuple(pending[i] for i in idx)
 
 
-def wire_envelopes(pid: int, n: int, wire: List[WireItem],
+def wire_envelopes(pid: int, peers: Tuple[int, ...], wire: List[WireItem],
                    sized: bool = False) -> List[Envelope]:
     """Group one step's wire items from `pid` into envelopes, one per (peer,
-    instance) in order of first use; a bare message reaches all n-1 peers.
-    A step that only broadcast within one instance sends every peer one
-    shared entries tuple, and with `sized` one precomputed wire size."""
+    instance) in order of first use; a bare message reaches every peer in
+    `peers`, which are all parties but `pid`, in ascending order.  Peers
+    whose entry lists hold the same objects share one entries tuple, and
+    with `sized` one precomputed wire size: a step that only broadcast
+    within one instance builds one, and a pair step (`Party._multicast_pair`)
+    at most two, the full and the proof-only list."""
     if not wire:
         return []
     head = wire[0]
     if type(head) is not tuple:
         instance = head.instance
-        if all(type(m) is not tuple and m.instance == instance for m in wire):
+        for m in wire:
+            if type(m) is tuple or m.instance != instance:
+                break
+        else:
             entries = tuple(wire)
             size = entries_size(entries) if sized else None
-            return [Envelope(pid, instance, entries, q, size) for q in range(n) if q != pid]
+            return Envelope.fanout(pid, instance, entries, peers, size)
     grouped: Dict[Tuple[int, int], List[Message]] = {}
     for item in wire:
         if type(item) is tuple:
             dst, msg = item
             grouped.setdefault((dst, msg.instance), []).append(msg)
         else:
-            for q in range(n):
-                if q != pid:
-                    grouped.setdefault((q, item.instance), []).append(item)
-    return [Envelope(pid, inst, tuple(msgs), dst) for (dst, inst), msgs in grouped.items()]
+            instance = item.instance
+            for q in peers:
+                grouped.setdefault((q, instance), []).append(item)
+    # Keyed by the entries' identities, which every list holds alive here.
+    shared: Dict[Tuple[int, ...], Tuple[tuple, Optional[int]]] = {}
+    envs = []
+    for (dst, instance), msgs in grouped.items():
+        key = tuple(map(id, msgs))
+        body = shared.get(key)
+        if body is None:
+            entries = tuple(msgs)
+            body = shared[key] = (entries, entries_size(entries) if sized else None)
+        envs.append(Envelope(pid, instance, body[0], dst, body[1]))
+    return envs
 
 
 class Observer:
@@ -211,6 +227,7 @@ class Party(SlotOwner):
         self.observer = observer or Observer()
         self.n = crypto.n
         self.f = crypto.f
+        self._peers = (*range(pid), *range(pid + 1, self.n))  # every other party
         self.instance = 0
         self.finished = False
         self.pending: List[bytes] = []
@@ -245,7 +262,9 @@ class Party(SlotOwner):
 
     def handle(self, env: Envelope) -> List[Envelope]:
         self._deliver(env.sender, env.entries)
-        return self._settle()
+        if self._selfq or self._due or self._wire:
+            return self._settle()
+        return []  # a quiet step: most handled envelopes emit nothing
 
     def _settle(self) -> List[Envelope]:
         """End a step: deliver own copies, finalize while a slot has reported
@@ -298,10 +317,7 @@ class Party(SlotOwner):
         ascending order, so the envelopes are those of a plain broadcast."""
         self._selfq.append(msg)
         proof_only = msg._replace(ciphertext=None)
-        wire = self._wire
-        for q in range(self.n):
-            if q != self.pid:
-                wire.append((q, proof_only if q in holders else msg))
+        self._wire += [(q, proof_only if q in holders else msg) for q in self._peers]
 
     def _held_ciphertext(self, slot: int) -> Optional[Ciphertext]:
         """The ciphertext this party holds for `slot` of the current instance,
@@ -316,7 +332,7 @@ class Party(SlotOwner):
 
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
-        return wire_envelopes(self.pid, self.n, wire, sized=True)
+        return wire_envelopes(self.pid, self._peers, wire, sized=True)
 
     # -- routing ------------------------------------------------------------------
 
@@ -331,23 +347,23 @@ class Party(SlotOwner):
         keeping the first copy of each (sender, entry) in arrival order.  It
         *serves* a `Recover` of a past instance, and *drops* everything
         else, including a slot-level entry for a slot outside the committee."""
-        inst, current = self.inst, self.instance
-        if inst is None:  # not begun, or finished: no instance is live
-            live = slots = None
-        else:
-            live, slots = current, inst.slots
-        handlers, out, wire, selfq = self._handlers, self._out, self._wire, self._selfq
+        inst = self.inst
+        current = self.instance
+        # No instance is live before `begin` and once the last one finished.
+        live = None if inst is None else current
+        handlers = self._handlers
+        out = self._out
         for msg in msgs:
             instance = msg.instance
             if instance == live:
                 handler = handlers.get(type(msg))
                 if handler is not None:
-                    inv = slots.get(msg.slot)
+                    inv = inst.slots.get(msg.slot)
                     if inv is not None:
                         handler(inv, sender, msg, out)
                         if out:  # _multicast, inlined: this runs once per entry
-                            wire += out
-                            selfq += out
+                            self._wire += out
+                            self._selfq += out
                             out.clear()
                         continue
                     if inst.committee is not None:

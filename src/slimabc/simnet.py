@@ -52,7 +52,9 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
                                          random.Random(f"{seed}|byz|{spec.party}"))
         for spec in cfg.byzantine
     }
+    behavior_of = [behaviors.get(p) for p in range(len(parties))]  # None: honest
     pol = POLICIES[cfg.policy](params, random.Random(f"{seed}|policy"))
+    choose = pol.choose
     targeting = isinstance(pol, TargetingPolicy)
     fairness_bound = params.get("fairness_bound", 64 * len(parties))
     max_steps = cfg.max_steps
@@ -62,7 +64,9 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
         recorder.attach(parties, pending)
 
     def outbound(pid: int, step: int, envs: List[Envelope]) -> None:
-        b = behaviors.get(pid)
+        """Queue what `pid` sent at `step` through its behavior's filter, and
+        show each envelope to a targeting policy whose target is unset."""
+        b = behavior_of[pid]
         if b is not None:
             envs = b.filter(step, envs)
         for env in envs:
@@ -74,7 +78,7 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
             pending.append(env)
 
     for p in parties:
-        b = behaviors.get(p.pid)
+        b = behavior_of[p.pid]
         if b is None or not b.crashed(0):
             outbound(p.pid, 0, p.begin())
     # A party's state changes only while it handles an envelope, so each
@@ -87,23 +91,30 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
             idx = 0
             fairness_overrides += 1
         else:
-            idx = pol.choose(pending)
+            idx = choose(pending)
         env = pending.pop(idx)
         if env.sender in honest:
             messages += 1
             if recorder is not None:
                 nbytes += env.size()
         dst = env.dst
-        b = behaviors.get(dst)
-        if b is None or not b.crashed(step):
+        b = behavior_of[dst]
+        if b is None:
             party = parties[dst]
             if recorder is not None:
                 recorder.current_env = env  # read only while the receiver handles it
             outs = party.handle(env)
+            if outs:
+                if targeting and pol.target is None:
+                    outbound(dst, step, outs)
+                else:  # an honest party's envelopes carry its own id: queue them as sent
+                    for out in outs:
+                        out.enqueued = step
+                    pending += outs
             if party.finished:
                 unfinished.discard(dst)
-            if outs or b is not None:  # a byzantine receiver's filter runs every step
-                outbound(dst, step, outs)
+        elif not b.crashed(step):  # a byzantine receiver's filter runs every step
+            outbound(dst, step, parties[dst].handle(env))
         if on_step is not None:
             on_step(step, env)
     return step, messages, nbytes, fairness_overrides, bool(unfinished)
@@ -220,7 +231,7 @@ class HarnessParty(Party):
 
     def _flush(self) -> List[Envelope]:
         wire, self._wire = self._wire, []
-        return wire_envelopes(self.pid, self.n, wire)
+        return wire_envelopes(self.pid, self._peers, wire)
 
 
 def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
