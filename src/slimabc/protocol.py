@@ -132,9 +132,11 @@ def instance_pool(cfg: SimConfig, instance: int, party: int) -> List[bytes]:
     every party; the rest are private to the party.
     """
     shared_n = round(cfg.overlap * cfg.pool_size)
-    shared = random.Random(f"{cfg.seed}|pool|{instance}|shared")
+    pool = []
+    if shared_n > 0:  # seeding a generator costs more than drawing a request
+        shared = random.Random(f"{cfg.seed}|pool|{instance}|shared")
+        pool += [shared.randbytes(cfg.request_size) for _ in range(shared_n)]
     private = random.Random(f"{cfg.seed}|pool|{instance}|{party}")
-    pool = [shared.randbytes(cfg.request_size) for _ in range(shared_n)]
     pool += [private.randbytes(cfg.request_size) for _ in range(cfg.pool_size - shared_n)]
     return pool
 

@@ -186,6 +186,18 @@ def test_size_equals_encoded_length_for_every_kind():
     assert Envelope(0, 1, ()).size() == len(Envelope(0, 1, ()).encode())
 
 
+def test_fanout_builds_what_the_constructor_builds():
+    entries = tuple(one_of_each())
+    size = len(Envelope(2, 7, entries).encode())
+    for given in (size, None):
+        envs = Envelope.fanout(2, 7, entries, (0, 1, 3), given)
+        assert envs == [Envelope(2, 7, entries, dst) for dst in (0, 1, 3)]
+        for env in envs:
+            assert env.entries is entries
+            assert vars(env) == vars(Envelope(2, 7, entries, env.dst, given))
+            assert env.size() == size
+
+
 # Drawn messages: every kind and every justification kind, with every field
 # the wire carries drawn (bits, values and rounds that receivers reject
 # included), and the fields it does not carry set as `decode` restores them

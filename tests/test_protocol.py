@@ -190,6 +190,17 @@ def test_pool_overlap_extremes():
     assert len({tuple(p) for p in none}) == 4
 
 
+def test_pool_bytes_pinned():
+    """Pools with and without a shared part (0.02 rounds to none), as drawn
+    before the shared generator was seeded only when used."""
+    h = hashlib.sha256()
+    for overlap in (0.0, 0.02, 0.5, 1.0):
+        for instance in (1, 2):
+            for p in range(4):
+                h.update(b"".join(instance_pool(cfg(overlap=overlap), instance, p)))
+    assert h.hexdigest() == "ced5507b15c032f6f7797beaebd486a05986ea852b4dcbc192466ae488995018"
+
+
 def test_sample_batch_is_sorted_subset():
     c = cfg()
     pool = instance_pool(c, 1, 2)
@@ -285,21 +296,37 @@ def reference_flush(party: Party, wire) -> List[Envelope]:
 
 
 FLUSH_N = 4
-FLUSH_PARTY = key_setup(128, FLUSH_N, 4).party_handle(1)
+FLUSH_PROVIDER = key_setup(128, FLUSH_N, 4)
+FLUSH_PARTY = FLUSH_PROVIDER.party_handle(1)
+FLUSH_PAIR = make_proven_pair(FLUSH_PROVIDER, 1, 0, b"flush")
+PAIR = -2  # marks a `_multicast_pair` item: (PAIR, message, holders)
 
-wire_entries = st.lists(
-    st.tuples(
-        st.sampled_from([BROADCAST] * 3 + list(range(FLUSH_N))),  # pid 1 is self
-        st.builds(VMsg, st.sampled_from([1, 2]), st.integers(0, 3), st.integers(0, 1)),
-        st.booleans(),  # a Recover for the same slot instead of the claim
-    ),
-    max_size=8,
+emit_items = st.tuples(
+    st.sampled_from([BROADCAST] * 3 + list(range(FLUSH_N))),  # pid 1 is self
+    st.builds(VMsg, st.sampled_from([1, 2]), st.integers(0, 3), st.integers(0, 1)),
+    st.booleans(),  # a Recover for the same slot instead of the claim
+).map(lambda t: (t[0], Recover(t[1].instance, t[1].slot) if t[2] else t[1]))
+pair_items = st.tuples(
+    st.just(PAIR),
+    st.builds(lambda kind, instance, slot: kind(instance, slot, *FLUSH_PAIR),
+              st.sampled_from([Proposal, Suggestion]), st.sampled_from([1, 2]),
+              st.integers(0, 3)),
+    st.frozensets(st.integers(0, FLUSH_N - 1)),  # the peers known to hold the ciphertext
 )
+wire_entries = st.lists(st.one_of(emit_items, pair_items), max_size=8)
 
 
-def check_flush(party, entries) -> None:
-    """`party._flush()` groups its wire as `reference_flush` does, and sends
-    a broadcast-only step of one instance as one shared entries tuple."""
+def check_flush(party, entries, sized: bool) -> None:
+    """Emit `entries` and check `party._flush()`: it groups the wire as
+    `reference_flush` does; peers whose entry lists hold the same objects
+    share one entries tuple, so a broadcast-only step of one instance sends
+    one and a pair step at most two (full and proof-only); and a sized
+    flush sizes every envelope."""
+    for item in entries:
+        if item[0] == PAIR:
+            party._multicast_pair(item[1], item[2])
+        else:
+            party._emit(*item)
     expected = reference_flush(party, list(party._wire))
     got = party._flush()
     assert party._wire == []
@@ -307,28 +334,28 @@ def check_flush(party, entries) -> None:
         [(e.sender, e.instance, e.dst) for e in expected]
     for e, ref in zip(got, expected):
         assert e.entries == ref.entries
+        assert e._size == (len(e.encode()) if sized else None)
         assert e.size() == len(e.encode()) == len(ref.encode())
-    if len({(dst, v.instance) for dst, v, _ in entries if dst != 1}) == 1 and \
-            entries[0][0] == BROADCAST:  # a broadcast-only step of one instance
-        assert len({id(e.entries) for e in got}) == 1
+    distinct = {id(e.entries) for e in got}
+    assert len(distinct) == len({tuple(map(id, e.entries)) for e in got})
+    if got and len({msg.instance for _, msg, *_ in entries}) == 1 and \
+            all(item[0] in (BROADCAST, PAIR) for item in entries):
+        pairs = sum(item[0] == PAIR for item in entries)
+        if pairs <= 1:
+            assert len(distinct) <= 1 + pairs
 
 
 @settings(max_examples=150, deadline=None)
 @given(entries=wire_entries)
 def test_flush_matches_per_peer_grouping(entries):
-    party = Party(1, FLUSH_PARTY, cfg())
-    for dst, v, recover in entries:
-        party._emit(dst, Recover(v.instance, v.slot) if recover else v)
-    check_flush(party, entries)
+    check_flush(Party(1, FLUSH_PARTY, cfg()), entries, sized=True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(entries=wire_entries)
 def test_harness_flush_matches_per_peer_grouping(entries):
-    party = HarnessParty(1, FLUSH_PARTY, cfg(), None)
-    for dst, v, recover in entries:
-        party._emit(dst, Recover(v.instance, v.slot) if recover else v)
-    check_flush(party, entries)  # the unsized flush groups as the sized one
+    # the unsized flush groups as the sized one
+    check_flush(HarnessParty(1, FLUSH_PARTY, cfg(), None), entries, sized=False)
 
 
 # -- finalization on slot transitions and instance bounds ---------------------------

@@ -153,6 +153,9 @@ def test_delay_policy_defers_an_envelope_queued_before_its_target_is_known():
     budget = 3
     pol = AdversarialDelayPolicy({"budget": budget}, random.Random(0))
     early = Envelope(2, 1, (PpbPayload(1, 2, ct),), 0)
+    # A fresh envelope's bookkeeping reads the class defaults.
+    assert (early.enqueued, early.deferrals, early.targeted, early._size) == (0, 0, None, None)
+    assert not {"enqueued", "deferrals", "targeted", "_size"} & vars(early).keys()
     pol.note_enqueue(early)
     assert pol.target is None
     proposal = Envelope(2, 1, (Proposal(1, 2, ct, proof),), 1)
@@ -164,7 +167,8 @@ def test_delay_policy_defers_an_envelope_queued_before_its_target_is_known():
     for _ in range(budget):
         assert pol.choose(pending) == 2
     assert pol.choose(pending) == 0
-    assert early.deferrals == budget
+    assert early.deferrals == proposal.deferrals == budget
+    assert (other.deferrals, other.targeted) == (0, False)  # looked at, never deferred
 
 
 def filter_envelopes(provider):
