@@ -199,7 +199,9 @@ class HarnessParty(Party):
     Given the proven pair it inputs 1, else 0.  `begin` is its own, and
     `handle` is `Party.handle` bound under this class's own name, so
     perfbench's tracer, which wraps each class's entry points apart, counts
-    each envelope once.  The harness counts no bytes, so its flush sizes no
+    each envelope once.  It runs no provable broadcast, so `_dispatch` drops
+    a `PpbPayload`, and a proof-only `Proposal` or `Suggestion` for a slot
+    whose pair it lacks.  The harness counts no bytes, so its flush sizes no
     envelope."""
 
     def __init__(self, pid: int, crypto, cfg: SimConfig,
