@@ -601,7 +601,7 @@ class Envelope:
             self._size = size
 
     @classmethod
-    def fanout(cls, sender: int, instance: int, entries: tuple, dsts,
+    def fanout(cls, sender: int, instance: int, entries: tuple, dsts: Tuple[int, ...],
                size: Optional[int] = None) -> list:
         """One envelope per destination in `dsts`, all sharing `entries` and
         `size`, each built as the constructor builds it, without a call to
