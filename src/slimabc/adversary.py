@@ -9,6 +9,7 @@ channels.  `POLICIES` and `BEHAVIORS` name each one once, for configs.
 """
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Tuple
 
@@ -154,15 +155,15 @@ def _flip_share(msg):
 
 class Behavior:
     """Built as cls(spec, crypto, rng).  A subclass defines `mutate(step, dst,
-    msg)`, which the base `filter` calls per entry, or overrides `filter`."""
+    msg)`, which the base `filter` calls per entry, or overrides `filter`.
+    The event loop stops handing a party envelopes from step `crash_at` on."""
+
+    crash_at = math.inf
 
     def __init__(self, spec, crypto, rng: random.Random):
         self.spec = spec
         self.crypto = crypto
         self.rng = rng
-
-    def crashed(self, step: int) -> bool:
-        return False
 
     def filter(self, step: int, envs: List[Envelope]) -> List[Envelope]:
         """Pass each envelope through `mutate`, entry by entry: an envelope
@@ -187,11 +188,12 @@ class Behavior:
 
 
 class CrashBehavior(Behavior):
-    def crashed(self, step: int) -> bool:
-        return step >= self.spec.at_step
+    def __init__(self, spec, crypto, rng: random.Random):
+        super().__init__(spec, crypto, rng)
+        self.crash_at = spec.at_step
 
     def filter(self, step: int, envs: List[Envelope]) -> List[Envelope]:
-        return [] if self.crashed(step) else envs
+        return [] if step >= self.crash_at else envs
 
 
 class SilentBehavior(Behavior):

@@ -5,8 +5,9 @@ tossing and threshold public-key encryption: every operation is a pure
 function of (inputs, key material), so runs replay bit for bit.  The
 dealer's master secret lives only inside the provider; party code and
 adversary code receive capability handles that expose a single party's
-signing/decryption operations plus the public verifier surface, and no
-public operation returns master-derived values unless threshold-many
+signing/decryption operations plus the public verifier surface, each the
+provider's own method bound when the handle is built, and no public
+operation returns master-derived values unless threshold-many
 valid shares are presented.  A share holds its party and its tag, a
 signature its tag: the verifier recomputes what the tag is a MAC over.
 Shares and signatures are `Record`s, immutable named tuples that equal only
@@ -47,9 +48,10 @@ cannot grow them, and any changed input is a new key that is verified
 afresh.  All live inside the public methods: every call still enters the
 method, a check that misses the accepted memo still compares the offered
 tag with `hmac.compare_digest`, and `combine_shares` and `tpke_dec` still
-check each share through the public verifiers.  No memo is reachable from
-a `PartyCrypto` handle or a `Ciphertext`, so the capability contract above
-is unchanged.
+check each share through the public verifiers.  No memo is an attribute
+of a `Ciphertext` or of a `PartyCrypto` handle, which holds besides its
+provider only its party, the provider's n, f and t_sig, and the
+provider's methods, so the capability contract above is unchanged.
 
 WARNING: this is a simulation artifact, not a secure implementation.
 """
@@ -60,6 +62,7 @@ import hmac
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 DIGEST_LEN = 32
@@ -436,64 +439,29 @@ class PartyCrypto:
 
     Party and adversary code only ever sees instances of this class, so
     the master secret and other parties' secrets stay structurally out
-    of reach.
+    of reach.  Its operations are the provider's own methods, looked up
+    when the handle is built: `sig_share`, `coin_share` and `dec_share`
+    with this party fixed, the public surface as it is.  So a
+    `ThresholdProvider` method patched before `party_handle` is the one a
+    handle calls, and one patched after it is not.
     """
 
     def __init__(self, provider: ThresholdProvider, party: int):
         self._provider = provider
         self.party = party
-
-    @property
-    def n(self) -> int:
-        return self._provider.n
-
-    @property
-    def f(self) -> int:
-        return self._provider.f
-
-    @property
-    def t_sig(self) -> int:
-        return self._provider.t_sig
-
-    # own-secret operations
-    def sig_share(self, message: bytes) -> SignatureShare:
-        return self._provider.sig_share(self.party, message)
-
-    def coin_share(self, coin_name: bytes) -> CoinShare:
-        return self._provider.coin_share(self.party, coin_name)
-
-    def dec_share(self, c: Ciphertext) -> DecryptionShare:
-        return self._provider.tpke_dec_share(self.party, c)
-
-    # public surface
-    def verify_share(self, message: bytes, signer: int, share: SignatureShare) -> bool:
-        return self._provider.verify_share(message, signer, share)
-
-    def combine_shares(self, message: bytes, shares: Iterable[SignatureShare]) -> ThresholdSignature:
-        return self._provider.combine_shares(message, shares)
-
-    def verify_signature(self, message: bytes, sig: ThresholdSignature) -> bool:
-        return self._provider.verify_signature(message, sig)
-
-    def coin_share_verify(self, coin_name: bytes, holder: int, share: CoinShare) -> bool:
-        return self._provider.coin_share_verify(coin_name, holder, share)
-
-    def coin_toss_bit(self, coin_name: bytes, shares: Iterable[CoinShare]) -> int:
-        return self._provider.coin_toss_bit(coin_name, shares)
-
-    def coin_toss_committee(
-        self, coin_name: bytes, shares: Iterable[CoinShare], kappa: int
-    ) -> tuple[int, ...]:
-        return self._provider.coin_toss_committee(coin_name, shares, kappa)
-
-    def tpke_enc(self, plaintext: bytes) -> Ciphertext:
-        return self._provider.tpke_enc(plaintext)
-
-    def ciphertext_wellformed(self, c: Ciphertext) -> bool:
-        return self._provider.ciphertext_wellformed(c)
-
-    def tpke_dec_share_verify(self, c: Ciphertext, holder: int, share: DecryptionShare) -> bool:
-        return self._provider.tpke_dec_share_verify(c, holder, share)
-
-    def tpke_dec(self, c: Ciphertext, shares: Iterable[DecryptionShare]) -> bytes:
-        return self._provider.tpke_dec(c, shares)
+        self.n, self.f, self.t_sig = provider.n, provider.f, provider.t_sig
+        # own-secret operations
+        self.sig_share = partial(provider.sig_share, party)
+        self.coin_share = partial(provider.coin_share, party)
+        self.dec_share = partial(provider.tpke_dec_share, party)
+        # public surface
+        self.verify_share = provider.verify_share
+        self.combine_shares = provider.combine_shares
+        self.verify_signature = provider.verify_signature
+        self.coin_share_verify = provider.coin_share_verify
+        self.coin_toss_bit = provider.coin_toss_bit
+        self.coin_toss_committee = provider.coin_toss_committee
+        self.tpke_enc = provider.tpke_enc
+        self.ciphertext_wellformed = provider.ciphertext_wellformed
+        self.tpke_dec_share_verify = provider.tpke_dec_share_verify
+        self.tpke_dec = provider.tpke_dec

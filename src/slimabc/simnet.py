@@ -79,7 +79,7 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
 
     for p in parties:
         b = behavior_of[p.pid]
-        if b is None or not b.crashed(0):
+        if b is None or 0 < b.crash_at:
             outbound(p.pid, 0, p.begin())
     # A party's state changes only while it handles an envelope, so each
     # step only the receiver can leave this set.
@@ -113,7 +113,7 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
                     pending += outs
             if party.finished:
                 unfinished.discard(dst)
-        elif not b.crashed(step):  # a byzantine receiver's filter runs every step
+        elif step < b.crash_at:  # a byzantine receiver's filter runs every step
             outbound(dst, step, parties[dst].handle(env))
         if on_step is not None:
             on_step(step, env)

@@ -11,6 +11,7 @@ import hmac
 import itertools
 import random
 import struct
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -416,14 +417,62 @@ def test_ct_digest_cached_per_object():
     assert twin == c and twin.ct_digest() == c.ct_digest()
 
 
+# A handle's own-secret operations, with the provider method each fixes the party of.
+OWN_OPERATIONS = {"sig_share": "sig_share", "coin_share": "coin_share",
+                  "dec_share": "tpke_dec_share"}
+PUBLIC_OPERATIONS = ("verify_share", "combine_shares", "verify_signature", "coin_share_verify",
+                     "coin_toss_bit", "coin_toss_committee", "tpke_enc", "ciphertext_wellformed",
+                     "tpke_dec_share_verify", "tpke_dec")
+
+
 def test_no_master_derived_state_reachable_from_handles_or_ciphertexts():
+    """Besides its provider and party, a handle holds the provider's n, f and
+    t_sig and its thirteen operations: each a provider method bound to the
+    handle's provider, the own-secret ones with only the handle's party fixed."""
     p = provider()
     h = p.party_handle(1)
     c = h.tpke_enc(b"secret batch")
     assert h.tpke_dec(c, [p.tpke_dec_share(i, c) for i in range(2)]) == b"secret batch"
-    assert set(vars(h)) == {"_provider", "party"}
+    assert h._provider is p and h.party == 1
+    assert set(vars(h)) == {"_provider", "party", "n", "f", "t_sig",
+                            *OWN_OPERATIONS, *PUBLIC_OPERATIONS}
+    for name in ("n", "f", "t_sig"):
+        assert type(getattr(h, name)) is int and getattr(h, name) == getattr(p, name)
+    for name in PUBLIC_OPERATIONS:
+        op = getattr(h, name)
+        assert op.__self__ is h._provider and op.__func__ is getattr(ThresholdProvider, name)
+    for name, method in OWN_OPERATIONS.items():
+        op = getattr(h, name)
+        assert type(op) is partial and op.args == (h.party,) and not op.keywords
+        assert op.func.__self__ is h._provider
+        assert op.func.__func__ is getattr(ThresholdProvider, method)
     assert set(vars(c)) <= {"payload", "length_plain", "_ct_digest"}
     assert c.__dict__.get("_ct_digest", digest(c.payload)) == digest(c.payload)
+
+
+def test_handles_call_the_provider_methods_patched_before_they_were_built(monkeypatch):
+    calls = []
+    real_sig, real_verify = ThresholdProvider.sig_share, ThresholdProvider.verify_share
+
+    def sig_share(self, party, message):
+        calls.append(("sig_share", party))
+        return real_sig(self, party, message)
+
+    def verify_share(self, message, signer, share):
+        calls.append(("verify_share", signer))
+        return real_verify(self, message, signer, share)
+
+    p = provider()
+    before = p.party_handle(0)
+    monkeypatch.setattr(ThresholdProvider, "sig_share", sig_share)
+    monkeypatch.setattr(ThresholdProvider, "verify_share", verify_share)
+    after = p.party_handle(1)
+    share = after.sig_share(b"m")
+    assert after.verify_share(b"m", 1, share)
+    assert calls == [("sig_share", 1), ("verify_share", 1)]
+    assert before.sig_share(b"m") == real_sig(p, 0, b"m")
+    assert before.verify_share(b"m", 1, share)
+    assert calls == [("sig_share", 1), ("verify_share", 1)]
 
 
 # -- verification memo soundness --------------------------------------------------
