@@ -1,17 +1,19 @@
 """Binary Byzantine agreement biased towards 1.
 
-Round structure: a pre-process exchange (wait n-f), then per round a
-justified pre-vote, a justified main-vote (2f+1, unanimous bit or
-abstain), a decision check (2f+1 identical non-abstain main-votes
-combine into a transferable decision signature), and a common coin
-(2f+1 shares) feeding the next round's pre-vote.
+Every quorum here is the signing quorum `crypto.t_sig` (n-f, which is
+2f+1 as n = 3f+1).  Round structure: a pre-process exchange (wait for a
+quorum), then per round a justified pre-vote, a justified main-vote (a
+quorum of pre-votes, unanimous bit or abstain), a decision check (a
+quorum of identical non-abstain main-votes combine into a transferable
+decision signature), and a common coin (a quorum of shares) feeding the
+next round's pre-vote.
 
 Justification discipline (what makes the bias and agreement stick):
   - pre-process for 1 is only accepted once a verified payload proof for
     the slot is known locally, so a 1 can never be conjured out of air;
   - round-1 pre-vote for 1 carries one valid pre-process-for-1 share,
     round-1 pre-vote for 0 carries a threshold signature combined from
-    n-f pre-process-for-0 shares (impossible once f+1 honest parties
+    a quorum of pre-process-for-0 shares (impossible once f+1 honest parties
     input 1);
   - later pre-votes carry the prior round's pre-vote threshold
     signature, or the prior round's abstain threshold signature when the
@@ -122,13 +124,11 @@ class AbbaMachine:
         self.slot = slot
         self.crypto = crypto
         self.owner = owner  # told of the decision once, by _decide; None reports nothing
-        self.n = crypto.n
-        self.f = crypto.f
-        self.quorum = 2 * self.f + 1
+        self.quorum = crypto.t_sig
 
         self.input_given: Optional[int] = None
         self.evidence_known = False  # a verified payload proof for this slot exists locally
-        self.round = 0  # 0 until n-f pre-process messages arrive
+        self.round = 0  # 0 until a quorum of pre-process messages arrives
 
         # Signing strings: pre-process per bit; pre-vote per bit and main-vote
         # per value (0, 1, ABSTAIN) for round 1, whose votes are checked
@@ -153,7 +153,7 @@ class AbbaMachine:
         self._future: Dict[int, Dict[Tuple[type, int], Tuple[int, Message]]] = {}
         self._ev_pending: Dict[Tuple[type, int, int], Tuple[int, Message]] = {}
 
-        # Progress within the current round: 0 awaits 2f+1 pre-votes, 1 has
+        # Progress within the current round: 0 awaits a quorum of pre-votes, 1 has
         # sent the main-vote, 2 has checked for a decision and sent the coin share.
         self._stage = 0
 
@@ -189,7 +189,7 @@ class AbbaMachine:
         pp = self._pp
         pp[sender] = msg
         # Pre-process votes only move the machine out of round 0.
-        if self.round == 0 and len(pp) >= self.n - self.f:
+        if self.round == 0 and len(pp) >= self.quorum:
             self._pump(out)
 
     # A justified vote is counted in its round's ledger.  Only the current
@@ -324,7 +324,7 @@ class AbbaMachine:
         while self.decided is None:
             r = self.round
             if r == 0:
-                if self.input_given is None or len(self._pp) < self.n - self.f:
+                if self.input_given is None or len(self._pp) < self.quorum:
                     break
                 self._enter_round_one(out)
             elif self._stage == 0:
@@ -364,7 +364,7 @@ class AbbaMachine:
             just = Justification(JUST_PREPROCESS_ONE, signer=signer, share=self._pp[signer].share)
             bit = 1
         else:
-            zeros = [m.share for m in list(self._pp.values())[: self.n - self.f]]
+            zeros = [m.share for m in list(self._pp.values())[: self.quorum]]
             sig = self.crypto.combine_shares(self._pp_msgs[0], zeros)
             just = Justification(JUST_PREPROCESS_ZERO, sig=sig)
             bit = 0

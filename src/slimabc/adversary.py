@@ -161,7 +161,6 @@ class Behavior:
     crash_at = math.inf
 
     def __init__(self, spec, crypto, rng: random.Random):
-        self.spec = spec
         self.crypto = crypto
         self.rng = rng
 
@@ -193,7 +192,9 @@ class CrashBehavior(Behavior):
         self.crash_at = spec.at_step
 
     def filter(self, step: int, envs: List[Envelope]) -> List[Envelope]:
-        return [] if step >= self.crash_at else envs
+        """Send everything as is: the event loop stops handing this party
+        envelopes at step `crash_at`, so it sends nothing from then on."""
+        return envs
 
 
 class SilentBehavior(Behavior):

@@ -279,6 +279,20 @@ class ThresholdProvider:
         if not 0 <= party < self.n:
             raise ValueError(f"party {party} out of range for n={self.n}")
 
+    def _check_quorum(self, verify, subject, shares: Iterable[Record], need: int) -> None:
+        """The share-quorum rule of every combiner.  Any share that
+        `verify(subject, party, share)` rejects raises InvalidShareError
+        naming every offender; otherwise fewer than `need` distinct parties
+        raise InsufficientSharesError.  A share's party is its first field,
+        a signature share's `signer` or a coin or decryption share's `holder`."""
+        shares = list(shares)
+        offenders = [s[0] for s in shares if not verify(subject, s[0], s)]
+        if offenders:
+            raise InvalidShareError(offenders)
+        got = len({s[0] for s in shares})
+        if got < need:
+            raise InsufficientSharesError(need, got)
+
     # -- threshold signatures --------------------------------------------
 
     def sig_share(self, party: int, message: bytes) -> SignatureShare:
@@ -304,12 +318,7 @@ class ThresholdProvider:
         The result is a pure function of (message, key material), so any
         qualifying subset combines to the identical signature.
         """
-        offenders = [s.signer for s in shares if not self.verify_share(message, s.signer, s)]
-        if offenders:
-            raise InvalidShareError(offenders)
-        signers = {s.signer for s in shares}
-        if len(signers) < self.t_sig:
-            raise InsufficientSharesError(self.t_sig, len(signers))
+        self._check_quorum(self.verify_share, message, shares, self.t_sig)
         return ThresholdSignature(self._tag(self._master, b"tsig", message))
 
     def verify_signature(self, message: bytes, sig: ThresholdSignature) -> bool:
@@ -332,19 +341,9 @@ class ThresholdProvider:
             return False
         return self._tag_matches(self._party_keys[holder], b"coin", coin_name, share.share_bytes)
 
-    def _coin_quorum(self, coin_name: bytes, shares: Iterable[CoinShare]) -> None:
-        offenders = [
-            s.holder for s in shares if not self.coin_share_verify(coin_name, s.holder, s)
-        ]
-        if offenders:
-            raise InvalidShareError(offenders)
-        holders = {s.holder for s in shares}
-        if len(holders) < self.f + 1:
-            raise InsufficientSharesError(self.f + 1, len(holders))
-
     def coin_toss_bit(self, coin_name: bytes, shares: Iterable[CoinShare]) -> int:
         """Unbiased bit, defined only once f+1 distinct valid shares exist."""
-        self._coin_quorum(coin_name, list(shares))
+        self._check_quorum(self.coin_share_verify, coin_name, shares, self.f + 1)
         return self._stream(self._master, b"coinbit" + coin_name, 1)[0] & 1
 
     def coin_toss_committee(
@@ -353,7 +352,7 @@ class ThresholdProvider:
         """kappa distinct parties drawn by Fisher-Yates over a keyed stream."""
         if not 0 < kappa <= self.n:
             raise ValueError(f"kappa must be in 1..n, got {kappa}")
-        self._coin_quorum(coin_name, list(shares))
+        self._check_quorum(self.coin_share_verify, coin_name, shares, self.f + 1)
         pool = list(range(self.n))
         raw = self._stream(self._master, b"committee" + coin_name, 4 * kappa)
         for i in range(kappa):
@@ -413,12 +412,7 @@ class ThresholdProvider:
     def tpke_dec(self, c: Ciphertext, shares: Iterable[DecryptionShare]) -> bytes:
         """Recover the plaintext from f+1 distinct valid decryption shares."""
         self._check_ciphertext(c)
-        offenders = [s.holder for s in shares if not self.tpke_dec_share_verify(c, s.holder, s)]
-        if offenders:
-            raise InvalidShareError(offenders)
-        holders = {s.holder for s in shares}
-        if len(holders) < self.f + 1:
-            raise InsufficientSharesError(self.f + 1, len(holders))
+        self._check_quorum(self.tpke_dec_share_verify, c, shares, self.f + 1)
         d = c.ct_digest()
         plaintext = self._plaintexts.get(d)
         if plaintext is None:

@@ -83,7 +83,7 @@ class SlotInvocation:
         self.owner = owner
         # A weak proxy, as the party's: a strong one would make a reference cycle.
         self.abba = AbbaMachine(instance, slot, crypto, weakref.proxy(self))
-        self._claim_quorum = 2 * crypto.f + 1  # claims that fix the input
+        self._claim_quorum = crypto.t_sig  # claims that fix the input
         self._dec_quorum = crypto.f + 1  # decryption shares that recover the plaintext
         self.pair: Optional[Tuple[Ciphertext, ThresholdSignature]] = None
         self.u: Optional[int] = None  # the local claim, set when the slot starts

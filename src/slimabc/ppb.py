@@ -3,16 +3,15 @@
 Only committee members broadcast.  Receivers countersign the first
 payload per committee member, binding (instance, slot, payload digest)
 under the signature so a second diverging payload from the same sender
-can never assemble a proof.  The sender combines n-f countersignatures
+can never assemble a proof.  The sender combines t_sig = n-f countersignatures
 into the transferable proof.  Its signers hold the ciphertext already, so a
 pair message to one of them may leave the ciphertext out.
 """
 from __future__ import annotations
 
 import struct
-from typing import Dict, KeysView, Optional
+from typing import Dict, KeysView, Optional, Tuple
 
-from .committee import Committee
 from .crypto import (
     Ciphertext,
     PartyCrypto,
@@ -37,7 +36,7 @@ def verify_proof(crypto: PartyCrypto, instance: int, slot: int,
 class PpbSender:
     """Broadcast side; only constructible for the party's own slot."""
 
-    def __init__(self, instance: int, crypto: PartyCrypto, committee: Committee,
+    def __init__(self, instance: int, crypto: PartyCrypto, committee: Tuple[int, ...],
                  ciphertext: Ciphertext):
         if crypto.party not in committee:
             raise NotCommitteeMemberError(f"party {crypto.party} not in committee")
@@ -50,13 +49,13 @@ class PpbSender:
         self.proof: Optional[ThresholdSignature] = None
 
     def on_share(self, sender: int, share: SignatureShare) -> Optional[ThresholdSignature]:
-        """Returns the proof exactly once, when n-f valid shares are in."""
+        """Returns the proof exactly once, when t_sig valid shares are in."""
         if self.proof is not None or sender in self._shares:
             return None
         if not self.crypto.verify_share(self._bytes, sender, share):
             return None
         self._shares[sender] = share
-        if len(self._shares) >= self.crypto.n - self.crypto.f:
+        if len(self._shares) >= self.crypto.t_sig:
             self.proof = self.crypto.combine_shares(self._bytes, self._shares.values())
             return self.proof
         return None
@@ -71,7 +70,7 @@ class PpbSender:
 class PpbReceiver:
     """Countersigning ledger for one instance; one signature per sender."""
 
-    def __init__(self, instance: int, crypto: PartyCrypto, committee: Committee):
+    def __init__(self, instance: int, crypto: PartyCrypto, committee: Tuple[int, ...]):
         self.instance = instance
         self.crypto = crypto
         self.committee = committee

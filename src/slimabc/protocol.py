@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .committee import Committee, CsState
+from .committee import CsState
 from .config import SimConfig
 from .crypto import Ciphertext, PartyCrypto, ThresholdSignature
 from .invocation import SLOT_HANDLERS, SlotInvocation, SlotOwner
@@ -195,7 +195,7 @@ def wire_envelopes(pid: int, peers: Tuple[int, ...], wire: List[WireItem],
 class Observer:
     """No-op hooks; the simulator subclasses what it needs."""
 
-    def on_committee(self, party: int, instance: int, committee: Committee) -> None: ...
+    def on_committee(self, party: int, instance: int, committee: Tuple[int, ...]) -> None: ...
 
     def on_sweep(self, party: int, instance: int) -> None: ...
 
@@ -210,7 +210,7 @@ class Observer:
 @dataclass
 class InstanceState:
     cs: Optional[CsState] = None  # None where the committee is fixed (agreement harness)
-    committee: Optional[Committee] = None
+    committee: Optional[Tuple[int, ...]] = None  # the members, in coin order
     ppb_recv: Optional[PpbReceiver] = None
     ppb_send: Optional[PpbSender] = None
     slots: Dict[int, SlotInvocation] = field(default_factory=dict)
@@ -228,7 +228,6 @@ class Party(SlotOwner):
         self.cfg = cfg
         self.observer = observer or Observer()
         self.n = crypto.n
-        self.f = crypto.f
         self._peers = (*range(pid), *range(pid + 1, self.n))  # every other party
         self.instance = 0
         self.finished = False
@@ -429,12 +428,12 @@ class Party(SlotOwner):
 
     # -- phase transitions ---------------------------------------------------------
 
-    def _on_committee(self, committee: Committee) -> None:
+    def _on_committee(self, committee: Tuple[int, ...]) -> None:
         inst = self.inst
         inst.committee = committee
         self.observer.on_committee(self.pid, self.instance, committee)
         inst.ppb_recv = PpbReceiver(self.instance, self.crypto, committee)
-        for member in committee.members:
+        for member in committee:
             inst.slots[member] = SlotInvocation(self.instance, member, self.crypto, self._owner)
         if self.pid in committee:
             batch = RequestBatch(
@@ -469,7 +468,7 @@ class Party(SlotOwner):
 
     def _maybe_sweep(self) -> None:
         inst = self.inst
-        if inst.swept or len(inst.sugg_senders) < 2 * self.f + 1:
+        if inst.swept or len(inst.sugg_senders) < self.crypto.t_sig:
             return
         inst.swept = True
         self.observer.on_sweep(self.pid, self.instance)

@@ -47,7 +47,7 @@ class RunRecorder(Observer):
 
     def on_committee(self, party, instance, committee) -> None:
         if party in self.honest:
-            self.committees.setdefault(instance, {})[party] = committee.members
+            self.committees.setdefault(instance, {})[party] = committee
 
     def on_sweep(self, party, instance) -> None:
         if party not in self.honest or instance in self.swept:

@@ -21,7 +21,6 @@ from .adversary import BEHAVIORS, POLICIES, TargetingPolicy
 from .adversary import (  # noqa: F401  read as simnet.X by perfbench's tracer
     AdversarialDelayPolicy, Behavior, CrashBehavior, FifoPolicy, RandomPolicy, SilentBehavior,
     TargetedStarvePolicy)
-from .committee import Committee
 from .config import BehaviorSpec, ConfigError, SimConfig, config_from_dict, scenario_dict
 from .crypto import Ciphertext, ThresholdSignature, key_setup
 from .invocation import SlotInvocation
@@ -188,7 +187,7 @@ def make_proven_pair(provider, instance: int, slot: int,
     """Dealer-side constructor of a broadcast-proven pair, for harness setups."""
     ct = provider.tpke_enc(payload)
     msg = ppb_sign_bytes(instance, slot, ct.ct_digest())
-    shares = [provider.sig_share(p, msg) for p in range(provider.n - provider.f)]
+    shares = [provider.sig_share(p, msg) for p in range(provider.t_sig)]
     return ct, provider.combine_shares(msg, shares)
 
 
@@ -210,7 +209,7 @@ class HarnessParty(Party):
         self.pair = pair
         self.instance = 1
         self.inv = SlotInvocation(1, 0, crypto, self._owner)
-        self.inst = InstanceState(committee=Committee(1, (0,)), slots={0: self.inv})
+        self.inst = InstanceState(committee=(0,), slots={0: self.inv})
 
     def begin(self) -> List[Envelope]:
         inv, pair, out = self.inv, self.pair, self._out

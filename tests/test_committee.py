@@ -1,5 +1,5 @@
 """Committee selection: agreement, buffering, and fault cases."""
-from slimabc.committee import Committee, CsState, committee_coin_name
+from slimabc.committee import CsState, committee_coin_name
 from slimabc.crypto import CoinShare, key_setup
 
 
@@ -21,8 +21,8 @@ def run_selection(states, senders=None):
 def test_all_parties_agree_on_committee():
     committees = run_selection(make_states())
     assert all(c is not None for c in committees)
-    assert len({c.members for c in committees}) == 1
-    assert len(committees[0].members) == 2  # kappa = f+1
+    assert len(set(committees)) == 1
+    assert len(committees[0]) == 2  # kappa = f+1
 
 
 def test_committee_from_any_quorum():
@@ -35,7 +35,7 @@ def test_committee_from_any_quorum():
         for st, c in zip(states, committees):
             if st.crypto.party in senders:
                 assert c is not None
-                seen.add(c.members)
+                seen.add(c)
     assert len(seen) == 1
 
 
@@ -44,7 +44,7 @@ def test_instances_select_differently():
     members = set()
     for instance in range(1, 9):
         c = run_selection(make_states(instance=instance))[0]
-        members.add(c.members)
+        members.add(c)
     assert len(members) > 1
 
 
@@ -66,8 +66,3 @@ def test_wrong_instance_share_rejected():
     other = states[1].crypto.coin_share(committee_coin_name(9))
     assert st.on_share(1, other) is None
     assert st.committee is None
-
-
-def test_committee_membership_helpers():
-    c = Committee(3, (5, 2))
-    assert 5 in c and 2 in c and 0 not in c

@@ -118,6 +118,43 @@ def test_combine_names_offenders():
     assert 1 in err.value.offenders
 
 
+def quorum_case(p, name):
+    """The share of party i, the combiner over a share list, the quorum it
+    needs and the share type, for one of the provider's four combiners."""
+    ct = p.tpke_enc(b"quorum")
+    return {
+        "combine_shares": (partial(p.sig_share, message=b"q"), partial(p.combine_shares, b"q"),
+                           p.t_sig, SignatureShare),
+        "coin_toss_bit": (partial(p.coin_share, coin_name=b"q"), partial(p.coin_toss_bit, b"q"),
+                          p.f + 1, CoinShare),
+        "coin_toss_committee": (partial(p.coin_share, coin_name=b"q"),
+                                lambda shares: p.coin_toss_committee(b"q", shares, p.f + 1),
+                                p.f + 1, CoinShare),
+        "tpke_dec": (partial(p.tpke_dec_share, c=ct), partial(p.tpke_dec, ct),
+                     p.f + 1, DecryptionShare),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ("combine_shares", "coin_toss_bit", "coin_toss_committee",
+                                  "tpke_dec"))
+def test_every_combiner_keeps_one_share_quorum_rule(name):
+    """Too few distinct parties raise InsufficientSharesError with the
+    quorum and the count; a party's second share counts once; any invalid
+    share raises InvalidShareError naming every offender, sorted, even when
+    the quorum is also short."""
+    p = provider(n=7)
+    share, combine, need, kind = quorum_case(p, name)
+    few = [share(i) for i in range(need - 1)]
+    for shares in (few, few + [share(0)]):
+        with pytest.raises(InsufficientSharesError) as err:
+            combine(shares)
+        assert (err.value.needed, err.value.got) == (need, need - 1)
+    combine(few + [share(need - 1)])
+    with pytest.raises(InvalidShareError) as err:  # two parties: short of every quorum
+        combine([kind(5, bytes(TAG_LEN)), kind(2, bytes(TAG_LEN))])
+    assert err.value.offenders == (2, 5)
+
+
 def test_mutated_shares_never_verify():
     p = provider()
     msg = b"mutation sweep"

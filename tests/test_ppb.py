@@ -1,7 +1,6 @@
 """Provable broadcast: proofs, equivocation, and withholding."""
 import pytest
 
-from slimabc.committee import Committee
 from slimabc.crypto import Ciphertext, key_setup
 from slimabc.ppb import (
     NotCommitteeMemberError,
@@ -15,7 +14,7 @@ from slimabc.ppb import (
 def setup(n=4, seed=3, members=(0, 1)):
     provider = key_setup(128, n, seed)
     handles = [provider.party_handle(i) for i in range(n)]
-    return provider, handles, Committee(1, members)
+    return provider, handles, members
 
 
 def test_happy_path_yields_transferable_proof():

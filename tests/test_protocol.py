@@ -482,7 +482,7 @@ def elected(provider, instance: int) -> Tuple[int, ...]:
     """The committee every party elects for `instance`."""
     cs = CsState(instance, provider.party_handle(0))
     cs.on_share(1, CsState(instance, provider.party_handle(1)).own)
-    return cs.committee.members
+    return cs.committee
 
 
 class RoutedParties:
@@ -622,7 +622,7 @@ def at_committee(member: bool):
     other = (pid + 1) % 4
     share = CsState(1, provider.party_handle(other)).own
     party.handle(Envelope(other, 1, (CsShare(1, share),), dst=pid))
-    assert party.inst.committee.members == members
+    assert party.inst.committee == members
     return provider, party, members
 
 

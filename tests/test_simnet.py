@@ -1,6 +1,7 @@
 """Simulator: config validation, determinism, policies, behaviors, traces."""
 import gc
 import hashlib
+import itertools
 import json
 import random
 import typing
@@ -31,6 +32,7 @@ from slimabc.messages import (
 )
 from slimabc.adversary import BEHAVIORS, POLICIES, AdversarialDelayPolicy, SilentBehavior
 from slimabc.config import config_from_dict, load_scenario, scenario_dict
+from slimabc.protocol import Party
 from slimabc.simnet import (HarnessParty, abba_harness_run, deliver, make_proven_pair,
                             replay_trace)
 
@@ -442,6 +444,34 @@ def test_stalled_and_crash_runs_keep_stop_and_step_counts():
     assert (r["stalled"], r["steps"]) == (True, 40)
     r = abba_harness_run(4, 1, 7, [1, 1, 0, 0], byzantine=(BehaviorSpec(1, "crash", at_step=3),))
     assert (r["stalled"], r["steps"]) == (False, 36)
+
+
+def test_the_loop_hands_a_crashed_party_nothing_from_its_crash_step(monkeypatch):
+    """A crashed party's `handle` is never called at or after its `at_step`,
+    and its `begin` is never called when that step is 0, so the loop alone
+    silences it and `CrashBehavior.filter` passes what it sees unchanged."""
+    calls = []  # (pid, step) of every begin (step 0) and handle
+    now = [0]  # the step being delivered
+    begin, handle = Party.begin, Party.handle
+    monkeypatch.setattr(Party, "begin", lambda self: calls.append((self.pid, 0)) or begin(self))
+    monkeypatch.setattr(Party, "handle",
+                        lambda self, env: calls.append((self.pid, now[0])) or handle(self, env))
+    handled_before_crash = 0
+    for n, seed in itertools.product((4, 7), range(20)):
+        f, at = (n - 1) // 3, 7 * seed % 40
+        cfg = base_cfg(n=n, f=f, seed=seed, instances=2, policy="random",
+                       byzantine=tuple(BehaviorSpec(p, "crash", at_step=at) for p in range(f)))
+        cfg.validate()
+        provider = key_setup(cfg.security_param, n, seed)
+        parties = [Party(p, provider.party_handle(p), cfg) for p in range(n)]
+        calls.clear()
+        now[0] = 1
+        deliver(parties, cfg, on_step=lambda step, env: now.__setitem__(0, step + 1))
+        crashed = [(pid, step) for pid, step in calls if pid < f]
+        assert all(step < at for _, step in crashed), (n, seed)
+        assert {pid for pid, step in crashed if step == 0} == (set(range(f)) if at else set())
+        handled_before_crash += sum(step > 0 for _, step in crashed)
+    assert handled_before_crash > 0
 
 
 def test_harness_all_zero_and_all_one():
