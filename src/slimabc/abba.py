@@ -253,12 +253,16 @@ class AbbaMachine:
 
     def on_decision(self, sender: int, msg: AbbaDecision, out: List[Message]) -> None:
         """Adopt a transferable decision; `_decide` forwards it once."""
-        if msg.bit not in (0, 1) or not 1 <= msg.round <= ROUND_MAX:
+        r, bit = msg.round, msg.bit
+        if bit not in (0, 1) or not 1 <= r <= ROUND_MAX:
             return
-        if not self.crypto.verify_signature(self._mv_msg(msg.round, msg.bit), msg.sig):
+        msgs = self._round_msgs.get(r)
+        # A round not entered (a decision's) gets its string built, never cached.
+        signed = mainvote_bytes(self.instance, self.slot, r, bit) if msgs is None else msgs[2 + bit]
+        if not self.crypto.verify_signature(signed, msg.sig):
             return
         if self.decided is None:
-            self._decide(msg.bit, msg.round, msg.sig, out)
+            self._decide(bit, r, msg.sig, out)
 
     # -- justification checks -----------------------------------------------
 
@@ -344,12 +348,6 @@ class AbbaMachine:
                     list(shares.values())[: self.quorum],
                 )
                 self._advance(r + 1, out)
-
-    def _mv_msg(self, r: int, value: int) -> bytes:
-        msgs = self._round_msgs.get(r)
-        if msgs is None:  # a round not entered (a decision's): build, never cache
-            return mainvote_bytes(self.instance, self.slot, r, value)
-        return msgs[2 + value]
 
     def _enter(self, r: int) -> None:
         self.round = r

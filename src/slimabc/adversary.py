@@ -231,16 +231,19 @@ class RandomVotesBehavior(Behavior):
     keeping the original share, and flips some 0-claims to 1.  The claim
     flip has had no effect since claims went bare (`BENCH_20.json`): no
     receiver reads a claim's bit.  It stays because removing it would shift
-    this behavior's random draws and change every random-votes report."""
+    this behavior's random draws and change every random-votes report.
+    A bit or value is drawn as `rng.randrange(2)` or `rng.choice((0, 1, 2))`
+    does, without their call frames: two random bits, drawn again while the
+    result is out of range, so the sequence of draws is the same."""
 
     def mutate(self, step: int, dst: int, msg):
         kind = type(msg)
-        if kind is AbbaPrevote:
-            return AbbaPrevote(msg.instance, msg.slot, msg.round, self.rng.randrange(2),
-                               msg.justification, msg.share)
-        if kind is AbbaMainvote:
-            return AbbaMainvote(msg.instance, msg.slot, msg.round, self.rng.choice((0, 1, 2)),
-                                msg.justification, msg.share)
+        if kind is AbbaPrevote or kind is AbbaMainvote:  # both hold the drawn field fourth
+            getrandbits, bound = self.rng.getrandbits, 2 if kind is AbbaPrevote else 3
+            drawn = getrandbits(2)
+            while drawn >= bound:
+                drawn = getrandbits(2)
+            return kind(msg.instance, msg.slot, msg.round, drawn, msg.justification, msg.share)
         if kind is VMsg and msg.u == 0 and self.rng.random() < 0.3:
             return VMsg(msg.instance, msg.slot, 1)  # claim 1 without holding the pair
         return msg

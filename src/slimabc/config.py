@@ -52,13 +52,13 @@ class SimConfig:
         """Raise ConfigError unless this config can run: every field, and each
         behavior spec's, has its JSON type, and every value is in range."""
         for obj in (self, *self.byzantine):
-            for fld in dataclasses.fields(obj):
-                if fld.name == "byzantine":
+            for name in obj.__dataclass_fields__:  # every one a plain field
+                if name == "byzantine":
                     continue
-                value = getattr(obj, fld.name)
-                want = FIELD_TYPES.get(fld.name, int)
+                value = getattr(obj, name)
+                want = FIELD_TYPES.get(name, int)
                 if type(value) is bool or not isinstance(value, want):
-                    raise ConfigError(f"config field {fld.name} has the wrong type: {value!r}")
+                    raise ConfigError(f"config field {name} has the wrong type: {value!r}")
         n, f = self.n, self.f
         if f < 1 or n != 3 * f + 1:
             raise ConfigError(f"need n = 3f+1 with f >= 1, got n={n} f={f}")

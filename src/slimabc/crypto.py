@@ -185,13 +185,13 @@ class Ciphertext:
     payload: bytes
     length_plain: int
 
+    def __post_init__(self):
+        # Stored once per object, read by the provider as `_ct_digest`; the
+        # payload is immutable and public.
+        object.__setattr__(self, "_ct_digest", digest(self.payload))
+
     def ct_digest(self) -> bytes:
-        # Computed once per object; the payload is immutable and public.
-        d = self.__dict__.get("_ct_digest")
-        if d is None:
-            d = digest(self.payload)
-            object.__setattr__(self, "_ct_digest", d)
-        return d
+        return self._ct_digest
 
 
 _CT_MAGIC = b"STPK"
@@ -246,9 +246,14 @@ class ThresholdProvider:
         return tag
 
     def _fresh_tag(self, key: _MacKey, domain: bytes, signed: bytes) -> bytes:
+        # `key.mac` and `digest`, inlined: this runs once per tag computed.
         if domain == b"sig" or domain == b"tsig":
-            signed = digest(signed)
-        return key.mac(domain + b"\x00" + signed)[:TAG_LEN]
+            signed = hashlib.sha256(signed).digest()
+        inner = key._inner.copy()
+        inner.update(domain + b"\x00" + signed)
+        outer = key._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:TAG_LEN]
 
     def _tag_matches(self, key: _MacKey, domain: bytes, signed: bytes, offered: bytes) -> bool:
         """Whether `offered` is `_tag(key, domain, signed)`.  A tag computed
@@ -285,13 +290,15 @@ class ThresholdProvider:
         naming every offender; otherwise fewer than `need` distinct parties
         raise InsufficientSharesError.  A share's party is its first field,
         a signature share's `signer` or a coin or decryption share's `holder`."""
-        shares = list(shares)
-        offenders = [s[0] for s in shares if not verify(subject, s[0], s)]
+        offenders, parties = [], set()
+        for s in shares:
+            if not verify(subject, s[0], s):
+                offenders.append(s[0])
+            parties.add(s[0])
         if offenders:
             raise InvalidShareError(offenders)
-        got = len({s[0] for s in shares})
-        if got < need:
-            raise InsufficientSharesError(need, got)
+        if len(parties) < need:
+            raise InsufficientSharesError(need, len(parties))
 
     # -- threshold signatures --------------------------------------------
 
@@ -372,7 +379,7 @@ class ThresholdProvider:
             body = _xor(plaintext, self._mask(header, len(plaintext)))
             c = Ciphertext(_CT_MAGIC + header + body, len(plaintext))
             _remember(self._ciphertexts, pd, c, TPKE_MEMO_MAX)
-            _remember(self._plaintexts, c.ct_digest(), plaintext, TPKE_MEMO_MAX)
+            _remember(self._plaintexts, c._ct_digest, plaintext, TPKE_MEMO_MAX)
         return c
 
     def _check_ciphertext(self, c: Ciphertext) -> None:
@@ -394,11 +401,11 @@ class ThresholdProvider:
     def tpke_dec_share(self, party: int, c: Ciphertext) -> DecryptionShare:
         self._check_party(party)
         self._check_ciphertext(c)
-        tag = self._tag(self._party_keys[party], b"tpke-dec", c.ct_digest())
+        tag = self._tag(self._party_keys[party], b"tpke-dec", c._ct_digest)
         return DecryptionShare(party, tag)
 
     def tpke_dec_share_verify(self, c: Ciphertext, holder: int, share: DecryptionShare) -> bool:
-        d = c.ct_digest()
+        d = c._ct_digest
         key = (d, holder, share.holder, share.share_bytes)
         if key in self._dec_accepted:
             return True
@@ -413,7 +420,7 @@ class ThresholdProvider:
         """Recover the plaintext from f+1 distinct valid decryption shares."""
         self._check_ciphertext(c)
         self._check_quorum(self.tpke_dec_share_verify, c, shares, self.f + 1)
-        d = c.ct_digest()
+        d = c._ct_digest
         plaintext = self._plaintexts.get(d)
         if plaintext is None:
             header = c.payload[len(_CT_MAGIC):_CT_HEADER]

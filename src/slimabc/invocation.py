@@ -204,10 +204,11 @@ class SlotInvocation:
             self._try_decrypt()
 
     def _try_decrypt(self) -> None:
+        decided = self.abba.decided
         if (
             self.plaintext is None
-            and self.decided is not None
-            and self.decided[0] == 1
+            and decided is not None
+            and decided[0] == 1
             and len(self._dec_shares) >= self._dec_quorum
         ):
             shares = list(self._dec_shares.values())[: self._dec_quorum]

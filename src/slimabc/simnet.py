@@ -13,6 +13,8 @@ honest parties, at the moment they are delivered.
 """
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import random
 from typing import Callable, List, Optional, Tuple
@@ -113,12 +115,38 @@ def deliver(parties: List[Party], cfg: SimConfig, recorder: Optional[RunRecorder
             if party.finished:
                 unfinished.discard(dst)
         elif step < b.crash_at:  # a byzantine receiver's filter runs every step
-            outbound(dst, step, parties[dst].handle(env))
+            # outbound, inlined: this runs on every step a byzantine party receives
+            for out in b.filter(step, parties[dst].handle(env)):
+                if out.sender != dst:  # behaviors cannot spoof the sender
+                    out = Envelope(dst, out.instance, out.entries, out.dst)
+                out.enqueued = step
+                if targeting and pol.target is None:
+                    pol.note_enqueue(out)
+                pending.append(out)
         if on_step is not None:
             on_step(step, env)
     return step, messages, nbytes, fairness_overrides, bool(unfinished)
 
 
+def collector_paused(run: Callable) -> Callable:
+    """`run` with the cyclic garbage collector paused, resumed if it was
+    running once the run's frame and what only it held are released.  A
+    finished run leaves no reference cycle, so reference counting frees it."""
+
+    @functools.wraps(run)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@collector_paused
 def sim_run(cfg: SimConfig, trace_path: Optional[str] = None,
             step_callback: Optional[Callable[[dict], None]] = None) -> RunReport:
     cfg.validate()
@@ -235,6 +263,7 @@ class HarnessParty(Party):
         return wire_envelopes(self.pid, self._peers, wire)
 
 
+@collector_paused
 def abba_harness_run(n: int, f: int, seed: int, inputs: List[int],
                      byzantine: Tuple[BehaviorSpec, ...] = (),
                      policy: str = "random", policy_params: Optional[dict] = None,

@@ -518,7 +518,6 @@ def test_unentered_rounds_stay_out_of_the_string_cache():
     provider, machines = make_machines()
     m = machines[0]
     before = round_strings.cache_info()
-    assert m._mv_msg(70, 1) == mainvote_bytes(INSTANCE, SLOT, 70, 1)
     mv = mainvote_bytes(INSTANCE, SLOT, 71, 0)
     sig = provider.combine_shares(mv, [sig_for(provider, i, mv) for i in range(3)])
     m.on_decision(2, AbbaDecision(INSTANCE, SLOT, 71, 0, sig), [])

@@ -18,8 +18,8 @@ SRC = ROOT / "src" / "slimabc"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 PROTOCOL_LAYERS = ("protocol", "invocation", "abba", "ppb", "committee", "crypto", "messages")
 SIMULATOR = ("config", "adversary", "recorder", "simnet", "grid")
-SIMNET_DEFINES = {"TRACE_FORMAT", "deliver", "sim_run", "replay_trace", "make_proven_pair",
-                  "HarnessParty", "abba_harness_run"}
+SIMNET_DEFINES = {"TRACE_FORMAT", "deliver", "collector_paused", "sim_run", "replay_trace",
+                  "make_proven_pair", "HarnessParty", "abba_harness_run"}
 
 
 def parse(name: str) -> ast.Module:

@@ -1,4 +1,5 @@
 """Simulator: config validation, determinism, policies, behaviors, traces."""
+import functools
 import gc
 import hashlib
 import itertools
@@ -316,6 +317,32 @@ def test_random_policy_draws_as_randrange(seed):
         assert pol.choose([None] * length) == ref.randrange(length)
 
 
+def test_random_votes_draw_as_randrange_choice_and_random():
+    """Over many seeds and mixes of votes and claims, each redrawn bit is
+    `randrange(2)`, each redrawn value `choice((0, 1, 2))` and each claim
+    flip `random() < 0.3`, drawn from one generator in message order."""
+    provider = key_setup(128, 4, 0)
+    share = provider.sig_share(3, b"vote")
+    just = Justification(JUST_NONE)
+    msgs = (AbbaPrevote(1, 0, 1, 1, just, share), AbbaMainvote(1, 0, 2, ABSTAIN, just, share),
+            VMsg(1, 0, 0))
+    for seed in range(100):
+        behavior = BEHAVIORS["random-votes"](BehaviorSpec(3, "random-votes"),
+                                             provider.party_handle(3),
+                                             random.Random(f"{seed}|byz|3"))
+        ref = random.Random(f"{seed}|byz|3")
+        mix = random.Random(seed)
+        for _ in range(40):
+            msg = mix.choice(msgs)
+            if type(msg) is AbbaPrevote:
+                want = msg._replace(bit=ref.randrange(2))
+            elif type(msg) is AbbaMainvote:
+                want = msg._replace(value=ref.choice((0, 1, 2)))
+            else:
+                want = msg._replace(u=1) if ref.random() < 0.3 else msg
+            assert behavior.mutate(1, 0, msg) == want, seed
+
+
 def test_lemma_checks_recorded_under_starvation():
     rep = sim_run(base_cfg(n=7, f=2, seed=13, instances=2, policy="targeted-starve"))
     assert rep.ok, rep.failures
@@ -481,30 +508,86 @@ def test_harness_all_zero_and_all_one():
         assert {v[0] for v in r["decisions"].values()} == {bit}
 
 
-def test_finished_runs_leave_no_reference_cycles():
-    """A finished run is freed by reference counting alone, also when some
-    party stops mid-instance with live slots (crashed late, or stalled)."""
-    gc.collect()
-    gc.disable()
+@pytest.mark.parametrize("enabled", (True, False))
+def test_runs_pause_the_collector_and_restore_it(enabled, monkeypatch):
+    """`sim_run` and `abba_harness_run` run with the cyclic collector paused
+    and leave it as they found it, also when a party raises mid-run."""
+    seen = []
+    choose = POLICIES["random"].choose
+
+    def watched(self, pending):
+        seen.append(gc.isenabled())
+        return choose(self, pending)
+
+    monkeypatch.setattr(POLICIES["random"], "choose", watched)
+    runs = (lambda: sim_run(base_cfg(seed=1, policy="random")),
+            lambda: abba_harness_run(7, 2, 1, [1, 1, 1, 0, 0, 0, 0]))
     try:
-        for at_step in (20, 200):
-            rep = sim_run(base_cfg(n=7, f=2, seed=3, instances=2, policy="random",
-                                   byzantine=(BehaviorSpec(0, "corrupt-shares"),
-                                              BehaviorSpec(1, "crash", at_step=at_step))))
-            assert rep.ok
-            assert gc.collect() == 0
-        cut = sim_run(base_cfg(n=7, f=2, seed=5, instances=2, policy="random", max_steps=300))
-        assert cut.stalled
-        assert gc.collect() == 0
-        res = abba_harness_run(7, 2, 5, [0, 0, 1, 1, 1, 0, 1],
-                               byzantine=(BehaviorSpec(0, "random-votes"),))
-        assert not res["stalled"]
-        assert gc.collect() == 0
+        (gc.enable if enabled else gc.disable)()
+        for run in runs:
+            run()
+            assert gc.isenabled() is enabled
+        handle, calls = Party.handle, []
+
+        def failing(self, env):
+            calls.append(env)
+            if len(calls) == 50:
+                raise RuntimeError("party failed")
+            return handle(self, env)
+
+        monkeypatch.setattr(Party, "handle", failing)
+        monkeypatch.setattr(HarnessParty, "handle", failing)
+        for run in runs:
+            calls.clear()
+            with pytest.raises(RuntimeError, match="party failed"):
+                run()
+            assert len(calls) == 50
+            assert gc.isenabled() is enabled
     finally:
         gc.enable()
+    assert seen and True not in seen
 
 
 HARNESS_KINDS = ("random-votes", "crash", "silent", "corrupt-shares")
+
+
+def no_cycle_runs():
+    """(run, stalls) cases: n=4 runs, honest-only and with each behavior, under
+    each policy; n=7 runs whose parties stop mid-instance with live slots
+    (crashed late, or cut short); and one harness run per `HARNESS_KINDS` entry."""
+    for kind in ("honest", *BEHAVIORS):
+        byz = () if kind == "honest" else (BehaviorSpec(0, kind, at_step=20),)
+        for policy in POLICIES:
+            cfg = base_cfg(seed=3, instances=2, policy=policy, byzantine=byz)
+            yield pytest.param(functools.partial(sim_run, cfg), False, id=f"{kind}-{policy}")
+    for at_step in (20, 200):
+        cfg = base_cfg(n=7, f=2, seed=3, instances=2, policy="random",
+                       byzantine=(BehaviorSpec(0, "corrupt-shares"),
+                                  BehaviorSpec(1, "crash", at_step=at_step)))
+        yield pytest.param(functools.partial(sim_run, cfg), False, id=f"crash-late-{at_step}")
+    cut = base_cfg(n=7, f=2, seed=5, instances=2, policy="random", max_steps=300)
+    yield pytest.param(functools.partial(sim_run, cut), True, id="cut-short")
+    for kind in HARNESS_KINDS:
+        run = functools.partial(abba_harness_run, 7, 2, 5, [0, 0, 1, 1, 1, 0, 1],
+                                byzantine=(BehaviorSpec(0, kind, at_step=20),))
+        yield pytest.param(run, False, id=f"harness-{kind}")
+
+
+@pytest.mark.parametrize("run, stalls", no_cycle_runs())
+def test_finished_runs_leave_no_reference_cycles(run, stalls):
+    """A finished run is freed by reference counting alone, so the simulator
+    may pause the cyclic collector for it."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = run()
+        if isinstance(result, dict):  # the harness's
+            assert result["stalled"] is stalls
+        else:
+            assert result.stalled is stalls and (stalls or result.ok), result.failures
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 HARNESS_DIGEST = "a0d61d0f998d1f0b5cc9f973f4efea1793632bdf008722fa9b0b9deaad3f34cf"
 
 
