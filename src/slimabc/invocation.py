@@ -218,7 +218,8 @@ class SlotInvocation:
             self.owner.slot_ready(self)
 
     def on_recover_resp(self, sender: int, msg: RecoverResp, out: List[Message]) -> None:
-        self.record_pair(msg.ciphertext, msg.proof, out)
+        if self.pair is None:  # a held pair makes the answer change nothing
+            self.record_pair(msg.ciphertext, msg.proof, out)
 
     # -- outcome ----------------------------------------------------------------
 

@@ -231,7 +231,8 @@ class Party(SlotOwner):
         self._peers = (*range(pid), *range(pid + 1, self.n))  # every other party
         self.instance = 0
         self.finished = False
-        self.pending: List[bytes] = []
+        self.pending: List[bytes] = []  # drawn requests not yet delivered
+        self._undrawn: List[int] = []  # started instances whose pools are not drawn
         self.log: List[Tuple[int, int, bytes]] = []  # (instance, slot, request)
         self.delivered: Set[bytes] = set()
         self.outputs_by_instance: Dict[int, Dict[int, RequestBatch]] = {}
@@ -288,7 +289,7 @@ class Party(SlotOwner):
 
     def _start_instance(self, number: int) -> None:
         self.instance = number
-        self.pending.extend(instance_pool(self.cfg, number, self.pid))
+        self._undrawn.append(number)
         self.inst = InstanceState(cs=CsState(number, self.crypto))
         self._emit(BROADCAST, CsShare(number, self.inst.cs.own))
         for sender, msg in self._future.pop(number, ()):
@@ -436,6 +437,13 @@ class Party(SlotOwner):
         for member in committee:
             inst.slots[member] = SlotInvocation(self.instance, member, self.crypto, self._owner)
         if self.pid in committee:
+            # Pools are drawn only to propose: a past instance's filtered as
+            # every finalize since its start would have, the current one's not.
+            for number in self._undrawn:
+                pool = instance_pool(self.cfg, number, self.pid)
+                self.pending += pool if number == self.instance else [
+                    r for r in pool if r not in self.delivered]
+            self._undrawn.clear()
             batch = RequestBatch(
                 self.pid, self.instance, sample_batch(self.cfg, self.pid, self.instance, self.pending)
             )

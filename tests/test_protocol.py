@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import typing
 import weakref
@@ -36,7 +37,8 @@ from slimabc.messages import (
     VMsg,
 )
 from slimabc import protocol
-from slimabc.protocol import BATCH_MAGIC, decode_shared, instance_pool, sample_batch
+from slimabc.protocol import (BATCH_MAGIC, InstanceState, decode_shared, instance_pool,
+                              sample_batch)
 from slimabc.ppb import ppb_sign_bytes
 from slimabc.recorder import RunRecorder
 from slimabc.simnet import HarnessParty, deliver, make_proven_pair
@@ -210,6 +212,74 @@ def test_sample_batch_is_sorted_subset():
     assert idx == sorted(idx)
     # smaller pool than batch_size: take what is there
     assert len(sample_batch(c, 2, 1, pool[:2])) == 2
+
+
+def eager_start_instance(self, number):
+    """The reference for lazy drawing: `Party._start_instance` as it was when
+    every party drew its pool at every instance start."""
+    self.instance = number
+    self.pending.extend(instance_pool(self.cfg, number, self.pid))
+    self.inst = InstanceState(cs=CsState(number, self.crypto))
+    self._emit(BROADCAST, CsShare(number, self.inst.cs.own))
+    for sender, msg in self._future.pop(number, ()):
+        self._deliver(sender, (msg,))
+
+
+def statements(fn):
+    """`fn`'s source lines, stripped, without its def line and docstring."""
+    lines = inspect.getsource(fn).split('"""')[-1].splitlines()
+    return [line.strip() for line in lines
+            if line.strip() and not line.lstrip().startswith("def ")]
+
+
+# Request sizes 1 and 2 make different parties' requests collide, so a
+# drawn pool can hold requests delivered before it was drawn.
+LAZY_SLICE = [dataclasses.replace(grid_config(n, f, seed, policy, fault), instances=4,
+                                  pool_size=6, batch_size=4, request_size=size,
+                                  overlap=overlap)
+              for size in (1, 2, 32) for overlap in (0.0, 0.5, 1.0)
+              for (n, f) in ((4, 1), (7, 2))
+              for fault in ("honest", "crash", "random-votes", "equivocate-ppb")
+              for policy in POLICIES for seed in range(2)]
+
+
+def test_lazy_pools_report_as_eager_pools(monkeypatch):
+    """A party draws its started instances' pools only when it proposes, a
+    past one filtered against what is delivered and the current one as it
+    is; every report equals the one of drawing every pool at every instance
+    start and filtering `pending` at every finalize."""
+    eager = "self.pending.extend(instance_pool(self.cfg, number, self.pid))"
+    assert statements(Party._start_instance) == [
+        "self._undrawn.append(number)" if line == eager else line
+        for line in statements(eager_start_instance)], "the reference has drifted"
+    lazy = [sim_run(c).to_json() for c in LAZY_SLICE]
+    monkeypatch.setattr(Party, "_start_instance", eager_start_instance)
+    assert [sim_run(c).to_json() for c in LAZY_SLICE] == lazy
+
+
+def test_a_pool_is_drawn_only_when_its_party_proposes(monkeypatch):
+    """Each party draws each instance's pool once, by the last instance whose
+    committee holds it, and a party outside every committee draws none."""
+    drawn = Counter()
+
+    def counted(cfg, instance, party):
+        drawn[party, instance] += 1
+        return instance_pool(cfg, instance, party)
+
+    monkeypatch.setattr(protocol, "instance_pool", counted)
+    c = SimConfig(n=7, f=2, seed=3, instances=4, policy="random", pool_size=6, batch_size=4)
+    provider = key_setup(c.security_param, c.n, c.seed)
+    rec = RunRecorder(c, provider)
+    parties = [Party(p, provider.party_handle(p), c, observer=rec) for p in range(c.n)]
+    assert not deliver(parties, c, rec)[-1]
+    committees = {i: per[0] for i, per in rec.committees.items()}
+    assert sorted(committees) == [1, 2, 3, 4]
+    last = {p: max((i for i, m in committees.items() if p in m), default=0)
+            for p in range(c.n)}
+    outside = [p for p in range(c.n) if last[p] == 0]
+    assert outside, "every party proposed: pick a seed that leaves one out"
+    assert all(party not in outside for party, _ in drawn)
+    assert drawn == Counter({(p, i): 1 for p in range(c.n) for i in range(1, last[p] + 1)})
 
 
 # -- full stack ----------------------------------------------------------------
@@ -457,6 +527,49 @@ def test_each_recovery_request_is_answered_once():
     assert party.handle(flood) == []
     (resp,) = party.handle(Envelope(2, 1, (Recover(1, slot),), dst=0))
     assert resp.dst == 2 and resp.entries == (answer,)
+
+
+def test_a_recovery_answer_to_a_holder_is_not_checked_again(monkeypatch):
+    """A slot that holds its pair takes a `RecoverResp` without checking it:
+    no `record_pair`, no well-formedness or signature check, and its party's
+    state is as it was.  A slot without the pair still adopts the answer."""
+    provider = key_setup(128, 4, 6)
+    parties = [Party(i, provider.party_handle(i), cfg(instances=1)) for i in range(4)]
+    queue = [env for p in parties for env in p.begin()]
+
+    def holder_and_lacker():
+        for p, q in itertools.permutations(parties, 2):
+            for slot, inv in (p.inst.slots.items() if p.inst and q.inst else ()):
+                if inv.pair is not None and q.inst.slots[slot].pair is None:
+                    return p, q, slot
+        return None
+
+    while (found := holder_and_lacker()) is None:
+        env = queue.pop(0)
+        queue.extend(parties[env.dst].handle(env))
+    holder, lacker, slot = found
+    pair = holder.inst.slots[slot].pair
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(SlotInvocation, "record_pair",
+                        counting("record_pair", SlotInvocation.record_pair))
+    for p in (holder, lacker):
+        for name in ("ciphertext_wellformed", "verify_signature"):
+            monkeypatch.setattr(p.crypto, name, counting(name, getattr(p.crypto, name)))
+    answer = (RecoverResp(1, slot, *pair),)
+    digest = holder.state_digest()
+    assert holder.handle(Envelope(lacker.pid, 1, answer, dst=holder.pid)) == []
+    assert calls == Counter() and holder.state_digest() == digest
+    assert holder.inst.slots[slot].pair is pair
+    lacker.handle(Envelope(holder.pid, 1, answer, dst=lacker.pid))
+    assert calls == Counter(record_pair=1, ciphertext_wellformed=1, verify_signature=1)
+    assert lacker.inst.slots[slot].pair == pair
 
 
 def test_a_parked_entry_is_kept_once_per_sender():
