@@ -28,27 +28,24 @@ spare repeated work without changing any result:
   encrypted once and the n parties decrypting it share one XOR.  Both are
   bounded by `TPKE_MEMO_MAX`; `tpke_dec` reads its memo only after the
   ciphertext, every share and the holder count have been checked;
-* the *accepted* results of `verify_share`, `verify_signature` and
-  `tpke_dec_share_verify`, keyed by tuples of the bytes and ints each
-  check reads.  These are the verifiers' hit path: a repeated check of
-  a share or signature costs one dict lookup, where the tag memo below
-  would also look up the key and compare the tags with
-  `hmac.compare_digest`.  Every accepted check's tag is in the tag memo
-  too, so they change no result and no MAC count, only the time of
-  repeated checks;
+* the *accepted* memos: each accepted share, a record that equals only its
+  own kind, maps to the message, coin name or ciphertext digest it passed
+  for; each accepted signature's bytes, one object per tag, map to its
+  message in a memo no share can hit.  A hit needs this call's input, and a
+  share's first field must be this call's party; an equal key holds the
+  tag that passed, so a hit skips the tag compare;
 * the tag of each (key, domain, signed input), such as (a party's key,
   b"sig", message), so a hit skips the message digest and the MAC.
   `sig_share`, `combine_shares`, `coin_share` and `tpke_dec_share` fill it;
-  `coin_share_verify` and, when their accepted memo misses, the three
-  verifiers above read it, and each stores a tag it computed only when the
-  offered one matches it.  Both of these are bounded by `VERIFY_MEMO_MAX`.
+  the four verifiers read it on an accepted-memo miss and store a tag they
+  computed only if it matches.  All are bounded by `VERIFY_MEMO_MAX`.
 
 A rejection is never stored in any of them, so a sender of invalid shares
-cannot grow them, and any changed input is a new key that is verified
-afresh.  All live inside the public methods: every call still enters the
-method, a check that misses the accepted memo still compares the offered
-tag with `hmac.compare_digest`, and `combine_shares` and `tpke_dec` still
-check each share through the public verifiers.  No memo is an attribute
+cannot grow them, and any changed input misses and is verified afresh.
+All live inside the public methods: every call still enters the method, a
+check that misses the accepted memo still compares the offered tag with
+`hmac.compare_digest`, and `combine_shares` and `tpke_dec` still check
+each share through the public verifiers.  No memo is an attribute
 of a `Ciphertext` or of a `PartyCrypto` handle, which holds besides its
 provider only its party, the provider's n, f and t_sig, and the
 provider's methods, so the capability contract above is unchanged.
@@ -228,8 +225,9 @@ class ThresholdProvider:
         )
         self._ciphertexts: dict = {}  # plaintext digest -> Ciphertext
         self._plaintexts: dict = {}  # ct_digest() -> plaintext
-        self._accepted: dict = {}  # inputs of accepted share/signature checks
-        self._dec_accepted: dict = {}  # inputs of accepted decryption-share checks
+        self._accepted: dict = {}  # accepted signature or coin share -> message or coin name
+        self._sig_accepted: dict = {}  # accepted signature's bytes -> message
+        self._dec_accepted: dict = {}  # accepted decryption share -> its ct_digest()
         self._tags: dict = {}  # (key, domain, signed input) -> tag
 
     # -- internal keyed digests ------------------------------------------
@@ -307,14 +305,13 @@ class ThresholdProvider:
         return SignatureShare(party, self._tag(self._party_keys[party], b"sig", message))
 
     def verify_share(self, message: bytes, signer: int, share: SignatureShare) -> bool:
-        key = (message, signer, share.signer, share.share_bytes)
-        if key in self._accepted:
+        if self._accepted.get(share) == message and share[0] == signer:
             return True
         if not 0 <= signer < self.n or share.signer != signer:
             return False
         ok = self._tag_matches(self._party_keys[signer], b"sig", message, share.share_bytes)
         if ok:
-            _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
+            _remember(self._accepted, share, message, VERIFY_MEMO_MAX)
         return ok
 
     def combine_shares(self, message: bytes, shares: Iterable[SignatureShare]) -> ThresholdSignature:
@@ -329,12 +326,11 @@ class ThresholdProvider:
         return ThresholdSignature(self._tag(self._master, b"tsig", message))
 
     def verify_signature(self, message: bytes, sig: ThresholdSignature) -> bool:
-        key = (message, sig.sig_bytes)  # never equal to a verify_share key, which has four
-        if key in self._accepted:
+        if self._sig_accepted.get(sig.sig_bytes) == message:
             return True
         ok = self._tag_matches(self._master, b"tsig", message, sig.sig_bytes)
         if ok:
-            _remember(self._accepted, key, True, VERIFY_MEMO_MAX)
+            _remember(self._sig_accepted, sig.sig_bytes, message, VERIFY_MEMO_MAX)
         return ok
 
     # -- common coin -------------------------------------------------------
@@ -344,9 +340,14 @@ class ThresholdProvider:
         return CoinShare(party, self._tag(self._party_keys[party], b"coin", coin_name))
 
     def coin_share_verify(self, coin_name: bytes, holder: int, share: CoinShare) -> bool:
+        if self._accepted.get(share) == coin_name and share[0] == holder:
+            return True
         if not 0 <= holder < self.n or share.holder != holder:
             return False
-        return self._tag_matches(self._party_keys[holder], b"coin", coin_name, share.share_bytes)
+        ok = self._tag_matches(self._party_keys[holder], b"coin", coin_name, share.share_bytes)
+        if ok:
+            _remember(self._accepted, share, coin_name, VERIFY_MEMO_MAX)
+        return ok
 
     def coin_toss_bit(self, coin_name: bytes, shares: Iterable[CoinShare]) -> int:
         """Unbiased bit, defined only once f+1 distinct valid shares exist."""
@@ -406,14 +407,13 @@ class ThresholdProvider:
 
     def tpke_dec_share_verify(self, c: Ciphertext, holder: int, share: DecryptionShare) -> bool:
         d = c._ct_digest
-        key = (d, holder, share.holder, share.share_bytes)
-        if key in self._dec_accepted:
+        if self._dec_accepted.get(share) == d and share[0] == holder:
             return True
         if not 0 <= holder < self.n or share.holder != holder:
             return False
         ok = self._tag_matches(self._party_keys[holder], b"tpke-dec", d, share.share_bytes)
         if ok:
-            _remember(self._dec_accepted, key, True, VERIFY_MEMO_MAX)
+            _remember(self._dec_accepted, share, d, VERIFY_MEMO_MAX)
         return ok
 
     def tpke_dec(self, c: Ciphertext, shares: Iterable[DecryptionShare]) -> bytes:

@@ -535,6 +535,60 @@ def test_memo_still_rejects_a_flipped_share():
     assert not p.verify_signature(b"other", sig)
 
 
+def test_accepted_memo_answers_only_for_its_record_and_input(monkeypatch):
+    """A hit needs the very record and input that were accepted: every other
+    probe gets what a fresh provider answers, and an equal record that is
+    another object hits without a tag compare."""
+    p = provider()
+    share = p.sig_share(1, b"m")
+    sig = p.combine_shares(b"m", [share] + [p.sig_share(i, b"m") for i in (0, 2)])
+    coin = p.coin_share(2, b"m")
+    c, other = p.tpke_enc(b"batch"), p.tpke_enc(b"other")
+    dec = p.tpke_dec_share(3, c)
+    assert p.verify_share(b"m", 1, share) and p.verify_signature(b"m", sig)
+    assert p.coin_share_verify(b"m", 2, coin) and p.tpke_dec_share_verify(c, 3, dec)
+    d = c.ct_digest()
+    probes = [
+        # another message, coin name or ciphertext
+        ("verify_share", (b"m2", 1, share)), ("verify_signature", (b"m2", sig)),
+        ("coin_share_verify", (b"m2", 2, coin)), ("tpke_dec_share_verify", (other, 3, dec)),
+        # another signer or holder argument
+        ("verify_share", (b"m", 2, share)), ("coin_share_verify", (b"m", 1, coin)),
+        ("tpke_dec_share_verify", (c, 2, dec)),
+        # a record of another kind with the same fields
+        ("verify_share", (b"m", 2, SignatureShare(*coin))),
+        ("verify_share", (d, 3, SignatureShare(*dec))),
+        ("verify_signature", (b"m", ThresholdSignature(share.share_bytes))),
+        ("verify_signature", (b"m", ThresholdSignature(coin.share_bytes))),
+        ("coin_share_verify", (b"m", 1, CoinShare(*share))),
+        ("coin_share_verify", (d, 3, CoinShare(*dec))),
+        ("tpke_dec_share_verify", (c, 2, DecryptionShare(*coin))),
+    ]
+    fresh = provider()
+    sizes = len(p._accepted), len(p._sig_accepted), len(p._dec_accepted), len(p._tags)
+    for name, args in probes:
+        got = getattr(p, name)(*args)
+        assert got == getattr(fresh, name)(*args) and got is not True, (name, args)
+    for other_kind in (CoinShare(*share), DecryptionShare(*share)):
+        with pytest.raises(AttributeError):  # neither has a signer field
+            p.verify_share(b"m", 1, other_kind)
+    for record in (share, coin):  # an accepted share is no signature's bytes
+        with pytest.raises(TypeError):
+            p.verify_signature(b"m", ThresholdSignature(record))
+    assert (len(p._accepted), len(p._sig_accepted), len(p._dec_accepted), len(p._tags)) == sizes
+
+    def no_compare(*args):
+        raise AssertionError("a repeated check compared tags")
+
+    monkeypatch.setattr(p, "_tag_matches", no_compare)
+    # each equal record below is a new object, and so are its bytes
+    assert p.verify_share(b"m", 1, SignatureShare(1, bytes(bytearray(share.share_bytes))))
+    assert p.verify_signature(b"m", ThresholdSignature(bytes(bytearray(sig.sig_bytes))))
+    assert p.coin_share_verify(b"m", 2, CoinShare(2, bytes(bytearray(coin.share_bytes))))
+    assert p.tpke_dec_share_verify(Ciphertext(bytes(bytearray(c.payload)), c.length_plain), 3,
+                                   DecryptionShare(3, bytes(bytearray(dec.share_bytes))))
+
+
 def test_rejections_are_never_stored():
     p = provider()
     share = p.sig_share(0, b"flood")
@@ -703,6 +757,32 @@ def test_memos_stay_within_their_bounds():
     assert len(p._accepted) == VERIFY_MEMO_MAX and len(p._dec_accepted) == VERIFY_MEMO_MAX
     assert len(p._tags) == VERIFY_MEMO_MAX
     assert len(p._ciphertexts) == TPKE_MEMO_MAX and len(p._plaintexts) == TPKE_MEMO_MAX
+    # signature and coin shares go into the one accepted memo, interleaved with
+    # signatures, which go into their own
+    p = provider()
+    for k in range(VERIFY_MEMO_MAX // 2 + 50):
+        msg = b"mixed %d" % k
+        sig = p.combine_shares(msg, [p.sig_share(i, msg) for i in range(3)])  # verifies 3 shares
+        assert p.verify_signature(msg, sig)
+        assert p.coin_share_verify(msg, k % 4, p.coin_share(k % 4, msg))
+        assert len(p._accepted) <= VERIFY_MEMO_MAX and len(p._sig_accepted) <= VERIFY_MEMO_MAX
+        assert len(p._tags) <= VERIFY_MEMO_MAX
+    assert len(p._accepted) == VERIFY_MEMO_MAX
+    assert len(p._sig_accepted) == VERIFY_MEMO_MAX // 2 + 50
+    for k in range(VERIFY_MEMO_MAX):
+        msg = b"signed %d" % k
+        sig = p.combine_shares(msg, [p.sig_share(i, msg) for i in range(3)])
+        assert p.verify_signature(msg, sig)
+        assert len(p._sig_accepted) <= VERIFY_MEMO_MAX
+    assert len(p._accepted) == len(p._sig_accepted) == VERIFY_MEMO_MAX
+    # one share offered against many messages; it is valid for one of them
+    p = provider()
+    share = p.sig_share(0, b"valid")
+    for k in range(VERIFY_MEMO_MAX + 50):
+        msg = b"valid" if k == VERIFY_MEMO_MAX // 2 else b"bound %d" % k
+        assert p.verify_share(msg, 0, share) == (msg == b"valid")
+        assert len(p._accepted) <= VERIFY_MEMO_MAX and len(p._tags) <= VERIFY_MEMO_MAX
+    assert len(p._accepted) == len(p._tags) == 1
 
 
 # -- encryption and decryption memo soundness ---------------------------------------
